@@ -1,5 +1,7 @@
 """Betti elements, minimal presentations and complete intersections."""
 
+from itertools import combinations
+
 from . import constants, factor
 from .errors import DegreeBoundRequiredError, IncompleteBettiError
 
@@ -223,7 +225,7 @@ def _spanning_trees(k):
         return [()]
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     trees = []
-    for combo in _combinations(edges, k - 1):
+    for combo in combinations(edges, k - 1):
         parent = list(range(k))
 
         def find(i):
@@ -242,11 +244,6 @@ def _spanning_trees(k):
         if ok:
             trees.append(combo)
     return trees
-
-
-def _combinations(seq, k):
-    from itertools import combinations
-    return combinations(seq, k)
 
 
 def _edge_reps(tree, classes):

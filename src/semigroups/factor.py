@@ -7,6 +7,7 @@ components of that graph on Z(m) are the R-classes.
 """
 
 from .errors import FiberCapExceededError
+from .semigroup import SubMonoid
 
 DEFAULT_FIBER_CAP = 10 ** 6
 
@@ -23,47 +24,52 @@ def _max_multiple(m, g):
     return k
 
 
-def _vsub(m, g, k):
+def _remainders(m, g):
+    """m - k*g for k = 0, 1, ... while it stays nonnegative."""
     if isinstance(m, int):
-        return m - k * g
-    return tuple(mc - k * gc for mc, gc in zip(m, g))
+        return range(m, -1, -g)
+    return (tuple(mc - k * gc for mc, gc in zip(m, g))
+            for k in range(_max_multiple(m, g) + 1))
 
 
 def _is_zero(m):
     return m == 0 if isinstance(m, int) else not any(m)
 
 
-def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP):
+def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP, prefix_tests=None):
     """All factorizations of m over gens, sorted lexicographically.
 
     Works for numerical data (ints) and affine data (tuples of ints) alike.
+    prefix_tests[i] decides membership in the monoid generated by
+    gens[:i + 1]; when not given, it is built from gens.  The search fixes
+    the exponents from the last generator down and enters a remainder only
+    if the earlier generators can reach it, so every branch it enters ends
+    in a factorization.
     Raises FiberCapExceededError if more than `cap` factorizations exist.
     """
     e = len(gens)
-    out = []
     if e == 0:
         return ((),) if _is_zero(m) else ()
+    if prefix_tests is None:
+        prefix_tests = tuple(SubMonoid(gens[:i + 1]).contains
+                             for i in range(e))
+    out = []
 
     def rec(i, rem, suffix):
         if i == 0:
-            g = gens[0]
-            k = _max_multiple(rem, g)
-            if k is not None and _is_zero(_vsub(rem, g, k)):
-                if cap is not None and len(out) >= cap:
-                    raise FiberCapExceededError(m, cap)
-                out.append((k,) + suffix)
+            # rem lies in the monoid of gens[0] alone: an exact multiple
+            if cap is not None and len(out) >= cap:
+                raise FiberCapExceededError(m, cap)
+            out.append((_max_multiple(rem, gens[0]),) + suffix)
             return
         g = gens[i]
-        top = _max_multiple(rem, g)
-        for k in range(top + 1):
-            rec(i - 1, _vsub(rem, g, k), (k,) + suffix)
+        inside = prefix_tests[i - 1]
+        for k, nxt in enumerate(_remainders(rem, g)):
+            if inside(nxt):
+                rec(i - 1, nxt, (k,) + suffix)
 
-    if isinstance(m, int):
-        if m < 0:
-            return ()
-    elif any(c < 0 for c in m):
-        return ()
-    rec(e - 1, m, ())
+    if prefix_tests[e - 1](m):
+        rec(e - 1, m, ())
     out.sort()
     return tuple(out)
 
@@ -137,11 +143,16 @@ def fiber(S, m, cap=DEFAULT_FIBER_CAP):
     cache = S._fiber_cache
     hit = cache.get(m)
     if hit is not None:
+        if cap is not None and hit.denumerant > cap:
+            raise FiberCapExceededError(m, cap)
         return hit
-    facts = raw_fiber(S.gens, m, cap)
+    tests = S._prefix_tests
+    if tests is None:
+        tests = S._prefix_tests = tuple(
+            S.submonoid(range(i + 1)).contains for i in range(len(S.gens)))
+    facts = raw_fiber(S.gens, m, cap, tests)
     fib = Fiber(m, facts, r_classes(facts))
-    if cap == DEFAULT_FIBER_CAP:
-        cache[m] = fib
+    cache[m] = fib
     return fib
 
 

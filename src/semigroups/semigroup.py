@@ -8,6 +8,7 @@ stored order unless given an explicit arrangement.
 
 from itertools import combinations, product
 from math import gcd
+from operator import sub
 
 from . import linalg
 from .errors import (
@@ -21,33 +22,84 @@ from .errors import (
 _CSTAR_CAP = 10 ** 6
 
 
-class SubMonoid:
-    """Membership engine for the monoid generated by a fixed generator list."""
+def _apery_table(gens, modulus):
+    """Entry r is the least element of the monoid generated by gens that is
+    congruent to r modulo `modulus`.  The gcd of gens must be 1, so that the
+    monoid meets every residue class.
 
-    __slots__ = ("gens", "numerical", "_table", "_memo")
+    Round-robin shortest paths over the residues (Nijenhuis, Amer. Math.
+    Monthly 86, 1979; Boecker & Liptak, Algorithmica 48, 2007): each
+    generator a splits the residues into gcd(a, modulus) cycles of step a;
+    one walk around a cycle, started at its least entry, relaxes every
+    entry of that cycle.  O(len(gens) * modulus) time, O(modulus) space.
+    """
+    n = modulus
+    inf = float("inf")
+    table = [inf] * n
+    table[0] = 0
+    for a in gens:
+        d = gcd(a, n)
+        if d == n:
+            continue  # a is a multiple of the modulus: no new residues
+        for p in range(d):
+            x = min(table[p::d])
+            if x == inf:
+                continue
+            for _ in range(n // d - 1):
+                x += a
+                r = x % n
+                y = table[r]
+                if y < x:
+                    x = y
+                else:
+                    table[r] = x
+    return table
+
+
+class SubMonoid:
+    """Membership engine for the monoid generated by a fixed generator list.
+
+    Numerical generators: with d the gcd of the generators and n the least
+    generator divided by d, the engine keeps the Apery table Ap of the
+    reduced monoid <g / d> with respect to n, so that v is a member iff
+    d divides v and v / d >= Ap[(v / d) mod n].  The table is built on the
+    first query.  Affine generators: a memoized depth-first search.
+    """
+
+    __slots__ = ("gens", "numerical", "_d", "_n", "_apery", "_memo")
 
     def __init__(self, gens):
         self.gens = tuple(gens)
         self.numerical = bool(self.gens) and isinstance(self.gens[0], int)
-        self._table = bytearray([1])  # numerical DP table; index 0 is the identity
+        self._apery = None
         self._memo = {}
 
+    def _table(self):
+        """The Apery table Ap of a numerical engine, built on first use."""
+        if self._apery is None:
+            d = 0
+            for g in self.gens:
+                d = gcd(d, g)
+            reduced = [g // d for g in self.gens]
+            self._d = d
+            self._n = min(reduced)
+            self._apery = _apery_table(reduced, self._n)
+        return self._apery
+
     def contains(self, v):
-        if self.numerical or isinstance(v, int):
+        if self.numerical:
             if not isinstance(v, int):
                 raise InvalidGeneratorsError("numerical membership needs an int")
-            if v < 0:
+            ap = self._apery
+            if ap is None:
+                ap = self._table()
+            d = self._d
+            if v % d:
                 return False
-            t = self._table
-            if v >= len(t):
-                old = len(t)
-                t.extend(b"\x00" * (v + 1 - old))
-                for s in range(old, v + 1):
-                    for g in self.gens:
-                        if s >= g and t[s - g]:
-                            t[s] = 1
-                            break
-            return bool(t[v])
+            q = v // d
+            return q >= ap[q % self._n]
+        if isinstance(v, int):  # the monoid of no generators is {0}
+            return v == 0
         if any(c < 0 for c in v):
             return False
         if not any(v):
@@ -55,22 +107,33 @@ class SubMonoid:
         return self._contains_affine(tuple(v))
 
     def _contains_affine(self, v):
-        # Recursion depth is at most the coordinate sum of v, which stays
-        # small for everything this package computes.
+        # Depth-first search for a chain v -> v - g -> ... -> 0 on an
+        # explicit stack: every step lowers the coordinate sum, so a path
+        # never revisits a vector, and a vector found on the way to 0
+        # marks every vector on the stack as a member.
         memo = self._memo
         hit = memo.get(v)
         if hit is not None:
             return hit
-        result = False
-        for g in self.gens:
-            nxt = tuple(c - gc for c, gc in zip(v, g))
-            if any(c < 0 for c in nxt):
-                continue
-            if not any(nxt) or self._contains_affine(nxt):
-                result = True
-                break
-        memo[v] = result
-        return result
+        gens = self.gens
+        stack = [(v, iter(gens))]
+        while stack:
+            w, todo = stack[-1]
+            for g in todo:
+                nxt = tuple(c - gc for c, gc in zip(w, g))
+                if any(c < 0 for c in nxt):
+                    continue
+                if not any(nxt) or memo.get(nxt):
+                    for u, _ in stack:
+                        memo[u] = True
+                    return True
+                if nxt not in memo:
+                    stack.append((nxt, iter(gens)))
+                    break
+            else:
+                memo[w] = False
+                stack.pop()
+        return False
 
 
 class Semigroup:
@@ -94,6 +157,7 @@ class Semigroup:
         self.numerical = ambient_dim == 1
         self._monoid = SubMonoid(self.gens)
         self._submonoids = {}
+        self._prefix_tests = None
         self._fiber_cache = {}
         self._apery_cache = {}
         self._const_cache = {}
@@ -145,6 +209,8 @@ class Semigroup:
     def submonoid(self, indices):
         """Membership engine for the monoid generated by a subset of gens."""
         key = tuple(sorted(indices))  # membership is order-independent
+        if len(key) == len(self.gens):
+            return self._monoid
         sm = self._submonoids.get(key)
         if sm is None:
             sm = SubMonoid(tuple(self.gens[i] for i in key))
@@ -186,21 +252,16 @@ class Semigroup:
     def _apery_numerical(self, bases):
         if not bases or any(b <= 0 or not self.contains(b) for b in bases):
             raise InfiniteAperyError("Apery base must be a nonzero element of S")
-        if len(bases) == 1:
-            b = bases[0]
-            out = []
-            s = 0
-            while len(out) < b:
-                if self.contains(s) and not self.contains(s - b):
-                    out.append(s)
-                s += 1
-            return tuple(out)
-        f = self.frobenius()
-        hi = f + max(bases)
-        out = [s for s in range(hi + 1)
-               if self.contains(s)
-               and all(not self.contains(s - b) for b in bases)]
-        return tuple(out)
+        # Ap(S; B) is the part of Ap(S; b) with no other base below it
+        b = bases[0]
+        if b == self.multiplicity:  # the membership table is Ap(S; n_1)
+            table = self._monoid._table()
+        else:
+            table = _apery_table(self.gens, b)
+        ap = sorted(table)
+        for c in bases[1:]:
+            ap = [w for w in ap if not self.contains(w - c)]
+        return tuple(ap)
 
     def _apery_affine(self, bases):
         rays = self.ray_values()
@@ -260,16 +321,17 @@ class Semigroup:
     # -- numerical invariants --------------------------------------------
 
     def frobenius(self):
+        """max Ap(S; n_1) - n_1 (Brauer and Shockley)."""
         if not self.numerical:
             raise NotNumericalError("Frobenius number needs a numerical semigroup")
-        ap = self.apery(self.multiplicity)
-        return max(ap) - self.multiplicity
+        return max(self.apery(self.multiplicity)) - self.multiplicity
 
     def genus(self):
+        """(1/n_1) * sum Ap(S; n_1) - (n_1 - 1)/2 (Selmer)."""
         if not self.numerical:
             raise NotNumericalError("genus needs a numerical semigroup")
-        f = self.frobenius()
-        return sum(1 for s in range(1, f + 1) if not self.contains(s))
+        n = self.multiplicity
+        return (sum(self.apery(n)) - n * (n - 1) // 2) // n
 
     # -- Cohen-Macaulay / Gorenstein -------------------------------------
 
@@ -399,17 +461,14 @@ def _normalize(raw_gens):
 
 
 def _strip_redundant(gens):
-    gens = list(gens)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(gens):
-            others = gens[:i] + gens[i + 1:]
-            if others and SubMonoid(others).contains(g):
-                gens.pop(i)
-                changed = True
-                break
-    return tuple(gens)
+    """The minimal generators among distinct gens, in order.  A generator
+    is redundant iff it is the sum of two nonzero elements, that is iff
+    g - h lies in the monoid for some other generator h."""
+    sm = SubMonoid(gens)
+    minus = sub if isinstance(gens[0], int) else _vsub
+    return tuple(g for i, g in enumerate(gens)
+                 if not any(j != i and sm.contains(minus(g, h))
+                            for j, h in enumerate(gens)))
 
 
 def _find_rays(gens, r):

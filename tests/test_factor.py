@@ -81,6 +81,14 @@ def test_fiber_cap():
         raw_fiber(S.gens, 1000, cap=3)
 
 
+def test_fiber_cap_honoured_when_cached():
+    S = make_semigroup([2, 3])
+    assert fiber(S, 30).denumerant == 6
+    with pytest.raises(FiberCapExceededError):
+        fiber(S, 30, cap=3)
+    assert fiber(S, 30, cap=6).denumerant == 6
+
+
 def test_fiber_cached_identity():
     S = make_semigroup([3, 4, 5])
     assert fiber(S, 8) is fiber(S, 8)
@@ -102,3 +110,27 @@ def test_fiber_by_brute_force_enumeration(gens, m):
         combo for combo in product(*[range(m // g + 1) for g in gens])
         if sum(c * g for c, g in zip(combo, gens)) == m)
     assert list(fiber(S, m).factorizations) == expected
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=4),
+       st.tuples(st.integers(0, 14), st.integers(0, 14)))
+@settings(max_examples=80, deadline=None)
+def test_affine_fiber_by_brute_force_enumeration(vecs, m):
+    from itertools import product
+    gens = tuple(dict.fromkeys(v for v in vecs if any(v)))
+    if not gens:
+        return
+
+    def brute(gens):
+        tops = [min(mc // gc for mc, gc in zip(m, g) if gc) for g in gens]
+        return sorted(
+            combo for combo in product(*[range(t + 1) for t in tops])
+            if tuple(sum(c * g[j] for c, g in zip(combo, gens))
+                     for j in range(2)) == m)
+
+    assert list(raw_fiber(gens, m)) == brute(gens)
+    S = make_semigroup(gens)  # drops redundant generators
+    expected = brute(S.gens)
+    assert list(fiber(S, m).factorizations) == expected
+    assert S.contains(m) == bool(expected)

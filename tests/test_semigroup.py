@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from semigroups import (InfiniteAperyError, InvalidGeneratorsError,
                         NotNumericalError, make_semigroup, parse_gens)
-from semigroups.semigroup import format_element, format_gens
+from semigroups.semigroup import SubMonoid, format_element, format_gens
 
 
 def test_make_numerical_preserves_order_and_strips_redundant():
@@ -106,23 +106,78 @@ def test_is_gorenstein_numerical_symmetric():
     assert not make_semigroup([3, 4, 5]).is_gorenstein()
 
 
-@given(st.sets(st.integers(2, 40), min_size=2, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_membership_matches_brute_force(gens):
-    from math import gcd
-    from functools import reduce
-    gens = sorted(gens)
-    if reduce(gcd, gens) != 1:
-        return
-    S = make_semigroup(gens)
-    # brute-force closure up to a horizon
-    horizon = 2 * max(gens) * max(gens)
+def _coin_change(gens, horizon):
+    """Oracle: table[s] == 1 iff s <= horizon is a sum of the gens."""
     table = bytearray(horizon + 1)
     table[0] = 1
     for s in range(horizon + 1):
         if table[s]:
-            for g in S.gens:
+            for g in gens:
                 if s + g <= horizon:
                     table[s + g] = 1
+    return table
+
+
+@given(st.sets(st.integers(2, 40), min_size=2, max_size=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_membership_matches_brute_force(gens, data):
+    from math import gcd
+    from functools import reduce
+    gens = sorted(gens)
+    # any generator list, including prefix monoids whose gcd exceeds 1
+    horizon = 2 * max(gens) * max(gens)
+    table = _coin_change(gens, horizon)
+    sub = SubMonoid(gens)
+    for s in range(-max(gens), horizon + 1):
+        assert sub.contains(s) == (s >= 0 and bool(table[s])), s
+    if reduce(gcd, gens) != 1:
+        return
+    S = make_semigroup(gens)
     for s in range(horizon + 1):
         assert S.contains(s) == bool(table[s])
+    # Ap(S; b) for a nonzero element b: members s with s - b outside S;
+    # every Apery element is below F + b < max(gens)^2 + b <= horizon
+    b = data.draw(st.sampled_from(
+        [s for s in range(1, 2 * max(gens) + 1) if table[s]]))
+    expected = tuple(s for s in range(horizon + 1)
+                     if table[s] and not (s >= b and table[s - b]))
+    assert S.apery(b) == expected
+
+
+@given(st.sets(st.integers(2, 40), min_size=2, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_frobenius_and_genus_match_gap_count(gens):
+    from math import gcd
+    from functools import reduce
+    if reduce(gcd, gens) != 1:
+        return
+    S = make_semigroup(sorted(gens))
+    table = _coin_change(gens, max(gens) * max(gens))
+    gaps = [s for s, member in enumerate(table) if not member]
+    assert S.frobenius() == max(gaps, default=-1)
+    assert S.genus() == len(gaps)
+
+
+@given(st.integers(2, 400), st.integers(2, 400))
+@settings(max_examples=60, deadline=None)
+def test_two_generators_match_sylvester(a, b):
+    from math import gcd
+    if a == b or gcd(a, b) != 1:
+        return
+    S = make_semigroup([a, b])
+    assert S.frobenius() == a * b - a - b
+    assert S.genus() == (a - 1) * (b - 1) // 2
+
+
+def test_frobenius_of_large_two_generator_semigroup():
+    S = make_semigroup([100003, 100019])
+    assert S.frobenius() == 100003 * 100019 - 100003 - 100019
+    assert S.genus() == 100002 * 100018 // 2
+
+
+def test_affine_membership_far_from_origin():
+    S = make_semigroup([(1, 0), (0, 1), (1, 1)])
+    assert S.contains((3000, 3000))
+    T = make_semigroup([(2, 0), (0, 2), (1, 1)])
+    assert T.contains((1500, 1500))
+    assert not T.contains((31, 30))  # coordinate sum odd
