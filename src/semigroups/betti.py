@@ -46,16 +46,12 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     Betti = {c_i^* n_i}); otherwise a bounded sweep over elements of
     coordinate sum <= degree_bound, flagged incomplete.
     """
-    cached = getattr(S, "_betti_profile", None)
-    if cached is not None and (cached.complete or degree_bound is None):
-        return cached
     if S.numerical:
-        profile = _betti_numerical(S, fiber_cap)
-    else:
-        profile = _betti_affine(S, degree_bound, fiber_cap)
-    if degree_bound is None or profile.complete:
-        S._betti_profile = profile
-    return profile
+        return S._cached("betti", _betti_numerical, S, fiber_cap)
+    if degree_bound is not None and free_arrangement(S) is None:
+        # a sweep to this bound: only the sweep to the default bound is kept
+        return _betti_affine(S, degree_bound, fiber_cap)
+    return S._cached("betti", _betti_affine, S, degree_bound, fiber_cap)
 
 
 def _betti_numerical(S, fiber_cap):
@@ -76,38 +72,45 @@ def _betti_numerical(S, fiber_cap):
 
 
 def free_arrangement(S):
-    """Search for an arrangement (rays first) for which S is free.
-
-    Returns the arrangement as a tuple of generator indices, or None.  The
-    search walks orderings of the non-ray generators, pruning by prefix set
-    (the freeness condition at each position depends only on the set of
-    earlier generators).
-    """
+    """An arrangement (rays first) for which S is free, as a tuple of
+    generator indices, or None."""
     if S.simplicial_rays is None:
         return None
     rays = tuple(S.simplicial_rays)
-    nonrays = S.nonray_indices()
-    dead = set()
+    tail = _free_completion(S, frozenset(rays))
+    return None if tail is None else rays + tail
 
-    def extend(prefix, remaining):
-        if not remaining:
-            return prefix
-        key = frozenset(prefix)
-        if key in dead:
-            return None
-        for idx in remaining:
-            arrangement = prefix + (idx,)
-            pos = len(prefix)
-            if constants.c_bar(S, arrangement, pos) == \
-                    constants.c_star(S, arrangement, pos):
-                found = extend(arrangement,
-                               tuple(j for j in remaining if j != idx))
-                if found is not None:
-                    return found
-        dead.add(key)
+
+def _free_completion(S, prefix, alpha_base=None):
+    """The first ordering, in increasing index order, of the generators
+    outside the index set prefix that completes it to a free arrangement
+    (c-bar_i = c_i^* at every later position), or None.
+
+    With alpha_base = j (numerical only), every later position must also
+    have c_i^* = alpha_i + 1, alpha taken with respect to gens[j].  Each
+    step depends on the earlier generators only as a set, so the search is
+    memoized on (prefix, alpha_base) and shared by every caller.
+    """
+    def compute():
+        base = tuple(sorted(prefix))
+        pos = len(base)
+        rest = [i for i in range(len(S.gens)) if i not in prefix]
+        if not rest:
+            return ()
+        for idx in rest:
+            arrangement = base + (idx,)
+            c = constants.c_bar(S, arrangement, pos)
+            if constants.c_star(S, arrangement, pos) != c:
+                continue
+            if alpha_base is not None and \
+                    c != constants.alpha(S, idx, alpha_base) + 1:
+                continue
+            tail = _free_completion(S, prefix | {idx}, alpha_base)
+            if tail is not None:
+                return (idx,) + tail
         return None
 
-    return extend(rays, nonrays)
+    return S._cached(("free_completion", prefix, alpha_base), compute)
 
 
 def is_free(S, arrangement=None):

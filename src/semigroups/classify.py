@@ -8,11 +8,11 @@ search harness can detect a "mixed" vector (some conditions true, others
 false), which would falsify the theorem on that semigroup.
 """
 
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from math import prod
 
 from . import constants, factor
-from .betti import (betti_elements, free_arrangement,
+from .betti import (_free_completion, betti_elements, free_arrangement,
                     is_complete_intersection, is_free)
 from .errors import IncompleteBettiError, NotNumericalError
 from .isolated import betti_minimals, isolated_profile, minimal_multi_elements
@@ -128,45 +128,6 @@ def _scale_value(S, c, g):
 
 # -- freeness -------------------------------------------------------------
 
-def _memo(S, key, compute):
-    cache = getattr(S, "_classify_cache", None)
-    if cache is None:
-        cache = S._classify_cache = {}
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
-
-
-_MISS = object()
-
-
-def _free_completion(S, pset):
-    """Ordered completion of the prefix set pset to a free arrangement, or
-    None.  The freeness condition at each step (c_bar = c_star for the next
-    generator over the prefix) depends only on the prefix as a set, so the
-    search memoizes on subsets and is shared across all leading choices."""
-    all_idx = frozenset(range(len(S.gens)))
-    hit = _memo(S, ("free_complete", pset), lambda: _MISS)
-    if hit is not _MISS:
-        return hit
-    if pset == all_idx:
-        result = ()
-    else:
-        result = None
-        base = tuple(sorted(pset))
-        pos = len(pset)
-        for g in sorted(all_idx - pset):
-            arrangement = base + (g,)
-            if constants.c_bar(S, arrangement, pos) == \
-                    constants.c_star(S, arrangement, pos):
-                tail = _free_completion(S, pset | {g})
-                if tail is not None:
-                    result = (g,) + tail
-                    break
-    S._classify_cache[("free_complete", pset)] = result
-    return result
-
-
 def free_arrangement_starting_at(S, first):
     """Search for a free arrangement whose leading generator is gens[first]
     (numerical only).  Returns the index arrangement or None."""
@@ -181,16 +142,13 @@ def free_some_arrangement(S):
     Numerical semigroups try every generator in the leading position;
     affine semigroups keep the rays first.
     """
-    def compute():
-        if S.numerical:
-            for first in range(len(S.gens)):
-                arr = free_arrangement_starting_at(S, first)
-                if arr is not None:
-                    return arr
-            return None
+    if not S.numerical:
         return free_arrangement(S)
-
-    return _memo(S, "free_some", compute)
+    for first in range(len(S.gens)):
+        arr = free_arrangement_starting_at(S, first)
+        if arr is not None:
+            return arr
+    return None
 
 
 def is_free_all_arrangements(S):
@@ -347,23 +305,16 @@ def has_single_betti_minimal(S, degree_bound=None):
 
 # -- shaped presentations -------------------------------------------------
 
-def _sorted_cost_arrangements(S, cap=24):
-    """Arrangements (index tuples) with c_1 n_1 <= ... <= c_e n_e.  Ties in
-    the cost produce several arrangements; the list is capped."""
+def _sorted_cost_arrangements(S):
+    """Arrangements (index tuples) with c_1 n_1 <= ... <= c_e n_e: every
+    ordering of each run of tied costs."""
     e = len(S.gens)
     cost = [constants.c_value(S, i) * S.gens[i] for i in range(e)]
     order = sorted(range(e), key=lambda i: (cost[i], S.gens[i]))
-    groups = []
-    for i in order:
-        if groups and cost[groups[-1][0]] == cost[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
     out = [()]
-    for group in groups:
-        out = [pre + perm for pre in out for perm in permutations(group)]
-        if len(out) > cap:
-            out = out[:cap]
+    for _, group in groupby(order, key=cost.__getitem__):
+        perms = list(permutations(group))
+        out = [pre + perm for pre in out for perm in perms]
     return out
 
 
@@ -759,24 +710,7 @@ def _check_thm_alpha_free(S, j):
     Returns None when the hypothesis fails."""
     if not is_alpha_rectangular(S, j)[0]:
         return None
-    rest = tuple(i for i in range(len(S.gens)) if i != j)
-    alphas = {i: constants.alpha(S, i, j) for i in rest}
-
-    def extend(prefix, remaining):
-        if not remaining:
-            return True
-        for idx in remaining:
-            arrangement = prefix + (idx,)
-            pos = len(prefix)
-            cstar = constants.c_star(S, arrangement, pos)
-            if cstar == alphas[idx] + 1 and \
-                    constants.c_bar(S, arrangement, pos) == cstar:
-                if extend(arrangement,
-                          tuple(x for x in remaining if x != idx)):
-                    return True
-        return False
-
-    return extend((j,), rest)
+    return _free_completion(S, frozenset((j,)), alpha_base=j) is not None
 
 
 def _check_thm_alpha_c(S, j=None):

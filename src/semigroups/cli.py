@@ -395,9 +395,6 @@ def build_parser():
                    help="recover (a, f) from --gens instead")
     p.add_argument("--gens", help="generators (with --recover)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--fiber-cap", type=int, default=factor.DEFAULT_FIBER_CAP)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("glue", help="gluing of two numerical semigroups")

@@ -30,25 +30,26 @@ def default_arrangement(S):
 def c_star(S, arrangement, pos):
     """The constant c_i^* at position pos (0-based) of the arrangement."""
     # the value depends on the prefix only as a set
-    return _cached(S, ("c_star", tuple(sorted(arrangement[:pos])),
-                       arrangement[pos]),
-                   lambda: S.prefix_multiple(tuple(arrangement), pos))
+    return S._cached(("c_star", tuple(sorted(arrangement[:pos])),
+                      arrangement[pos]),
+                     S.prefix_multiple, tuple(arrangement), pos)
 
 
 def c_bar(S, arrangement, pos):
     """The constant c-bar_i: group membership instead of monoid membership."""
     prefix = tuple(sorted(arrangement[:pos]))
     idx = arrangement[pos]
+    return S._cached(("c_bar", prefix, idx), _required_group_multiple, S,
+                     prefix, idx)
 
-    def compute():
-        c = S._group_multiple(prefix, idx)
-        if c is None:
-            raise SearchCapExceededError(
-                f"generator {S.gens[idx]} has no multiple in the group "
-                f"generated by the prefix")
-        return c
 
-    return _cached(S, ("c_bar", prefix, idx), compute)
+def _required_group_multiple(S, prefix, idx):
+    c = S._group_multiple(prefix, idx)
+    if c is None:
+        raise SearchCapExceededError(
+            f"generator {S.gens[idx]} has no multiple in the group "
+            f"generated by the prefix")
+    return c
 
 
 def c_value(S, idx, cap=None):
@@ -83,7 +84,7 @@ def c_value(S, idx, cap=None):
             f"no multiple of {g} in the monoid of the other generators "
             f"below {limit}")
 
-    return _cached(S, ("c_value", idx, cap), compute)
+    return S._cached(("c_value", idx, cap), compute)
 
 
 def c_atoms(S):
@@ -120,7 +121,7 @@ def alpha(S, idx, base_idx=None):
                 h += 1
             return h
 
-        return _cached(S, ("alpha", idx, base), compute)
+        return S._cached(("alpha", idx, base), compute)
     if base_idx is not None:
         raise NotSimplicialError("affine alpha uses the simplicial rays")
 
@@ -132,16 +133,9 @@ def alpha(S, idx, base_idx=None):
             h += 1
         return h
 
-    return _cached(S, ("alpha", idx, None), compute)
+    return S._cached(("alpha", idx, None), compute)
 
 
 def _in_apery(S, w, rays):
     return S.contains(w) and all(
         not S.contains(tuple(a - b for a, b in zip(w, r))) for r in rays)
-
-
-def _cached(S, key, compute):
-    cache = S._const_cache
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]

@@ -10,6 +10,7 @@ with the assignment-independent lower bound obtained by setting every
 f_i = 1.
 """
 
+from itertools import permutations
 from math import gcd, prod
 
 from . import classify
@@ -25,19 +26,12 @@ GENUS_CAP = 25
 
 
 class Corpus:
-    """A list of semigroups with provenance, deduplicated by generators."""
+    """A list of semigroups with provenance."""
 
     __slots__ = ("semigroups", "provenance")
 
     def __init__(self, semigroups, provenance):
-        seen = set()
-        out = []
-        for S in semigroups:
-            key = tuple(sorted(S.gens)) if S.numerical else tuple(S.gens)
-            if key not in seen:
-                seen.add(key)
-                out.append(S)
-        self.semigroups = out
+        self.semigroups = list(semigroups)
         self.provenance = provenance
 
     def __iter__(self):
@@ -80,13 +74,19 @@ def enumerate_numerical_by_genus(g_max, cap=GENUS_CAP):
 
 
 def load_corpus(path):
-    """Corpus file: one generator list per line, '#' starts a comment."""
+    """Corpus file: one generator list per line, '#' starts a comment.
+    A semigroup listed twice is kept once, at its first line."""
     out = []
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
-                out.append(make_semigroup(parse_gens(line)))
+                S = make_semigroup(parse_gens(line))
+                key = tuple(sorted(S.gens)) if S.numerical else S.gens
+                if key not in seen:
+                    seen.add(key)
+                    out.append(S)
     return Corpus(out, f"file:{path}")
 
 
@@ -158,20 +158,17 @@ def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
     def assignments(values):
         e = len(values)
         p = prod(values)
-        seen = set()
         # choose a_1 and a_2 (f_1 = f_2 = 1); the rest is ordered by the
-        # f chain, so only the set of remaining values matters per chain
+        # f chain.  The values are distinct and increasing, so every a is
+        # new and the permutations come in sorted order.
         for i in range(e):
             for j in range(e):
                 if i == j:
                     continue
                 rest = [values[k] for k in range(e)
                         if k not in (i, j)]
-                for perm in _permutations_dedup(rest):
+                for perm in permutations(rest):
                     a = (values[i], values[j]) + perm
-                    if a in seen:
-                        continue
-                    seen.add(a)
                     n1 = p // a[0]
                     base = (a[1] - 1) * (p // a[1])
                     f_chains(list(a), 2, [1, 1], base, n1)
@@ -198,11 +195,6 @@ def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
             f"no Betti-divisible semigroup with >= {edim_min} generators "
             f"has Frobenius number <= {f_max}")
     return best[0], best[2]
-
-
-def _permutations_dedup(values):
-    from itertools import permutations
-    return sorted(set(permutations(values)))
 
 
 # -- theorem harness ------------------------------------------------------

@@ -140,20 +140,17 @@ class Fiber:
 
 def fiber(S, m, cap=DEFAULT_FIBER_CAP):
     """Fiber of m in the semigroup S, with R-classes.  Cached on S."""
-    cache = S._fiber_cache
-    hit = cache.get(m)
-    if hit is not None:
-        if cap is not None and hit.denumerant > cap:
-            raise FiberCapExceededError(m, cap)
-        return hit
-    tests = S._prefix_tests
-    if tests is None:
-        tests = S._prefix_tests = tuple(
-            S.submonoid(range(i + 1)).contains for i in range(len(S.gens)))
-    facts = raw_fiber(S.gens, m, cap, tests)
-    fib = Fiber(m, facts, r_classes(facts))
-    cache[m] = fib
+    fib = S._cached(("fiber", m), _new_fiber, S, m, cap)
+    if cap is not None and fib.denumerant > cap:
+        raise FiberCapExceededError(m, cap)  # cached under a larger cap
     return fib
+
+
+def _new_fiber(S, m, cap):
+    tests = S._cached("prefix_tests", lambda: tuple(
+        S.submonoid(range(i + 1)).contains for i in range(len(S.gens))))
+    facts = raw_fiber(S.gens, m, cap, tests)
+    return Fiber(m, facts, r_classes(facts))
 
 
 def denumerant(S, m, cap=DEFAULT_FIBER_CAP):

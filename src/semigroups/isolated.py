@@ -7,7 +7,7 @@ exact; for affine semigroups I_s is computed up to a bound and flagged.
 """
 
 from . import betti as betti_mod
-from . import constants, factor
+from . import factor
 from .errors import InfiniteSetError
 
 
@@ -72,12 +72,7 @@ def is_set(S, bound=None):
 
 def isolated_profile(S, degree_bound=None, bound=None):
     if degree_bound is None and bound is None:
-        hit = getattr(S, "_iso_profile", None)
-        if hit is not None:
-            return hit
-        result = _isolated_profile(S, None, None)
-        S._iso_profile = result
-        return result
+        return S._cached("isolated", _isolated_profile, S, None, None)
     return _isolated_profile(S, degree_bound, bound)
 
 
@@ -129,8 +124,3 @@ def minimal_multi_elements(S, bound=None):
         if ok:
             out.append(m)
     return tuple(out)
-
-
-def c_atoms(S):
-    """The set C(M) with its constants; see constants.c_atoms."""
-    return constants.c_atoms(S)

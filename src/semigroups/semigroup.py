@@ -156,11 +156,21 @@ class Semigroup:
         self.simplicial_rays = simplicial_rays
         self.numerical = ambient_dim == 1
         self._monoid = SubMonoid(self.gens)
-        self._submonoids = {}
-        self._prefix_tests = None
-        self._fiber_cache = {}
-        self._apery_cache = {}
-        self._const_cache = {}
+        self._memo = {}
+
+    def _cached(self, key, compute, *args):
+        """The derived datum stored under key, from compute(*args) on first
+        use.
+
+        Every module keeps what it derives from a semigroup here, under a
+        tagged key such as ("fiber", m) or ("apery", bases).  A stored None
+        is a hit like any other value.
+        """
+        memo = self._memo
+        value = memo.get(key, memo)  # the memo itself marks a miss
+        if value is memo:
+            value = memo[key] = compute(*args)
+        return value
 
     # -- basic accessors -------------------------------------------------
 
@@ -211,11 +221,8 @@ class Semigroup:
         key = tuple(sorted(indices))  # membership is order-independent
         if len(key) == len(self.gens):
             return self._monoid
-        sm = self._submonoids.get(key)
-        if sm is None:
-            sm = SubMonoid(tuple(self.gens[i] for i in key))
-            self._submonoids[key] = sm
-        return sm
+        return self._cached(("submonoid", key), lambda: SubMonoid(
+            tuple(self.gens[i] for i in key)))
 
     # -- Apery sets ------------------------------------------------------
 
@@ -228,15 +235,9 @@ class Semigroup:
         exactly the ray generator set.
         """
         key = self._apery_key(base)
-        hit = self._apery_cache.get(key)
-        if hit is not None:
-            return hit
-        if self.numerical:
-            result = self._apery_numerical(key)
-        else:
-            result = self._apery_affine(key)
-        self._apery_cache[key] = result
-        return result
+        compute = self._apery_numerical if self.numerical else \
+            self._apery_affine
+        return self._cached(("apery", key), compute, key)
 
     def _apery_key(self, base):
         if self.numerical:
@@ -348,6 +349,10 @@ class Semigroup:
         return True
 
     def is_gorenstein(self):
+        """Numerical: symmetric, 2 * genus == F + 1.  Affine: Cohen-Macaulay
+        with a unique maximal Apery element (w.r.t. the rays)."""
+        if self.numerical:
+            return 2 * self.genus() == self.frobenius() + 1
         if not self.is_cohen_macaulay():
             return False
         ap = self.apery()

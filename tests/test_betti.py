@@ -85,6 +85,14 @@ def test_all_minimal_presentations_counts():
     assert len(list(all_minimal_presentations(T))) == 1
 
 
+def test_affine_free_arrangement():
+    assert free_arrangement(make_semigroup([(1, 0), (0, 2), (0, 3)])) == \
+        (0, 1, 2)
+    S = make_semigroup([(3, 0), (0, 3), (1, 2), (2, 1)])
+    assert free_arrangement(S) is None
+    assert not betti_elements(S).complete
+
+
 def test_affine_betti_free_certificate():
     S = make_semigroup([(1, 0), (0, 2), (0, 3)])
     prof = betti_elements(S)

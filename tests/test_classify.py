@@ -1,12 +1,20 @@
+from itertools import permutations
+from math import gcd
+
 from semigroups import (check_equivalence_theorems, classification_report,
                         free_some_arrangement, has_single_betti,
                         has_single_betti_minimal, is_alpha_rectangular,
                         is_betti_divisible, is_betti_sorted,
                         is_c_rectangular, is_free_all_arrangements,
                         is_rectangular, make_semigroup, verify_bounds)
-from semigroups.classify import (admits_shaped_presentation,
+from semigroups import constants
+from semigroups.betti import _free_completion
+from semigroups.classify import (_check_thm_alpha_free,
+                                 _sorted_cost_arrangements,
+                                 admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
+from semigroups.explore import enumerate_numerical_by_genus
 
 
 def test_alpha_rectangular_goldens():
@@ -119,3 +127,117 @@ def test_equivalence_theorems_affine():
     assert report
     for name, entry in report.items():
         assert entry["ok"], (name, entry)
+
+
+# -- free-arrangement search against brute force ---------------------------
+
+def _coin_change(gens, limit):
+    """reach[v] is 1 iff v <= limit is an N-combination of gens."""
+    reach = bytearray(limit + 1)
+    reach[0] = 1
+    for g in gens:
+        for v in range(g, limit + 1):
+            if reach[v - g]:
+                reach[v] = 1
+    return reach
+
+
+class _BruteConstants:
+    """c-bar, c* and alpha of a numerical semigroup by coin-change sweeps,
+    independent of the library."""
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.limit = max(gens) ** 2
+        self.member = _coin_change(gens, self.limit)
+        self.pairs = {}
+
+    def pair(self, prefix, i):
+        """(c-bar, c*) of gens[i] over the set of prefix indices."""
+        key = (frozenset(prefix), i)
+        if key not in self.pairs:
+            sub = [self.gens[k] for k in key[0]]
+            g = self.gens[i]
+            d = gcd(*sub)
+            reach = _coin_change(sub, d // gcd(d, g) * g * max(sub))
+            c = 1
+            while not reach[c * g]:
+                c += 1
+            self.pairs[key] = (d // gcd(d, g), c)
+        return self.pairs[key]
+
+    def alpha(self, i, j):
+        """Largest h with h * gens[i] in Ap(S; gens[j])."""
+        h = 1
+        while True:
+            v = (h + 1) * self.gens[i] - self.gens[j]
+            if v >= 0 and self.member[v]:
+                return h
+            h += 1
+
+    def free(self, p):
+        return all(len(set(self.pair(p[:pos], p[pos]))) == 1
+                   for pos in range(1, len(p)))
+
+    def alpha_free(self, p):
+        return all(self.pair(p[:pos], p[pos]) ==
+                   (self.alpha(p[pos], p[0]) + 1,) * 2
+                   for pos in range(1, len(p)))
+
+
+def _corpus_e_ge_2(genus):
+    return [S for S in enumerate_numerical_by_genus(genus) if len(S.gens) > 1]
+
+
+def test_free_some_arrangement_is_first_free_permutation():
+    corpus = _corpus_e_ge_2(8)
+    assert len(corpus) == 155
+    for S in corpus:
+        brute = _BruteConstants(S.gens)
+        first = next((p for p in permutations(range(len(S.gens)))
+                      if brute.free(p)), None)
+        assert free_some_arrangement(S) == first, S.gens
+        assert (first is not None) == any(
+            free_arrangement_starting_at(S, j) for j in range(len(S.gens)))
+
+
+def test_alpha_free_check_matches_permutation_scan():
+    # the theorem makes every applicable check true, so the search is also
+    # compared on every base j, where the alpha condition often fails
+    found = {True: 0, False: 0}
+    for S in _corpus_e_ge_2(8):
+        brute = _BruteConstants(S.gens)
+        e = len(S.gens)
+        for j in range(e):
+            rest = [i for i in range(e) if i != j]
+            first = next((p for p in permutations(rest)
+                          if brute.alpha_free((j,) + p)), None)
+            assert _free_completion(S, frozenset((j,)), alpha_base=j) == \
+                first, (S.gens, j)
+            found[first is not None] += 1
+            got = _check_thm_alpha_free(S, j)
+            if is_alpha_rectangular(S, j)[0]:
+                assert got == (first is not None), (S.gens, j)
+            else:
+                assert got is None
+    assert found[True] >= 40 and found[False] >= 400, found
+
+
+def test_search_memo_counts_none_as_a_hit(monkeypatch):
+    S = make_semigroup([3, 4, 5])
+    assert free_some_arrangement(S) is None
+    calls = []
+    real = constants.c_bar
+    monkeypatch.setattr(constants, "c_bar",
+                        lambda *a: calls.append(a) or real(*a))
+    assert free_some_arrangement(S) is None
+    assert calls == []
+
+
+def test_sorted_cost_arrangements_enumerates_every_tie():
+    # c_i n_i = 2310 for all five generators: all 5! orderings tie
+    S = make_semigroup([1155, 770, 462, 330, 210])
+    arrangements = _sorted_cost_arrangements(S)
+    assert len(arrangements) == 120
+    assert len(set(arrangements)) == 120
+    assert arrangements[0] == (4, 3, 2, 1, 0)  # ties broken by generator

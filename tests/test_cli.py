@@ -95,6 +95,13 @@ def test_exit_code_infeasible(capsys):
     assert "infeasible" in err
 
 
+def test_construct_rejects_unused_flags(capsys):
+    for flag in ("--degree-bound", "--threads", "--fiber-cap"):
+        code, _, _ = run(capsys, "construct", "--a", "7,5,2,3",
+                         "--f", "1,1,1,2", flag, "4")
+        assert code == 2, flag
+
+
 def test_json_big_integers_as_strings():
     from semigroups.cli import _jsonable
     big = (1 << 53) + 1

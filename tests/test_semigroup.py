@@ -106,6 +106,21 @@ def test_is_gorenstein_numerical_symmetric():
     assert not make_semigroup([3, 4, 5]).is_gorenstein()
 
 
+def test_is_gorenstein_matches_apery_maxima_rule():
+    # oracle: Ap(S; n) has a single maximal element in the order of S
+    from semigroups.explore import enumerate_numerical_by_genus
+    corpus = enumerate_numerical_by_genus(10)
+    symmetric = 0
+    for S in corpus:
+        ap = S.apery()
+        table = _coin_change(S.gens, max(ap))
+        maxima = [w for w in ap
+                  if not any(v != w and table[v - w] for v in ap if v > w)]
+        assert S.is_gorenstein() == (len(maxima) == 1), S.gens
+        symmetric += len(maxima) == 1
+    assert len(corpus) == 478 and symmetric > 50
+
+
 def _coin_change(gens, horizon):
     """Oracle: table[s] == 1 iff s <= horizon is a sum of the gens."""
     table = bytearray(horizon + 1)
