@@ -3,7 +3,8 @@
 from itertools import combinations
 
 from . import constants, factor
-from .errors import DegreeBoundRequiredError, IncompleteBettiError
+from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
+                     IncompleteBettiError)
 
 
 class BettiProfile:
@@ -16,13 +17,18 @@ class BettiProfile:
             miss elements beyond the bound.
         free_arrangement: witness arrangement (tuple of generator indices)
             when completeness was certified via freeness, else None.
+        widest: the largest fiber enumerated to find the set (scanned,
+            default the Betti fibers), which a smaller fiber_cap refuses.
     """
 
-    def __init__(self, betti, fibers, complete, free_arrangement=None):
+    def __init__(self, betti, fibers, complete, free_arrangement=None,
+                 scanned=None):
         self.betti = tuple(betti)
         self.fibers = fibers
         self.complete = complete
         self.free_arrangement = free_arrangement
+        self.widest = max(fibers.values() if scanned is None else scanned,
+                          key=lambda f: f.denumerant, default=None)
 
     @property
     def ibetti(self):
@@ -47,11 +53,17 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     coordinate sum <= degree_bound, flagged incomplete.
     """
     if S.numerical:
-        return S._cached("betti", _betti_numerical, S, fiber_cap)
-    if degree_bound is not None and free_arrangement(S) is None:
+        profile = S._cached("betti", _betti_numerical, S, fiber_cap)
+    elif degree_bound is not None and free_arrangement(S) is None:
         # a sweep to this bound: only the sweep to the default bound is kept
-        return _betti_affine(S, degree_bound, fiber_cap)
-    return S._cached("betti", _betti_affine, S, degree_bound, fiber_cap)
+        profile = _betti_affine(S, degree_bound, fiber_cap)
+    else:
+        profile = S._cached("betti", _betti_affine, S, degree_bound,
+                            fiber_cap)
+    widest = profile.widest  # a kept profile may come from a larger cap
+    if fiber_cap is not None and widest and widest.denumerant > fiber_cap:
+        raise FiberCapExceededError(widest.element, fiber_cap)
+    return profile
 
 
 def _betti_numerical(S, fiber_cap):
@@ -61,14 +73,14 @@ def _betti_numerical(S, fiber_cap):
         if w:
             for g in S.gens:
                 candidates.add(w + g)
-    fibers = {}
-    betti = []
-    for m in sorted(candidates):
-        fib = factor.fiber(S, m, fiber_cap)
-        if fib.nc >= 2:
-            betti.append(m)
-            fibers[m] = fib
-    return BettiProfile(betti, fibers, True)
+    return _sweep(S, sorted(candidates), fiber_cap, True)
+
+
+def _sweep(S, elements, fiber_cap, complete):
+    """The profile of the elements, in order, with two or more R-classes."""
+    scanned = [factor.fiber(S, m, fiber_cap) for m in elements]
+    fibers = {f.element: f for f in scanned if f.nc >= 2}
+    return BettiProfile(sorted(fibers), fibers, complete, scanned=scanned)
 
 
 def free_arrangement(S):
@@ -98,9 +110,8 @@ def _free_completion(S, prefix, alpha_base=None):
         if not rest:
             return ()
         for idx in rest:
-            arrangement = base + (idx,)
-            c = constants.c_bar(S, arrangement, pos)
-            if constants.c_star(S, arrangement, pos) != c:
+            c = _free_multiple(S, base + (idx,), pos)
+            if c is None:
                 continue
             if alpha_base is not None and \
                     c != constants.alpha(S, idx, alpha_base) + 1:
@@ -119,11 +130,17 @@ def is_free(S, arrangement=None):
     if arrangement is None:
         arrangement = constants.default_arrangement(S)
     arrangement = tuple(arrangement)
-    for pos in range(S.rank, len(arrangement)):
-        if constants.c_bar(S, arrangement, pos) != \
-                constants.c_star(S, arrangement, pos):
-            return False
-    return True
+    return all(_free_multiple(S, arrangement, pos)
+               for pos in range(S.rank, len(arrangement)))
+
+
+def _free_multiple(S, arrangement, pos):
+    """c-bar at position pos of the arrangement when it equals c^*, else
+    None.  A minimal generator is never in the monoid of the others, so
+    c^* >= 2, and c-bar = 1 settles the position without computing c^*."""
+    c = constants.c_bar(S, arrangement, pos)
+    return c if c > 1 and constants.c_star(S, arrangement, pos) == c \
+        else None
 
 
 def _betti_affine(S, degree_bound, fiber_cap):
@@ -144,14 +161,7 @@ def _betti_affine(S, degree_bound, fiber_cap):
         bound = 2 * sum(constants.c_star(S, arr0, pos) *
                         sum(S.gens[arr0[pos]])
                         for pos in range(S.rank, len(arr0)))
-    betti = []
-    fibers = {}
-    for m in S.elements_upto(bound):
-        fib = factor.fiber(S, m, fiber_cap)
-        if fib.nc >= 2:
-            betti.append(m)
-            fibers[m] = fib
-    return BettiProfile(sorted(betti), fibers, False)
+    return _sweep(S, S.elements_upto(bound), fiber_cap, False)
 
 
 def minimal_presentation(S, degree_bound=None):

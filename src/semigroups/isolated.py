@@ -52,22 +52,15 @@ def is_set(S, bound=None):
         if not profile.betti:
             raise InfiniteSetError(
                 "every element factors uniquely; I_s is infinite")
-        b1 = profile.betti[0]
-        out = []
-        for w in S.apery(b1):
-            fib = factor.fiber(S, w)
-            if fib.denumerant == 1:
-                out.append(fib.factorizations[0])
-        return tuple(sorted(out)), True
-    if bound is None:
+        elements, exhaustive = S.apery(profile.betti[0]), True
+    elif bound is None:
         raise InfiniteSetError(
             "affine I_s needs an explicit enumeration bound")
-    out = []
-    for m in S.elements_upto(bound):
-        fib = factor.fiber(S, m)
-        if fib.denumerant == 1:
-            out.append(fib.factorizations[0])
-    return tuple(sorted(out)), False
+    else:
+        elements, exhaustive = S.elements_upto(bound), False
+    fibers = [factor.fiber(S, m) for m in elements]
+    return tuple(sorted(f.factorizations[0] for f in fibers
+                        if f.denumerant == 1)), exhaustive
 
 
 def isolated_profile(S, degree_bound=None, bound=None):
@@ -92,6 +85,12 @@ def _isolated_profile(S, degree_bound, bound):
 
 def betti_minimals(S, degree_bound=None):
     """Minimal Betti elements with respect to the semigroup order."""
+    if degree_bound is None:
+        return S._cached("betti_minimals", _betti_minimals, S, None)
+    return _betti_minimals(S, degree_bound)
+
+
+def _betti_minimals(S, degree_bound):
     profile = betti_mod.betti_elements(S, degree_bound)
     bs = profile.betti
     return tuple(b for b in bs

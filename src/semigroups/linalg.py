@@ -9,23 +9,6 @@ from itertools import combinations
 from math import gcd
 
 
-def _reduced_against(basis, vec):
-    """Reduce vec against an echelon basis {pivot_col: row} using integer ops.
-
-    Returns the remainder vector (entries may be non-integral multiples left
-    over at pivot columns; those are left in place for the caller to inspect).
-    """
-    v = list(vec)
-    for j in sorted(basis):
-        if v[j] == 0:
-            continue
-        row = basis[j]
-        q = v[j] // row[j]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return v
-
-
 class Lattice:
     """Integer row lattice (subgroup of Z^n) kept in row-echelon form."""
 

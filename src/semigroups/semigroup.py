@@ -8,7 +8,7 @@ stored order unless given an explicit arrangement.
 
 from itertools import combinations, product
 from math import gcd
-from operator import sub
+from operator import add, sub
 
 from . import linalg
 from .errors import (
@@ -353,12 +353,17 @@ class Semigroup:
         with a unique maximal Apery element (w.r.t. the rays)."""
         if self.numerical:
             return 2 * self.genus() == self.frobenius() + 1
-        if not self.is_cohen_macaulay():
-            return False
-        ap = self.apery()
-        maxima = [w for w in ap
-                  if not any(w != v and self.leq(w, v) for v in ap)]
-        return len(maxima) == 1
+        return self.is_cohen_macaulay() and len(self.apery_maxima()) == 1
+
+    def apery_maxima(self, base=None):
+        """Maximal elements of Ap(S; base) under <=_S, sorted.  Ap(S; base)
+        is closed downward under <=_S, so w is maximal iff w + n_i lies
+        outside it for every generator n_i."""
+        ap = self.apery(base)
+        members = set(ap)
+        plus = add if self.numerical else _vadd
+        return tuple(w for w in ap
+                     if all(plus(w, g) not in members for g in self.gens))
 
     # -- element iteration ----------------------------------------------
 
@@ -406,6 +411,10 @@ def _vadd_scaled(w, g, lam):
 
 def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 # -- construction ---------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
-from semigroups import (IncompleteBettiError, betti_elements, fiber,
+from semigroups import (FiberCapExceededError, IncompleteBettiError,
+                        betti_elements, fiber,
                         free_arrangement, is_complete_intersection, is_free,
                         make_semigroup, minimal_presentation,
                         presentation_cardinality)
@@ -108,3 +109,18 @@ def test_affine_betti_bounded_sweep():
     with pytest.raises(IncompleteBettiError):
         from semigroups.classify import _complete_betti
         _complete_betti(S, degree_bound=8)
+
+
+def test_betti_elements_honours_a_smaller_cap_on_a_kept_profile():
+    S = make_semigroup([6, 10, 15])  # Z(30) has three factorizations
+    assert betti_elements(S).fibers[30].denumerant == 3
+    with pytest.raises(FiberCapExceededError):
+        betti_elements(S, fiber_cap=1)
+    with pytest.raises(FiberCapExceededError):
+        betti_elements(make_semigroup([6, 10, 15]), fiber_cap=1)
+    assert betti_elements(S, fiber_cap=3).betti == (30,)
+    # a fresh call also refuses the cap on a candidate that is not Betti
+    T = make_semigroup([9, 10, 12, 13, 14, 15, 16, 17])
+    assert max(f.denumerant for f in betti_elements(T).fibers.values()) == 6
+    with pytest.raises(FiberCapExceededError):
+        betti_elements(T, fiber_cap=6)

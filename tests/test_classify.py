@@ -7,10 +7,13 @@ from semigroups import (check_equivalence_theorems, classification_report,
                         is_betti_divisible, is_betti_sorted,
                         is_c_rectangular, is_free_all_arrangements,
                         is_rectangular, make_semigroup, verify_bounds)
-from semigroups import constants
+from semigroups import (IsolatedProfile, betti_elements, classify, constants,
+                        isolated_profile)
 from semigroups.betti import _free_completion
-from semigroups.classify import (_check_thm_alpha_free,
-                                 _sorted_cost_arrangements,
+from semigroups.classify import (_check_isolated_characterization,
+                                 _check_thm_alpha_free, _order_walk,
+                                 _scan_bound, _sorted_cost_arrangements,
+                                 _strictly_above,
                                  admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
@@ -241,3 +244,91 @@ def test_sorted_cost_arrangements_enumerates_every_tie():
     assert len(arrangements) == 120
     assert len(set(arrangements)) == 120
     assert arrangements[0] == (4, 3, 2, 1, 0)  # ties broken by generator
+
+
+# -- order recurrences against the pairwise definitions ----------------------
+
+# the affine members of test_equivalence_theorems_affine
+_AFFINE_HARNESS = ([(1, 0), (0, 2), (0, 3)],)
+# simplicial affine semigroups with Apery sets to compare maxima on
+_AFFINE_APERY = _AFFINE_HARNESS + (
+    [(3, 0), (0, 3), (1, 2), (2, 1)], [(4, 0), (0, 4), (1, 3), (3, 1)],
+    [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])
+
+
+def _harness_members():
+    return _corpus_e_ge_2(8) + [make_semigroup(g) for g in _AFFINE_HARNESS]
+
+
+def _below(z, x):
+    """z < x in the component-wise order."""
+    return z != x and all(zc <= xc for zc, xc in zip(z, x))
+
+
+def test_order_walk_matches_pairwise_domination():
+    rows_seen = 0
+    for S in _harness_members():
+        profile = betti_elements(S)
+        ib = set(isolated_profile(S).ib)
+        walk = list(_order_walk(S, ib))
+        betti_facts = [x for b in profile.betti
+                       for x in profile.fibers[b].factorizations]
+        # minimal multi-vectors by the sorted pairwise scan
+        multi_vectors = sorted((x for fib, _ in walk if fib.denumerant >= 2
+                                for x in fib.factorizations), key=sum)
+        minimals = []
+        for x in multi_vectors:
+            if not any(_below(z, x) for z in minimals):
+                minimals.append(x)
+        assert set(minimals) == ib, S.gens
+        for fib, rows in walk:
+            assert [row[0] for row in rows] == list(fib.factorizations)
+            for x, over_betti, over_ib, minimal in rows:
+                assert over_betti == any(_below(z, x) for z in betti_facts)
+                assert over_ib == any(_below(z, x) for z in ib)
+                assert minimal == (x in minimals), (S.gens, x)
+                rows_seen += 1
+    assert rows_seen > 5000
+
+
+def test_strictly_above_matches_pairwise_order():
+    for S in _harness_members():
+        profile = betti_elements(S)
+        elements = S.elements_upto(_scan_bound(S))
+        for targets in (profile.betti, profile.ibetti):
+            assert _strictly_above(S, elements, targets) == {
+                m: any(b != m and S.leq(b, m) for b in targets)
+                for m in elements}
+
+
+def test_apery_maxima_match_pairwise_scan():
+    members = [(S, list(S.gens) + [betti_elements(S).betti[0]])
+               for S in _corpus_e_ge_2(8)]
+    members += [(make_semigroup(g), [None]) for g in _AFFINE_APERY]
+    for S, bases in members:
+        for base in bases:
+            ap = S.apery(base)
+            maxima = tuple(w for w in ap
+                           if not any(v != w and S.leq(w, v) for v in ap))
+            assert S.apery_maxima(base) == maxima, (S.gens, base)
+        if not S.numerical:  # maxima w.r.t. the rays, the last base
+            assert S.is_gorenstein() == \
+                (S.is_cohen_macaulay() and len(maxima) == 1)
+
+
+def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
+    # the recurrence must still be able to report a mixed vector
+    real = classify.isolated_profile
+    for gens in ([3, 4, 5], [16, 20, 30, 45], [24, 26, 36, 39]):
+        S = make_semigroup(gens)
+        ib = real(S).ib
+        assert _check_isolated_characterization(S)["ok"]
+        for k in range(len(ib)):
+            def dropped(T, *args, k=k):
+                prof = real(T, *args)
+                return IsolatedProfile(prof.ib[:k] + prof.ib[k + 1:],
+                                       prof.is_, prof.i_total, prof.ibetti,
+                                       prof.exhaustive)
+            monkeypatch.setattr(classify, "isolated_profile", dropped)
+            assert not _check_isolated_characterization(S)["ok"], (gens, k)
+        monkeypatch.setattr(classify, "isolated_profile", real)

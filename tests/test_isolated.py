@@ -55,6 +55,13 @@ def test_betti_minimals():
     assert betti_minimals(make_semigroup([24, 26, 36, 39])) == (72, 78)
 
 
+def test_betti_minimals_are_kept_on_the_semigroup(monkeypatch):
+    S = make_semigroup([4, 5, 6])
+    assert betti_minimals(S) == (10, 12)
+    monkeypatch.setattr(S, "leq", None)  # a second scan would call it
+    assert betti_minimals(S) == (10, 12)
+
+
 def test_minimal_multi_elements_equal_betti_minimals():
     for gens in ([3, 4, 5], [4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39],
                  [6, 9, 20]):
