@@ -1,6 +1,6 @@
 """Betti elements, minimal presentations and complete intersections."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import constants, factor
 from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
@@ -146,10 +146,9 @@ def _free_multiple(S, arrangement, pos):
 def _betti_affine(S, degree_bound, fiber_cap):
     arr = free_arrangement(S)
     if arr is not None:
-        betti = set()
-        for pos in range(S.rank, len(arr)):
-            betti.add(tuple(constants.c_star(S, arr, pos) * x
-                            for x in S.gens[arr[pos]]))
+        betti = {S._arith.scale(constants.c_star(S, arr, pos),
+                                S.gens[arr[pos]])
+                 for pos in range(S.rank, len(arr))}
         fibers = {b: factor.fiber(S, b, fiber_cap) for b in betti}
         return BettiProfile(sorted(betti), fibers, True, free_arrangement=arr)
     bound = degree_bound
@@ -221,15 +220,8 @@ def all_minimal_presentations(S, degree_bound=None, cap=200000):
                     raise IncompleteBettiError(
                         "too many minimal presentations to enumerate")
         per_betti.append(choices)
-
-    def emit(i, acc):
-        if i == len(per_betti):
-            yield tuple(acc)
-            return
-        for choice in per_betti[i]:
-            yield from emit(i + 1, acc + list(choice))
-
-    yield from emit(0, [])
+    for combo in product(*per_betti):
+        yield sum(combo, ())
 
 
 def _spanning_trees(k):
@@ -261,16 +253,6 @@ def _spanning_trees(k):
 
 def _edge_reps(tree, classes):
     """All ways to choose one (x, y) representative pair per tree edge."""
-    pools = []
-    for a, b in tree:
-        pools.append([tuple(sorted((x, y)))
-                      for x in classes[a] for y in classes[b]])
-
-    def emit(i, acc):
-        if i == len(pools):
-            yield tuple(acc)
-            return
-        for pair in pools[i]:
-            yield from emit(i + 1, acc + [pair])
-
-    yield from emit(0, [])
+    return product(*([tuple(sorted((x, y)))
+                      for x in classes[a] for y in classes[b]]
+                     for a, b in tree))

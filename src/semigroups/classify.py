@@ -10,14 +10,12 @@ false), which would falsify the theorem on that semigroup.
 
 from itertools import combinations, groupby, permutations, product
 from math import prod
-from operator import add, sub
 
 from . import constants, factor
 from .betti import (_free_completion, _free_multiple, betti_elements,
                     free_arrangement, is_complete_intersection, is_free)
 from .errors import IncompleteBettiError, NotNumericalError
 from .isolated import betti_minimals, isolated_profile, minimal_multi_elements
-from .semigroup import _vadd, _vsub
 
 __all__ = [
     "is_free", "free_some_arrangement", "free_arrangement_starting_at",
@@ -50,22 +48,6 @@ def _apery_for(S, base_idx):
     return S.apery()
 
 
-def _box_values(S, indices, bounds):
-    """All sums sum(lambda_i * n_i) with 0 <= lambda_i <= bounds[i]."""
-    plus = add if S.numerical else _vadd
-    vals = [0 if S.numerical else (0,) * S.ambient_dim]
-    for idx, bound in zip(indices, bounds):
-        steps = [_scale_value(S, k, S.gens[idx]) for k in range(bound + 1)]
-        vals = [plus(v, step) for v in vals for step in steps]
-    return vals
-
-
-def _sorted_elements(S, elems):
-    if S.numerical:
-        return sorted(elems)
-    return sorted(elems, key=lambda v: (sum(v), v))
-
-
 def _scan_bound(S):
     """Scan horizon covering every Betti element and every minimal
     multi-element.  Numerical: max(gens) + max Ap(S; n_1) (anything above
@@ -82,14 +64,9 @@ def _scan_bound(S):
 
 def _divides_value(S, a, b):
     """Whether b is a positive integer multiple of a (element-wise)."""
-    if S.numerical:
-        return b % a == 0
-    k = max(bc // ac for ac, bc in zip(a, b) if ac)
-    return k >= 1 and _scale_value(S, k, a) == b
-
-
-def _scale_value(S, c, g):
-    return c * g if S.numerical else tuple(c * x for x in g)
+    ar = S._arith
+    k = ar.quotient(b, a)
+    return k >= 1 and ar.scale(k, a) == b
 
 
 # -- freeness -------------------------------------------------------------
@@ -123,22 +100,15 @@ def is_free_all_arrangements(S):
     Freeness for all arrangements is equivalent to: for every nonempty
     proper subset P of generators and every g outside P, the group and
     monoid multiples of g over P agree.  This collapses the e! orderings
-    into e * 2^e subset checks that fail fast on small subsets.
-
-    Beyond embedding dimension 7 the answer is is_betti_divisible(S): it
-    rests on the theorem "Betti divisible iff free for every arrangement",
-    so the harness check of that theorem (thm_betti_divisible_free) leaves
-    this condition out for e > 7, and there the theorem is assumed, not
-    checked.  The cut bounds the work, which grows as e * 2^(e-1) prefix
-    comparisons when no subset fails early: the full check on the e = 8
-    family members with a = (2, 3, 5, 7, 11, 13, 17, 19) takes 1-5 s.
+    into e * 2^e subset checks that fail fast on small subsets.  When no
+    subset fails early the work grows as e * 2^(e-1) prefix comparisons:
+    about 1 s on the e = 8 family member a = (2, 3, 5, 7, 11, 13, 17, 19),
+    f = (1, ..., 1).
     """
     _require_numerical(S, "is_free_all_arrangements")
     e = len(S.gens)
     if e == 1:
         return True
-    if e > 7:
-        return is_betti_divisible(S)
     for size in range(1, e):
         for prefix in combinations(range(e), size):
             for g in range(e):
@@ -173,9 +143,9 @@ def is_c_rectangular(S, base_idx=None):
 def _box_witness(S, base_idx, others, bounds):
     """(True, {index: bound}) if Ap(S; base) is the exponent box of the
     generators others with these bounds, else (False, None)."""
-    ap = _apery_for(S, base_idx)
+    ap = _apery_for(S, base_idx)  # sorted in the natural order
     if len(ap) == prod(b + 1 for b in bounds) and \
-            _sorted_elements(S, _box_values(S, others, bounds)) == list(ap):
+            sorted(S._box_values(others, bounds)) == list(ap):
         return True, dict(zip(others, bounds))
     return False, None
 
@@ -197,7 +167,7 @@ def is_rectangular(S, base_idx=None):
         if pos == len(others):
             if remaining != 1:
                 return None
-            if _sorted_elements(S, _box_values(S, others, mu)) == ap_sorted:
+            if sorted(S._box_values(others, mu)) == ap_sorted:
                 return tuple(mu)
             return None
         for d in range(1, min(alphas[pos] + 1, remaining) + 1):
@@ -229,7 +199,7 @@ def _complete_betti(S, degree_bound=None):
 
 
 def _totally_ordered(S, elems, rel):
-    chain = _sorted_elements(S, elems)
+    chain = sorted(elems, key=S._arith.key)
     return all(rel(a, b) for a, b in zip(chain, chain[1:]))
 
 
@@ -586,7 +556,7 @@ def _strictly_above(S, elements, targets):
     S, and b <=_S m iff m is in targets or b <_S m.  m - n_i is in S iff
     the scan met it before m."""
     targets = set(targets)
-    minus = sub if S.numerical else _vsub
+    minus = S._arith.sub
     reach = {}  # m -> whether b <=_S m for some b in targets
     out = {}
     for m in elements:
@@ -615,12 +585,10 @@ def _check_betti_minimal_characterizations(S):
     profile = _complete_betti(S)
     a = list(betti_minimals(S))
     ibetti = profile.ibetti
-    b = _sorted_elements(S, [x for x in ibetti
-                             if not any(y != x and S.leq(y, x)
-                                        for y in ibetti)])
-    c = _sorted_elements(S, [bb for bb in profile.betti
-                             if profile.fibers[bb].nc ==
-                             profile.fibers[bb].denumerant])
+    # every list in the natural order of its sorted source
+    b = [x for x in ibetti if not any(y != x and S.leq(y, x) for y in ibetti)]
+    c = [bb for bb in profile.betti
+         if profile.fibers[bb].nc == profile.fibers[bb].denumerant]
     d = list(minimal_multi_elements(
         S, bound=None if S.numerical else _scan_bound(S)))
     return _verdict(a == b == c == d)
@@ -729,7 +697,7 @@ def _check_thm_alpha_c(S, j=None):
                             if i not in others_set)}
     pure = {tuple(cs[i] if k == i else 0 for k in range(e)) for i in others}
     ib_cond = ib_restricted == pure
-    not_in_ap = all(_scale_value(S, cs[i], S.gens[i]) not in ap_set
+    not_in_ap = all(S._arith.scale(cs[i], S.gens[i]) not in ap_set
                     for i in others)
     unique = all(factor.denumerant(S, w) == 1 for w in ap)
     card = len(ap) == prod(cs[i] for i in others)
@@ -873,8 +841,8 @@ def _check_thm_betti_divisible_generators(S):
 
 
 def _check_thm_betti_divisible_free(S):
-    """Betti divisible / every-partition gluing (e <= 5) / free for every
-    arrangement (e <= 7); unverifiable conditions are left out."""
+    """Betti divisible / every-partition gluing (left out for e > 5) /
+    free for every arrangement."""
     if not S.numerical:
         return _skip()
     from .construct import is_gluing_partition
@@ -882,7 +850,7 @@ def _check_thm_betti_divisible_free(S):
     if e == 1:
         return _skip()
     c1 = is_betti_divisible(S)
-    c3 = is_free_all_arrangements(S) if e <= 7 else None
+    c3 = is_free_all_arrangements(S)
     c2 = None
     if e <= 5:
         gens = list(S.gens)

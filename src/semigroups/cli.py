@@ -141,7 +141,6 @@ def _constants_report(S):
             "c": constants.c_value(S, idx),
         }
         per_gen.append(entry)
-    catoms = constants.c_atoms(S)
     return {
         "arrangement": [S.gens[i] for i in arrangement],
         "per_generator": per_gen,

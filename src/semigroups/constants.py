@@ -12,8 +12,6 @@ generators first, and a position i > r:
 All functions take arrangements as tuples of generator indices.
 """
 
-from math import gcd
-
 from . import linalg
 from .errors import NotSimplicialError, SearchCapExceededError
 
@@ -63,26 +61,10 @@ def c_value(S, idx, cap=None):
         if S.numerical:
             limit = cap if cap is not None else g * max(S.gens)
         else:
-            other_vecs = [S.gens[j] for j in others]
-            lat = linalg.Lattice(other_vecs)
-            if lat.multiple_in_lattice(g) is None:
-                return None
-            if not linalg.in_cone(g, other_vecs):
+            if not linalg.in_cone(g, [S.gens[j] for j in others]):
                 return None
             limit = cap if cap is not None else _C_SEARCH_CAP
-        sm = S.submonoid(others)
-        step = S._group_multiple(others, idx)
-        if step is None:
-            return None
-        c = step
-        while c <= limit:
-            target = c * g if S.numerical else tuple(c * x for x in g)
-            if sm.contains(target):
-                return c
-            c += step
-        raise SearchCapExceededError(
-            f"no multiple of {g} in the monoid of the other generators "
-            f"below {limit}")
+        return S._least_multiple(others, idx, limit)
 
     return S._cached(("c_value", idx, cap), compute)
 
@@ -110,32 +92,22 @@ def alpha(S, idx, base_idx=None):
         base = base_idx if base_idx is not None else 0
         if idx == base:
             raise ValueError("alpha is defined for non-ray generators only")
-
-        # h*n is in Ap(S; nb) iff h*n - nb is not in S, and the set of valid
-        # h is an interval starting at 1 (n is a minimal generator).
-        def compute():
-            n = S.gens[idx]
-            nb = S.gens[base]
-            h = 1
-            while not S.contains((h + 1) * n - nb):
-                h += 1
-            return h
-
-        return S._cached(("alpha", idx, base), compute)
-    if base_idx is not None:
+    elif base_idx is not None:
         raise NotSimplicialError("affine alpha uses the simplicial rays")
+    else:
+        base = None
 
+    # h * n is in the Apery set iff h * n - b lies outside S for every base
+    # b, and the valid h form an interval starting at 1 (n is a minimal
+    # generator)
     def compute():
-        rays = S.ray_values()
         n = S.gens[idx]
+        bases = S.ray_values() if base is None else (S.gens[base],)
+        ar = S._arith
         h = 1
-        while _in_apery(S, tuple((h + 1) * x for x in n), rays):
+        while not any(S.contains(ar.sub(ar.scale(h + 1, n), b))
+                      for b in bases):
             h += 1
         return h
 
-    return S._cached(("alpha", idx, None), compute)
-
-
-def _in_apery(S, w, rays):
-    return S.contains(w) and all(
-        not S.contains(tuple(a - b for a, b in zip(w, r))) for r in rays)
+    return S._cached(("alpha", idx, base), compute)

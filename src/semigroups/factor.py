@@ -7,33 +7,9 @@ components of that graph on Z(m) are the R-classes.
 """
 
 from .errors import FiberCapExceededError
-from .semigroup import SubMonoid
+from .semigroup import SubMonoid, _arithmetic
 
 DEFAULT_FIBER_CAP = 10 ** 6
-
-
-def _max_multiple(m, g):
-    """Largest k with m - k*g still nonnegative (componentwise for tuples)."""
-    if isinstance(m, int):
-        return m // g
-    k = None
-    for mc, gc in zip(m, g):
-        if gc:
-            q = mc // gc
-            k = q if k is None else min(k, q)
-    return k
-
-
-def _remainders(m, g):
-    """m - k*g for k = 0, 1, ... while it stays nonnegative."""
-    if isinstance(m, int):
-        return range(m, -1, -g)
-    return (tuple(mc - k * gc for mc, gc in zip(m, g))
-            for k in range(_max_multiple(m, g) + 1))
-
-
-def _is_zero(m):
-    return m == 0 if isinstance(m, int) else not any(m)
 
 
 def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP, prefix_tests=None):
@@ -47,9 +23,11 @@ def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP, prefix_tests=None):
     in a factorization.
     Raises FiberCapExceededError if more than `cap` factorizations exist.
     """
+    arith = _arithmetic(m)
+    minus, quotient = arith.sub, arith.quotient
     e = len(gens)
     if e == 0:
-        return ((),) if _is_zero(m) else ()
+        return ((),) if m == arith.scale(0, m) else ()
     if prefix_tests is None:
         prefix_tests = tuple(SubMonoid(gens[:i + 1]).contains
                              for i in range(e))
@@ -60,13 +38,14 @@ def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP, prefix_tests=None):
             # rem lies in the monoid of gens[0] alone: an exact multiple
             if cap is not None and len(out) >= cap:
                 raise FiberCapExceededError(m, cap)
-            out.append((_max_multiple(rem, gens[0]),) + suffix)
+            out.append((quotient(rem, gens[0]),) + suffix)
             return
         g = gens[i]
         inside = prefix_tests[i - 1]
-        for k, nxt in enumerate(_remainders(rem, g)):
-            if inside(nxt):
-                rec(i - 1, nxt, (k,) + suffix)
+        for k in range(quotient(rem, g) + 1):
+            if inside(rem):
+                rec(i - 1, rem, (k,) + suffix)
+            rem = minus(rem, g)
 
     if prefix_tests[e - 1](m):
         rec(e - 1, m, ())

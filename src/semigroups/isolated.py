@@ -109,14 +109,14 @@ def minimal_multi_elements(S, bound=None):
             raise InfiniteSetError(
                 "affine minimal multi-element scan needs a bound")
         limit = bound
+    minus = S._arith.sub
     out = []
     for m in S.elements_upto(limit):
         if factor.denumerant(S, m) < 2:
             continue
         ok = True
         for g in S.gens:
-            prev = m - g if S.numerical else tuple(a - b
-                                                   for a, b in zip(m, g))
+            prev = minus(m, g)
             if S.contains(prev) and factor.denumerant(S, prev) != 1:
                 ok = False
                 break

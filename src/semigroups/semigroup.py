@@ -6,9 +6,9 @@ semigroup in N^r are tuples of r ints.  Generators keep the caller's order
 stored order unless given an explicit arrangement.
 """
 
-from itertools import combinations, product
+import operator
+from itertools import combinations
 from math import gcd
-from operator import add, sub
 
 from . import linalg
 from .errors import (
@@ -20,6 +20,48 @@ from .errors import (
 )
 
 _CSTAR_CAP = 10 ** 6
+
+
+class _IntArithmetic:
+    """Element arithmetic of numerical semigroups: elements are ints."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    scale = staticmethod(operator.mul)  # scale(k, g) is k * g
+    quotient = staticmethod(operator.floordiv)  # largest k, m - k*g >= 0
+    key = None  # the natural order is the degree order
+
+
+class _TupleArithmetic:
+    """Element arithmetic of affine semigroups: elements are tuples of ints
+    and every operation is componentwise."""
+
+    @staticmethod
+    def add(a, b):
+        return tuple(map(operator.add, a, b))
+
+    @staticmethod
+    def sub(a, b):
+        return tuple(map(operator.sub, a, b))
+
+    @staticmethod
+    def scale(k, g):
+        return tuple(k * x for x in g)
+
+    @staticmethod
+    def quotient(m, g):
+        """The largest k with m - k*g >= 0 in every coordinate."""
+        return min(mc // gc for mc, gc in zip(m, g) if gc)
+
+    @staticmethod
+    def key(v):
+        """Coordinate sum first, then lexicographic."""
+        return (sum(v), v)
+
+
+def _arithmetic(v):
+    """The element arithmetic for elements shaped like v."""
+    return _IntArithmetic if isinstance(v, int) else _TupleArithmetic
 
 
 def _apery_table(gens, modulus):
@@ -63,7 +105,8 @@ class SubMonoid:
     generator divided by d, the engine keeps the Apery table Ap of the
     reduced monoid <g / d> with respect to n, so that v is a member iff
     d divides v and v / d >= Ap[(v / d) mod n].  The table is built on the
-    first query.  Affine generators: a memoized depth-first search.
+    first query.  Affine generators: a memoized depth-first search, for
+    elements with as many coordinates as the generators.
     """
 
     __slots__ = ("gens", "numerical", "_d", "_n", "_apery", "_memo")
@@ -98,8 +141,13 @@ class SubMonoid:
                 return False
             q = v // d
             return q >= ap[q % self._n]
-        if isinstance(v, int):  # the monoid of no generators is {0}
-            return v == 0
+        if not self.gens:  # the monoid of no generators is {0}
+            return v == _arithmetic(v).scale(0, v)
+        dim = len(self.gens[0])
+        if isinstance(v, int) or len(v) != dim:
+            raise InvalidGeneratorsError(
+                f"{format_element(v)} is not an element with {dim} "
+                f"coordinates")
         if any(c < 0 for c in v):
             return False
         if not any(v):
@@ -116,11 +164,12 @@ class SubMonoid:
         if hit is not None:
             return hit
         gens = self.gens
+        minus = _TupleArithmetic.sub
         stack = [(v, iter(gens))]
         while stack:
             w, todo = stack[-1]
             for g in todo:
-                nxt = tuple(c - gc for c, gc in zip(w, g))
+                nxt = minus(w, g)
                 if any(c < 0 for c in nxt):
                     continue
                 if not any(nxt) or memo.get(nxt):
@@ -155,6 +204,7 @@ class Semigroup:
         self.rank = rank
         self.simplicial_rays = simplicial_rays
         self.numerical = ambient_dim == 1
+        self._arith = _arithmetic(self.gens[0])
         self._monoid = SubMonoid(self.gens)
         self._memo = {}
 
@@ -211,10 +261,7 @@ class Semigroup:
 
     def leq(self, a, b):
         """Divisibility order: a <=_S b  iff  b - a lies in S."""
-        if self.numerical:
-            return self.contains(b - a)
-        d = tuple(bc - ac for ac, bc in zip(a, b))
-        return self.contains(d)
+        return self.contains(self._arith.sub(b, a))
 
     def submonoid(self, indices):
         """Membership engine for the monoid generated by a subset of gens."""
@@ -270,41 +317,54 @@ class Semigroup:
             raise InfiniteAperyError(
                 "affine Apery sets are supported with respect to the ray "
                 "generators only")
+        # every element of Ap(S; rays) is a combination of the non-rays,
+        # the i-th with a coefficient below its c_i^* after the rays
         nonrays = self.nonray_indices()
         arrangement = tuple(self.simplicial_rays) + nonrays
-        bounds = []
-        for pos in range(self.rank, len(arrangement)):
-            bounds.append(self.prefix_multiple(arrangement, pos))
-        seen = set()
-        for combo in product(*[range(c) for c in bounds]):
-            w = _zero(self.ambient_dim)
-            for lam, idx in zip(combo, nonrays):
-                if lam:
-                    w = _vadd_scaled(w, self.gens[idx], lam)
-            if w in seen:
-                continue
-            if all(not self.contains(_vsub(w, r)) for r in rays):
-                seen.add(w)
-        return tuple(sorted(seen))
+        bounds = [self.prefix_multiple(arrangement, pos) - 1
+                  for pos in range(self.rank, len(arrangement))]
+        minus = self._arith.sub
+        return tuple(sorted(
+            w for w in set(self._box_values(nonrays, bounds))
+            if all(not self.contains(minus(w, r)) for r in rays)))
+
+    def _box_values(self, indices, bounds):
+        """All sums of lambda_i * gens[i] over i in indices, with
+        0 <= lambda_i <= the matching entry of bounds."""
+        ar = self._arith
+        vals = [ar.scale(0, self.gens[0])]
+        for idx, bound in zip(indices, bounds):
+            steps = [ar.scale(k, self.gens[idx]) for k in range(bound + 1)]
+            vals = [ar.add(v, step) for v in vals for step in steps]
+        return vals
 
     def prefix_multiple(self, arrangement, pos, cap=_CSTAR_CAP):
         """Smallest c >= 1 with c * gens[arrangement[pos]] in the monoid
         generated by the earlier generators of the arrangement (c_i^*)."""
-        prefix = arrangement[:pos]
-        g = self.gens[arrangement[pos]]
-        sm = self.submonoid(prefix)
-        step = self._group_multiple(prefix, arrangement[pos])
-        if step is None:
+        c = self._least_multiple(arrangement[:pos], arrangement[pos], cap)
+        if c is None:
             raise SearchCapExceededError(
-                f"{g} has no multiple in the group of the prefix")
-        c = step
-        while c <= cap:
-            target = c * g if self.numerical else _scale(g, c)
-            if sm.contains(target):
+                f"{format_element(self.gens[arrangement[pos]])} has no "
+                f"multiple in the group of the prefix")
+        return c
+
+    def _least_multiple(self, indices, idx, cap):
+        """Least c >= 1 with c * gens[idx] in the monoid generated by the
+        gens at indices, or None when no multiple of gens[idx] lies in
+        their group.  Only multiples of the least group multiple can lie in
+        the monoid, so the search steps by it."""
+        step = self._group_multiple(indices, idx)
+        if step is None:
+            return None
+        g = self.gens[idx]
+        inside = self.submonoid(indices).contains
+        scale = self._arith.scale
+        for c in range(step, cap + 1, step):
+            if inside(scale(c, g)):
                 return c
-            c += step
         raise SearchCapExceededError(
-            f"no multiple of {g} found in prefix monoid below cap {cap}")
+            f"no multiple of {format_element(g)} lies in the monoid of the "
+            f"generators {[self.gens[i] for i in indices]} below {cap}")
 
     def _group_multiple(self, prefix, idx):
         """Smallest c with c * gens[idx] in the group of the prefix gens."""
@@ -343,8 +403,9 @@ class Semigroup:
             return True
         ap = self.apery()
         lat = linalg.Lattice(self.ray_values())
+        minus = self._arith.sub
         for a, b in combinations(ap, 2):
-            if tuple(x - y for x, y in zip(a, b)) in lat:
+            if minus(a, b) in lat:
                 return False
         return True
 
@@ -361,7 +422,7 @@ class Semigroup:
         outside it for every generator n_i."""
         ap = self.apery(base)
         members = set(ap)
-        plus = add if self.numerical else _vadd
+        plus = self._arith.add
         return tuple(w for w in ap
                      if all(plus(w, g) not in members for g in self.gens))
 
@@ -372,13 +433,14 @@ class Semigroup:
         with coordinate sum <= bound."""
         if self.numerical:
             return tuple(s for s in range(bound + 1) if self.contains(s))
-        seen = {_zero(self.ambient_dim)}
-        frontier = [_zero(self.ambient_dim)]
+        plus = self._arith.add
+        frontier = [self._arith.scale(0, self.gens[0])]
+        seen = set(frontier)
         while frontier:
             nxt = []
             for v in frontier:
                 for g in self.gens:
-                    w = tuple(a + b for a, b in zip(v, g))
+                    w = plus(v, g)
                     if sum(w) <= bound and w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -395,26 +457,6 @@ class Semigroup:
 
     def __hash__(self):
         return hash(frozenset(self.gens))
-
-
-def _zero(r):
-    return (0,) * r
-
-
-def _scale(g, c):
-    return tuple(c * x for x in g)
-
-
-def _vadd_scaled(w, g, lam):
-    return tuple(a + lam * b for a, b in zip(w, g))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 # -- construction ---------------------------------------------------------
@@ -479,7 +521,7 @@ def _strip_redundant(gens):
     is redundant iff it is the sum of two nonzero elements, that is iff
     g - h lies in the monoid for some other generator h."""
     sm = SubMonoid(gens)
-    minus = sub if isinstance(gens[0], int) else _vsub
+    minus = _arithmetic(gens[0]).sub
     return tuple(g for i, g in enumerate(gens)
                  if not any(j != i and sm.contains(minus(g, h))
                             for j, h in enumerate(gens)))

@@ -86,6 +86,22 @@ def test_all_minimal_presentations_counts():
     assert len(list(all_minimal_presentations(T))) == 1
 
 
+def test_all_minimal_presentations_listed_in_order():
+    # <4,5,6,7>: the Betti element 12 = 3*4 = 2*6 = 5+7 has three
+    # singleton R-classes (three spanning trees), and 14 = 7+7 has one
+    # class {(0,0,0,2)} and one class {(1,2,0,0), (2,0,1,0)} (two
+    # representative pairs)
+    S = make_semigroup([4, 5, 6, 7])
+    head = (((0, 2, 0, 0), (1, 0, 1, 0)), ((0, 1, 1, 0), (1, 0, 0, 1)))
+    tail = ((0, 0, 1, 1), (2, 1, 0, 0))
+    trees = ((((0, 0, 2, 0), (0, 1, 0, 1)), ((0, 0, 2, 0), (3, 0, 0, 0))),
+             (((0, 0, 2, 0), (0, 1, 0, 1)), ((0, 1, 0, 1), (3, 0, 0, 0))),
+             (((0, 0, 2, 0), (3, 0, 0, 0)), ((0, 1, 0, 1), (3, 0, 0, 0))))
+    last = (((0, 0, 0, 2), (1, 2, 0, 0)), ((0, 0, 0, 2), (2, 0, 1, 0)))
+    assert list(all_minimal_presentations(S)) == [
+        head + tree + (tail, pair) for tree in trees for pair in last]
+
+
 def test_affine_free_arrangement():
     assert free_arrangement(make_semigroup([(1, 0), (0, 2), (0, 3)])) == \
         (0, 1, 2)

@@ -7,7 +7,8 @@ from semigroups import (check_equivalence_theorems, classification_report,
                         is_betti_divisible, is_betti_sorted,
                         is_c_rectangular, is_free_all_arrangements,
                         is_rectangular, make_semigroup, verify_bounds)
-from semigroups import (IsolatedProfile, betti_elements, classify, constants,
+from semigroups import (IsolatedProfile, betti_divisible_from_params,
+                        betti_elements, classify, constants,
                         isolated_profile)
 from semigroups.betti import _free_completion
 from semigroups.classify import (_check_isolated_characterization,
@@ -79,6 +80,18 @@ def test_free_all_arrangements_matches_betti_divisible():
         assert is_free_all_arrangements(S) == is_betti_divisible(S), gens
 
 
+def test_free_all_arrangements_is_checked_beyond_seven_generators():
+    # thm_betti_divisible_free evaluates freeness for every arrangement at
+    # every embedding dimension; the subset check on the e = 8 family
+    # member below finds no failing subset (about 1 s)
+    S = make_semigroup(range(8, 16))
+    entry = classify._check_thm_betti_divisible_free(S)
+    assert entry["conditions"] == [False, None, False] and entry["ok"]
+    T, _ = betti_divisible_from_params((2, 3, 5, 7, 11, 13, 17, 19),
+                                       (1,) * 8)
+    assert len(T.gens) == 8 and is_free_all_arrangements(T)
+
+
 def test_classification_report_flags():
     rep = classification_report(make_semigroup([16, 20, 30, 45]))
     assert rep.flags["complete_intersection"]
@@ -125,11 +138,22 @@ def test_equivalence_theorems_all_ok_on_witnesses():
 
 
 def test_equivalence_theorems_affine():
-    S = make_semigroup([(1, 0), (0, 2), (0, 3)])
-    report = check_equivalence_theorems(S)
-    assert report
-    for name, entry in report.items():
-        assert entry["ok"], (name, entry)
+    # in the second semigroup the lexicographic and the degree order of
+    # Ap(S; rays) and of the Betti elements {(2,6), (4,2)} differ
+    for gens in ([(1, 0), (0, 2), (0, 3)], [(2, 0), (0, 2), (1, 3), (2, 1)]):
+        report = check_equivalence_theorems(make_semigroup(gens))
+        assert report
+        for name, entry in report.items():
+            assert entry["ok"], (gens, name, entry)
+
+
+def test_affine_boxes_compare_in_apery_order():
+    # Ap(S; rays) = {(0,0), (1,3), (2,1), (3,4)} is the exponent box of
+    # (1,3) and (2,1) with alpha = c - 1 = 1
+    S = make_semigroup([(2, 0), (0, 2), (1, 3), (2, 1)])
+    assert is_alpha_rectangular(S) == (True, {2: 1, 3: 1})
+    assert is_c_rectangular(S) == (True, {2: 1, 3: 1})
+    assert is_rectangular(S) == (True, {2: 1, 3: 1})
 
 
 # -- free-arrangement search against brute force ---------------------------

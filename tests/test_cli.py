@@ -1,4 +1,7 @@
 import json
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -117,3 +120,43 @@ def test_json_byte_stable(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# Malformed, wrong-shape and huge input, with the exit code each must give:
+# 0 success, 2 parse error, 3 infeasible.  Exit code 4 (internal error) is
+# never acceptable.  Each case runs in its own process under a time and an
+# address-space limit, so a hang or a memory blow-up fails the case instead
+# of the suite.
+_AFFINE = "(2,0);(0,2);(1,1)"
+_FUZZ = [
+    (["factorize", "--gens", _AFFINE, "--element", "(1,1,5)"], 2),
+    (["factorize", "--gens", _AFFINE, "--element", "(1)"], 2),
+    (["factorize", "--gens", _AFFINE, "--element", "5"], 2),
+    (["factorize", "--gens", _AFFINE, "--element", "(1,x)"], 2),
+    (["factorize", "--gens", _AFFINE, "--element", "(1,1)"], 0),
+    (["factorize", "--gens", _AFFINE, "--element", "(-1,3)"], 0),
+    (["factorize", "--gens", "3,5", "--element", "(5)"], 2),
+    (["factorize", "--gens", "3,5", "--element", "(3,5)"], 2),
+    (["factorize", "--gens", "3,5", "--element", "x"], 2),
+    (["factorize", "--gens", "3,5", "--element", ""], 2),
+    (["factorize", "--gens", "3,5", "--element", "7"], 0),
+    (["factorize", "--gens", "3,5", "--element", "-3"], 0),
+    (["factorize", "--gens", "3,5", "--element", "1" + "0" * 12,
+      "--fiber-cap", "10"], 3),
+    (["analyze", "--gens", "(1,0);(0,1,1)"], 2),
+    (["analyze", "--gens", "3,(1,2)"], 2),
+    (["analyze", "--gens", "(0,0);(1,2)"], 2),
+]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv, code", _FUZZ,
+                         ids=[" ".join(argv) for argv, _ in _FUZZ])
+def test_cli_fuzz_exit_codes(argv, code):
+    r = subprocess.run([sys.executable, "-m", "semigroups.cli", *argv],
+                       capture_output=True, timeout=5,
+                       preexec_fn=_limit_address_space)
+    assert r.returncode == code, r.stderr

@@ -1,4 +1,8 @@
-from semigroups import alpha, c_atoms, c_bar, c_star, c_value, make_semigroup
+from functools import lru_cache
+
+from semigroups import (alpha, c_atoms, c_bar, c_star, c_value,
+                        make_semigroup, parse_gens)
+from semigroups.constants import default_arrangement
 
 
 def test_c_values_numerical():
@@ -52,3 +56,49 @@ def test_alpha_values():
 def test_alpha_affine_rays_base():
     S = make_semigroup([(1, 0), (0, 2), (0, 3)])
     assert alpha(S, 2) == 1  # 2*(0,3) = 3*(0,2) leaves Ap(S; rays)
+
+
+# the six affine members of the benchmark panel (bench/workloads.py)
+AFFINE = ("(1,0);(0,2);(0,3)", "(3,0);(0,3);(1,2);(2,1)",
+          "(4,0);(0,4);(1,3);(3,1)", "(6,0);(0,6);(1,5);(4,2)",
+          "(2,0,0);(0,2,0);(0,0,2);(1,1,1)",
+          "(3,0,0);(0,3,0);(0,0,3);(1,1,1);(1,2,0)")
+
+
+def _monoid(gens):
+    """Membership in the monoid of gens by a plain recursion: v is a member
+    iff v is zero or v - g is a member for some generator g <= v."""
+    @lru_cache(maxsize=None)
+    def inside(v):
+        return not any(v) or any(
+            inside(tuple(a - b for a, b in zip(v, g)))
+            for g in gens if all(a >= b for a, b in zip(v, g)))
+    return inside
+
+
+def _least_multiple(g, inside, limit=60):
+    """The least c >= 1 with inside(c * g), counting up, or None."""
+    return next((c for c in range(1, limit + 1)
+                 if inside(tuple(c * x for x in g))), None)
+
+
+def test_affine_constants_match_a_direct_search():
+    for text in AFFINE:
+        S = make_semigroup(parse_gens(text))
+        e = len(S.gens)
+        member = _monoid(S.gens)
+        for i, g in enumerate(S.gens):
+            others = _monoid(tuple(S.gens[j] for j in range(e) if j != i))
+            assert c_value(S, i) == _least_multiple(g, others), (text, i)
+        arr = default_arrangement(S)
+        rays = S.ray_values()
+        for pos in range(S.rank, e):
+            g = S.gens[arr[pos]]
+            prefix = _monoid(tuple(S.gens[j] for j in arr[:pos]))
+            assert c_star(S, arr, pos) == _least_multiple(g, prefix)
+            # alpha: the largest h with h * g in Ap(S; rays)
+            in_apery = [member(w) and not any(
+                all(a >= b for a, b in zip(w, r)) and
+                member(tuple(a - b for a, b in zip(w, r))) for r in rays)
+                for w in (tuple(h * x for x in g) for h in range(61))]
+            assert alpha(S, arr[pos]) == in_apery.index(False) - 1, text

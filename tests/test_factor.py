@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semigroups import (FiberCapExceededError, denumerant, fiber,
-                        isolated_factorizations, make_semigroup, nc,
-                        r_classes)
+from semigroups import (FiberCapExceededError, InvalidGeneratorsError,
+                        denumerant, fiber, isolated_factorizations,
+                        make_semigroup, nc, r_classes)
 from semigroups.factor import raw_fiber
 
 
@@ -134,3 +134,31 @@ def test_affine_fiber_by_brute_force_enumeration(vecs, m):
     expected = brute(S.gens)
     assert list(fiber(S, m).factorizations) == expected
     assert S.contains(m) == bool(expected)
+
+
+@given(st.sets(st.integers(2, 30), min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_denumerant_matches_generating_function(gens):
+    from functools import reduce
+    from math import gcd
+    if reduce(gcd, gens) != 1:
+        return
+    S = make_semigroup(sorted(gens))
+    # coefficients of prod 1 / (1 - x^g) over the minimal generators
+    horizon = 4 * max(S.gens)
+    ways = [1] + [0] * horizon
+    for g in S.gens:
+        for s in range(g, horizon + 1):
+            ways[s] += ways[s - g]
+    assert [denumerant(S, m) for m in range(horizon + 1)] == ways
+
+
+def test_wrong_shape_elements_are_rejected():
+    S = make_semigroup([(2, 0), (0, 2), (1, 1)])
+    for v in ((1, 1, 5), 5, 0):
+        with pytest.raises(InvalidGeneratorsError):
+            fiber(S, v)
+    with pytest.raises(InvalidGeneratorsError):
+        S.contains(5)
+    with pytest.raises(InvalidGeneratorsError):
+        make_semigroup([3, 5]).contains((5,))

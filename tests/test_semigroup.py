@@ -4,7 +4,10 @@ from hypothesis import strategies as st
 
 from semigroups import (InfiniteAperyError, InvalidGeneratorsError,
                         NotNumericalError, make_semigroup, parse_gens)
-from semigroups.semigroup import SubMonoid, format_element, format_gens
+from semigroups.classify import _divides_value
+from semigroups.semigroup import (SubMonoid, _IntArithmetic,
+                                  _TupleArithmetic, format_element,
+                                  format_gens)
 
 
 def test_make_numerical_preserves_order_and_strips_redundant():
@@ -196,3 +199,62 @@ def test_affine_membership_far_from_origin():
     T = make_semigroup([(2, 0), (0, 2), (1, 1)])
     assert T.contains((1500, 1500))
     assert not T.contains((31, 30))  # coordinate sum odd
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 9),
+       st.lists(st.integers(-60, 60), max_size=8))
+def test_ints_and_one_tuples_agree(a, b, k, elems):
+    ints, tuples = _IntArithmetic, _TupleArithmetic
+    assert tuples.add((a,), (b,)) == (ints.add(a, b),)
+    assert tuples.sub((a,), (b,)) == (ints.sub(a, b),)
+    assert tuples.scale(k, (a,)) == (ints.scale(k, a),)
+    if b > 0:
+        assert tuples.quotient((a,), (b,)) == ints.quotient(a, b)
+    assert [(x,) for x in sorted(elems, key=ints.key)] == \
+        sorted(((x,) for x in elems), key=tuples.key)
+
+
+def _largest_multiple(m, g):
+    """The largest k with m - k*g >= 0 in every coordinate, counting up."""
+    k = 0
+    while all(mc - (k + 1) * gc >= 0 for mc, gc in zip(m, g)):
+        k += 1
+    return k
+
+
+@given(st.integers(0, 200), st.integers(1, 30),
+       st.lists(st.integers(0, 40), min_size=3, max_size=3),
+       st.lists(st.integers(0, 6), min_size=3, max_size=3))
+def test_quotient_is_the_largest_fitting_multiple(m, g, mv, gv):
+    assert _IntArithmetic.quotient(m, g) == _largest_multiple((m,), (g,))
+    if any(gv):
+        assert _TupleArithmetic.quotient(tuple(mv), tuple(gv)) == \
+            _largest_multiple(mv, gv)
+
+
+@given(st.integers(1, 30), st.integers(0, 200),
+       st.lists(st.integers(0, 5), min_size=2, max_size=2),
+       st.lists(st.integers(0, 40), min_size=2, max_size=2))
+def test_divides_value_matches_definition(a, b, av, bv):
+    # b is a positive integer multiple of a: k * a == b for some k >= 1
+    S = make_semigroup([3, 5])
+    assert _divides_value(S, a, b) == any(k * a == b for k in range(1, 201))
+    if any(av):
+        A = make_semigroup([(1, 0), (0, 1)])
+        a, b = tuple(av), tuple(bv)
+        assert _divides_value(A, a, b) == any(
+            tuple(k * x for x in a) == b for k in range(1, 41))
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                .filter(any), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_affine_membership_matches_bounded_search(gens):
+    # oracle: the breadth-first closure of elements_upto, which adds
+    # generators and never tests membership
+    S = make_semigroup(gens)
+    bound = 14
+    members = set(S.elements_upto(bound))
+    for x in range(bound + 1):
+        for y in range(bound + 1 - x):
+            assert S.contains((x, y)) == ((x, y) in members), (x, y)
