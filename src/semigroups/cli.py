@@ -347,16 +347,13 @@ def cmd_verify(args):
     return 0 if not report["violations"] else 1
 
 
-def _add_common(p, gens=True):
-    if gens:
-        p.add_argument("--gens", required=True,
-                       help="'24,26,36,39' or '(1,0);(0,2);(0,3)'")
+def _add_common(p):
+    p.add_argument("--gens", required=True,
+                   help="'24,26,36,39' or '(1,0);(0,2);(0,3)'")
     p.add_argument("--json", action="store_true",
                    help="emit canonical JSON instead of text")
     p.add_argument("--degree-bound", type=int, default=None, metavar="N",
                    help="total-degree bound for affine sweeps")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker threads (results are order-independent)")
     p.add_argument("--fiber-cap", type=int,
                    default=factor.DEFAULT_FIBER_CAP, metavar="N",
                    help="maximum factorizations per fiber")
@@ -411,14 +408,14 @@ def build_parser():
     p.add_argument("--distinct-betti", type=int, default=1,
                    help="require at least this many distinct Betti elements")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run the theorem harness")
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="accepted; the harness runs in one process")
     p.set_defaults(func=cmd_verify)
 
     return top

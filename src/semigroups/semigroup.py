@@ -261,6 +261,12 @@ class Semigroup:
 
     def leq(self, a, b):
         """Divisibility order: a <=_S b  iff  b - a lies in S."""
+        # sub would truncate to the shorter vector; contains checks the rest
+        numerical = self.numerical
+        if isinstance(a, int) is not numerical or \
+                isinstance(b, int) is not numerical or \
+                not numerical and len(a) != len(b):
+            raise InvalidGeneratorsError(f"{a}, {b}: not elements of {self}")
         return self.contains(self._arith.sub(b, a))
 
     def submonoid(self, indices):

@@ -98,11 +98,26 @@ def test_exit_code_infeasible(capsys):
     assert "infeasible" in err
 
 
-def test_construct_rejects_unused_flags(capsys):
-    for flag in ("--degree-bound", "--threads", "--fiber-cap"):
-        code, _, _ = run(capsys, "construct", "--a", "7,5,2,3",
-                         "--f", "1,1,1,2", flag, "4")
-        assert code == 2, flag
+# A flag that a subcommand would ignore is an argparse error (exit 2).
+_CONSTRUCT = ["construct", "--a", "7,5,2,3", "--f", "1,1,1,2"]
+_REJECTED_FLAGS = [
+    (_CONSTRUCT, "--degree-bound"),
+    (_CONSTRUCT, "--threads"),
+    (_CONSTRUCT, "--fiber-cap"),
+    (["analyze", "--gens", "3,5"], "--threads"),
+    (["factorize", "--gens", "3,5", "--element", "8"], "--threads"),
+    (["betti", "--gens", "3,5"], "--threads"),
+    (["classify", "--gens", "3,5"], "--threads"),
+    (["search", "min-frobenius-betti-divisible", "--edim", "2",
+      "--max-frobenius", "10"], "--threads"),
+]
+
+
+def test_subcommands_reject_unused_flags(capsys):
+    for argv, flag in _REJECTED_FLAGS:
+        assert run(capsys, *argv)[0] == 0, argv
+        code, _, err = run(capsys, *argv, flag, "4")
+        assert code == 2 and "unrecognized arguments" in err, (argv, flag)
 
 
 def test_json_big_integers_as_strings():

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,24 +7,40 @@ from semigroups import (SearchCapExceededError, enumerate_numerical_by_genus,
                         is_betti_divisible, load_corpus, make_semigroup,
                         min_frobenius_betti_divisible, run_theorem_harness)
 
+# OEIS A007323: the number of numerical semigroups of genus 0, 1, ..., 20
+A007323 = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693,
+           2857, 4806, 8045, 13467, 22464, 37396]
 
-def brute_count_by_genus(g):
-    """Independent oracle: enumerate gap sets inside {1..2g} directly."""
-    count = 0
+
+@pytest.fixture(scope="module")
+def genus_20():
+    return list(enumerate_numerical_by_genus(20))
+
+
+def gap_sets(g):
+    """Independent oracle: the gap sets of genus g, found among the
+    g-subsets of {1..2g}.  A set qualifies iff no gap is the sum of two
+    non-gaps."""
     for gaps in combinations(range(1, 2 * g + 1), g):
         gapset = set(gaps)
-        ok = True
-        for x in gaps:
-            # x must not be the sum of two non-gaps below it
-            for a in range(1, x // 2 + 1):
-                if a not in gapset and (x - a) not in gapset:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+        if all(a in gapset or x - a in gapset
+               for x in gaps for a in range(1, x // 2 + 1)):
+            yield gapset
+
+
+def brute_count_by_genus(g):
+    return sum(1 for _ in gap_sets(g))
+
+
+def brute_min_gens(gapset):
+    """The minimal generators of N minus gapset, ascending: the nonzero
+    elements up to F + m that are not the sum of two nonzero elements."""
+    m = min(s for s in range(1, len(gapset) + 2) if s not in gapset)
+    elems = [s for s in range(1, max(gapset, default=0) + m + 1)
+             if s not in gapset]
+    members = set(elems)
+    return tuple(x for x in elems
+                 if not any(x - a in members for a in elems if a < x))
 
 
 def test_enumeration_small_goldens():
@@ -44,6 +61,24 @@ def test_enumeration_counts_match_gap_set_oracle():
     assert [by_genus[g] for g in range(7)] == [1, 1, 2, 4, 7, 12, 23]
 
 
+def test_enumeration_matches_brute_minimal_generators():
+    tree = [S.gens for S in enumerate_numerical_by_genus(9)]
+    brute = {brute_min_gens(gaps) for g in range(10) for gaps in gap_sets(g)}
+    assert len(tree) == len(brute)
+    assert set(tree) == brute
+
+
+def test_enumeration_counts_match_a007323(genus_20):
+    counts = Counter(S.genus() for S in genus_20)
+    assert [counts[g] for g in range(21)] == A007323
+
+
+def test_enumeration_generators_survive_validation():
+    for S in enumerate_numerical_by_genus(12):
+        assert make_semigroup(S.gens).gens == S.gens
+        assert list(S.gens) == sorted(S.gens)
+
+
 def test_enumeration_no_duplicates():
     corpus = list(enumerate_numerical_by_genus(8))
     assert len({tuple(S.gens) for S in corpus}) == len(corpus)
@@ -52,6 +87,8 @@ def test_enumeration_no_duplicates():
 def test_enumeration_cap():
     with pytest.raises(SearchCapExceededError):
         enumerate_numerical_by_genus(26)
+    with pytest.raises(ValueError):
+        enumerate_numerical_by_genus(-1)
 
 
 def test_min_frobenius_trivial():
@@ -68,14 +105,14 @@ def test_min_frobenius_distinct_betti_restriction():
     assert (frob2, sorted(S2.gens)) == (523, [30, 42, 105, 140])
 
 
-def test_min_frobenius_matches_genus_enumeration():
+def test_min_frobenius_matches_genus_enumeration(genus_20):
     # independent cross-check: filter the full genus enumeration instead.
     # Betti divisible semigroups are complete intersections, hence
     # symmetric: genus = (F + 1) / 2, so genus <= 20 covers F <= 40 and the
     # symmetry identity prunes the corpus before the expensive check.
     frob, S = min_frobenius_betti_divisible(3, 40)
     best = None
-    for T in enumerate_numerical_by_genus(20):
+    for T in genus_20:
         if len(T.gens) < 3:
             continue
         f = T.frobenius()

@@ -58,6 +58,22 @@ def test_leq_partial_order():
     assert S.leq(0, 4)
 
 
+@pytest.mark.parametrize("gens, a, b", [
+    ([(2, 0), (0, 2), (1, 1)], (0, 0, 7), (1, 1)),
+    ([(2, 0), (0, 2), (1, 1)], (1, 1), (2, 2, 9)),
+    ([(2, 0), (0, 2), (1, 1)], (1,), (2, 2)),
+    ([(2, 0), (0, 2), (1, 1)], (1, 1, 1), (2, 2, 2)),
+    ([(2, 0), (0, 2), (1, 1)], 1, (2, 2)),
+    ([(2, 0), (0, 2), (1, 1)], (1, 1), 2),
+    ([4, 5, 6], 4, (10,)),
+    ([4, 5, 6], (4, 0), 10),
+])
+def test_leq_rejects_wrong_shape(gens, a, b):
+    S = make_semigroup(gens)
+    with pytest.raises(InvalidGeneratorsError):
+        S.leq(a, b)
+
+
 def test_affine_basics():
     S = make_semigroup([(1, 0), (0, 2), (0, 3)])
     assert not S.numerical
