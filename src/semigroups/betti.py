@@ -12,23 +12,20 @@ class BettiProfile:
 
     Attributes:
         betti: sorted tuple of Betti elements.
-        fibers: dict element -> Fiber for every Betti element.
+        fibers: dict element -> Fiber for every Betti element; these are
+            the only fibers enumerated to find the set, so they alone are
+            held to a fiber_cap.
         complete: False when the set was computed by a bounded sweep and may
             miss elements beyond the bound.
         free_arrangement: witness arrangement (tuple of generator indices)
             when completeness was certified via freeness, else None.
-        widest: the largest fiber enumerated to find the set (scanned,
-            default the Betti fibers), which a smaller fiber_cap refuses.
     """
 
-    def __init__(self, betti, fibers, complete, free_arrangement=None,
-                 scanned=None):
+    def __init__(self, betti, fibers, complete, free_arrangement=None):
         self.betti = tuple(betti)
         self.fibers = fibers
         self.complete = complete
         self.free_arrangement = free_arrangement
-        self.widest = max(fibers.values() if scanned is None else scanned,
-                          key=lambda f: f.denumerant, default=None)
 
     @property
     def ibetti(self):
@@ -43,10 +40,14 @@ class BettiProfile:
 
 
 def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
-    """Compute the Betti elements of S.
+    """Compute the Betti elements of S: the elements m whose graph G_m has
+    two or more components (factor.nc(S, m) >= 2).  Only their fibers are
+    enumerated, and fiber_cap bounds those: a Betti element with more
+    factorizations raises FiberCapExceededError, also when the profile
+    was kept from an earlier call with a larger cap.
 
     Numerical semigroups: exact, via the candidate set
-    {w + n_i : w in Ap(S; n_1) \\ {0}}.
+    {w + n_j : w in Ap(S; n_1) \\ {0}, j != 1}, n_1 = gens[0].
 
     Affine semigroups: exact when some arrangement is free (then
     Betti = {c_i^* n_i}); otherwise a bounded sweep over elements of
@@ -60,27 +61,30 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     else:
         profile = S._cached("betti", _betti_affine, S, degree_bound,
                             fiber_cap)
-    widest = profile.widest  # a kept profile may come from a larger cap
-    if fiber_cap is not None and widest and widest.denumerant > fiber_cap:
-        raise FiberCapExceededError(widest.element, fiber_cap)
+    if fiber_cap is not None:  # a kept profile may come from a larger cap
+        for fib in profile.fibers.values():
+            if fib.denumerant > fiber_cap:
+                raise FiberCapExceededError(fib.element, fiber_cap)
     return profile
 
 
 def _betti_numerical(S, fiber_cap):
+    # Every Betti element b is w + n_j with w in Ap(S; n_1) \ {0} and
+    # j != 1.  G_b has two or more components, so one of them misses node
+    # 1; take a node j in it.  If b - n_j - n_1 were in S, then b - n_1
+    # would be in S and the edge 1--j would exist.  So b - n_j lies in
+    # Ap(S; n_1), j != 1, and w = b - n_j != 0 because a generator has a
+    # one-node graph.
     n1 = S.gens[0]
-    candidates = set()
-    for w in S.apery(n1):
-        if w:
-            for g in S.gens:
-                candidates.add(w + g)
+    candidates = {w + g for w in S.apery(n1) if w for g in S.gens[1:]}
     return _sweep(S, sorted(candidates), fiber_cap, True)
 
 
 def _sweep(S, elements, fiber_cap, complete):
-    """The profile of the elements, in order, with two or more R-classes."""
-    scanned = [factor.fiber(S, m, fiber_cap) for m in elements]
-    fibers = {f.element: f for f in scanned if f.nc >= 2}
-    return BettiProfile(sorted(fibers), fibers, complete, scanned=scanned)
+    """The profile of the elements with two or more R-classes."""
+    fibers = {m: factor.fiber(S, m, fiber_cap) for m in elements
+              if factor.nc(S, m) >= 2}
+    return BettiProfile(sorted(fibers), fibers, complete)
 
 
 def free_arrangement(S):

@@ -4,6 +4,14 @@ A factorization of m over generators (n_1, ..., n_e) is an exponent tuple
 x in N^e with sum x_i * n_i == m.  The fiber Z(m) is the set of all of them.
 Two factorizations are linked when they share support; the connected
 components of that graph on Z(m) are the R-classes.
+
+The number of R-classes needs no factorization: it is the number of
+connected components of the graph G_m on the generators i with
+m - n_i in S, with an edge i--j when m - n_i - n_j lies in S (Rosales and
+Garcia-Sanchez, Finitely Generated Commutative Monoids, 1999, and
+Numerical Semigroups, 2009, the chapters on presentations).  nc counts
+them; fiber enumerates Z(m) where the factorizations themselves are
+needed.
 """
 
 from .errors import FiberCapExceededError
@@ -125,10 +133,17 @@ def fiber(S, m, cap=DEFAULT_FIBER_CAP):
     return fib
 
 
+def _prefix_tests(S):
+    """Entry i tests membership in the monoid of gens[:i + 1], without
+    the shape check; the last entry tests membership in S."""
+    return S._cached("prefix_tests", lambda: tuple(
+        S.submonoid(range(i + 1)).unchecked() for i in range(len(S.gens))))
+
+
 def _new_fiber(S, m, cap):
-    tests = S._cached("prefix_tests", lambda: tuple(
-        S.submonoid(range(i + 1)).contains for i in range(len(S.gens))))
-    facts = raw_fiber(S.gens, m, cap, tests)
+    if not S.contains(m):  # the shape check that the prefix tests skip
+        return Fiber(m, (), ())
+    facts = raw_fiber(S.gens, m, cap, _prefix_tests(S))
     return Fiber(m, facts, r_classes(facts))
 
 
@@ -137,9 +152,28 @@ def denumerant(S, m, cap=DEFAULT_FIBER_CAP):
     return fiber(S, m, cap).denumerant
 
 
-def nc(S, m, cap=DEFAULT_FIBER_CAP):
-    """Number of R-classes of the fiber of m in S."""
-    return fiber(S, m, cap).nc
+def nc(S, m):
+    """Number of R-classes of the fiber of m in S: 0 for a non-member, 1
+    for 0 (the empty factorization), else the number of connected
+    components of G_m, found by a flood fill that tests each pair of
+    nodes at most once.  O(e^2) membership tests; no factorization is
+    enumerated."""
+    if not S.contains(m):  # also rejects a wrong-shape m
+        return 0
+    inside = _prefix_tests(S)[-1]
+    minus = S._arith.sub
+    nodes = [g for g in S.gens if inside(minus(m, g))]
+    count = 0
+    while nodes:
+        count += 1
+        stack = [nodes.pop()]
+        while stack:
+            rest = minus(m, stack.pop())
+            unlinked = []
+            for g in nodes:
+                (stack if inside(minus(rest, g)) else unlinked).append(g)
+            nodes = unlinked
+    return count or 1  # only m == 0 has no node
 
 
 def isolated_factorizations(S, m, cap=DEFAULT_FIBER_CAP):

@@ -46,6 +46,10 @@ def is_set(S, bound=None):
     contained in Ap(S; min Betti)).  Raises InfiniteSetError when S has no
     Betti element.  Affine: enumerated over elements of coordinate sum
     <= bound, second return value False (not exhaustive).
+
+    Both scans are closed downward under <=_S, so m - n_i lies in S iff it
+    was scanned before m, and m factors uniquely iff every such m - n_i
+    factors uniquely, as x, and all the x + e_i agree.  O(e) per element.
     """
     if S.numerical:
         profile = betti_mod.betti_elements(S)
@@ -58,9 +62,22 @@ def is_set(S, bound=None):
             "affine I_s needs an explicit enumeration bound")
     else:
         elements, exhaustive = S.elements_upto(bound), False
-    fibers = [factor.fiber(S, m) for m in elements]
-    return tuple(sorted(f.factorizations[0] for f in fibers
-                        if f.denumerant == 1)), exhaustive
+    minus, gens = S._arith.sub, S.gens
+    only = {}  # scanned element -> its one factorization, or None
+    for m in elements:
+        options = set()
+        for i, g in enumerate(gens):
+            x = only.get(minus(m, g), ())
+            if x is None:  # m - n_i, hence m, factors in several ways
+                options.add(None)
+                break
+            if x:
+                options.add(x[:i] + (x[i] + 1,) + x[i + 1:])
+        if not options:  # only 0, the least scanned element
+            options.add((0,) * len(gens))
+        only[m] = options.pop() if len(options) == 1 else None
+    return tuple(sorted(x for x in only.values() if x is not None)), \
+        exhaustive
 
 
 def isolated_profile(S, degree_bound=None, bound=None):

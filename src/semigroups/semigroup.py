@@ -154,6 +154,18 @@ class SubMonoid:
             return True
         return self._contains_affine(tuple(v))
 
+    def unchecked(self):
+        """A membership test without the shape check of contains, for
+        elements already known to be shaped like the generators: for
+        numerical generators a read of the Apery table, for affine
+        generators contains itself."""
+        if not self.numerical:
+            return self.contains
+        ap, n, d = self._table(), self._n, self._d
+        if d == 1:
+            return lambda v: v >= ap[v % n]
+        return lambda v: v % d == 0 and v // d >= ap[v // d % n]
+
     def _contains_affine(self, v):
         # Depth-first search for a chain v -> v - g -> ... -> 0 on an
         # explicit stack: every step lowers the coordinate sum, so a path

@@ -135,8 +135,54 @@ def test_betti_elements_honours_a_smaller_cap_on_a_kept_profile():
     with pytest.raises(FiberCapExceededError):
         betti_elements(make_semigroup([6, 10, 15]), fiber_cap=1)
     assert betti_elements(S, fiber_cap=3).betti == (30,)
-    # a fresh call also refuses the cap on a candidate that is not Betti
-    T = make_semigroup([9, 10, 12, 13, 14, 15, 16, 17])
+    # the cap bounds the Betti fibers only, kept or fresh: the widest one
+    # here has 6 factorizations, and the candidate 36 (8 factorizations,
+    # one R-class) is never enumerated
+    gens = [9, 10, 12, 13, 14, 15, 16, 17]
+    T = make_semigroup(gens)
     assert max(f.denumerant for f in betti_elements(T).fibers.values()) == 6
-    with pytest.raises(FiberCapExceededError):
-        betti_elements(T, fiber_cap=6)
+    assert fiber(T, 36).denumerant == 8 and 36 not in betti_elements(T).betti
+    for fresh in (False, True):
+        with pytest.raises(FiberCapExceededError):
+            betti_elements(make_semigroup(gens) if fresh else T, fiber_cap=5)
+        assert betti_elements(make_semigroup(gens) if fresh else T,
+                              fiber_cap=6).betti == betti_elements(T).betti
+
+
+def _raises_cap(S, cap):
+    try:
+        betti_elements(S, fiber_cap=cap)
+    except FiberCapExceededError:
+        return True
+    return False
+
+
+def test_kept_and_fresh_profiles_agree_on_the_cap():
+    for S in enumerate_numerical_by_genus(9):
+        kept = make_semigroup(S.gens)
+        betti_elements(kept)
+        for cap in range(1, 8):
+            assert _raises_cap(make_semigroup(S.gens), cap) == \
+                _raises_cap(kept, cap), (S.gens, cap)
+
+
+def _old_sweep(S):
+    """The Betti elements and their R-classes by a fiber of every element
+    of {w + n_i : w in Ap(S; n_1) \\ {0}, every i}."""
+    candidates = {w + g for w in S.apery(S.gens[0]) if w for g in S.gens}
+    fibers = (fiber(S, m) for m in sorted(candidates))
+    return {f.element: f.classes for f in fibers if f.nc >= 2}
+
+
+def test_betti_elements_match_a_sweep_over_every_apery_candidate():
+    corpus = list(enumerate_numerical_by_genus(12))
+    assert len(corpus) == 1413
+    # gens[0] is the Apery base; reversed, it is no longer the multiplicity
+    corpus += [make_semigroup(S.gens[::-1]) for S in corpus[:200]
+               if len(S.gens) > 1]
+    for S in corpus:
+        expected = _old_sweep(make_semigroup(S.gens))
+        profile = betti_elements(S)
+        assert profile.betti == tuple(expected), S.gens
+        assert {b: f.classes for b, f in profile.fibers.items()} == \
+            expected, S.gens

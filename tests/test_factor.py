@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from semigroups import (FiberCapExceededError, InvalidGeneratorsError,
                         denumerant, fiber, isolated_factorizations,
                         make_semigroup, nc, r_classes)
+from semigroups.explore import enumerate_numerical_by_genus
 from semigroups.factor import raw_fiber
+
+# the affine members of the analyze benchmark panel, and one more
+AFFINE = ([(1, 0), (0, 2), (0, 3)], [(3, 0), (0, 3), (1, 2), (2, 1)],
+          [(4, 0), (0, 4), (1, 3), (3, 1)], [(6, 0), (0, 6), (1, 5), (4, 2)],
+          [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)],
+          [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (1, 2, 0)],
+          [(2, 0), (0, 2), (1, 3), (2, 1)])
 
 
 def test_fiber_sorted_and_complete():
@@ -162,3 +170,33 @@ def test_wrong_shape_elements_are_rejected():
         S.contains(5)
     with pytest.raises(InvalidGeneratorsError):
         make_semigroup([3, 5]).contains((5,))
+
+
+def test_nc_counts_the_components_of_the_element_graph():
+    checked = 0
+    for S in enumerate_numerical_by_genus(11):
+        horizon = S.frobenius() + 2 * max(S.gens)
+        for m in range(horizon + 1):
+            assert nc(S, m) == fiber(S, m).nc, (S.gens, m)
+            checked += 1
+    assert checked > 40000
+
+
+def test_nc_on_affine_elements():
+    for gens in AFFINE:
+        S = make_semigroup(gens)
+        for m in S.elements_upto(16):
+            assert nc(S, m) == fiber(S, m).nc, (gens, m)
+
+
+def test_nc_of_zero_a_gap_and_a_wrong_shape():
+    S = make_semigroup([3, 4, 5])
+    assert nc(S, 0) == 1  # the empty factorization
+    assert nc(S, 2) == 0
+    with pytest.raises(InvalidGeneratorsError):
+        nc(S, (2,))
+    T = make_semigroup([(2, 0), (0, 2), (1, 1)])
+    assert nc(T, (0, 0)) == 1
+    assert nc(T, (1, 0)) == 0
+    with pytest.raises(InvalidGeneratorsError):
+        nc(T, (1, 1, 0))

@@ -3,10 +3,13 @@ from random import Random
 
 import pytest
 
-from semigroups import (InfiniteSetError, betti_minimals, ib_set,
-                        isolated_profile, make_semigroup,
+from semigroups import (InfiniteSetError, betti_elements, betti_minimals,
+                        ib_set, isolated_profile, make_semigroup,
                         minimal_multi_elements)
+from semigroups.explore import enumerate_numerical_by_genus
+from semigroups.factor import fiber
 from semigroups.isolated import is_set
+from test_factor import AFFINE
 
 
 def test_ib_golden():
@@ -84,3 +87,25 @@ def test_affine_ib():
     prof = isolated_profile(S, bound=12)
     assert set(prof.ib) == {(0, 3, 0), (0, 0, 2)}
     assert not prof.exhaustive  # affine I_s is only a bounded enumeration
+
+
+def _unique_factorizations(S, elements):
+    """I_s by its definition: the elements with one factorization."""
+    fibers = (fiber(S, m) for m in elements)
+    return tuple(sorted(f.factorizations[0] for f in fibers
+                        if f.denumerant == 1))
+
+
+def test_is_set_matches_the_fiber_definition():
+    for S in enumerate_numerical_by_genus(11):
+        if len(S.gens) == 1:
+            continue
+        scan = S.apery(min(betti_elements(S).betti))
+        assert is_set(S) == (_unique_factorizations(S, scan), True), S.gens
+
+
+def test_affine_is_set_matches_the_fiber_definition():
+    for gens in AFFINE:
+        S = make_semigroup(gens)
+        assert is_set(S, 14) == \
+            (_unique_factorizations(S, S.elements_upto(14)), False), gens
