@@ -497,21 +497,25 @@ def _skip():
     return {"applicable": False, "conditions": [], "ok": True}
 
 
-def _order_walk(S, ib):
-    """Yield (fiber, rows) for every element up to _scan_bound(S), in scan
-    order, with one row (x, over_betti, over_ib, minimal) per factorization
-    x: whether some Betti factorization, or some vector of ib, lies
-    strictly below x, and whether x is minimal among the factorizations of
-    elements with two or more (the multi-vectors).
+def _walk(S, profile, ib):
+    """Yield (m, fiber, rows, below_betti, below_ibetti) for every element
+    m up to _scan_bound(S), in scan order.  rows has one row
+    (x, over_betti, over_ib, minimal) per factorization x: whether some
+    Betti factorization, or some vector of ib, lies strictly below x, and
+    whether x is minimal among the multi-vectors (the factorizations of
+    elements with two or more).  below_betti and below_ibetti: whether
+    some Betti, or IBetti, element lies strictly below m in <=_S.
 
-    For a set Z, some z in Z lies strictly below x iff, for some i with
-    x_i > 0, x - e_i is in Z or some z in Z lies strictly below x - e_i;
-    x - e_i factors m - n_i, which the scan meets before m.  The
-    multi-vectors form an up-set, so x is a minimal one iff d(m - n_i) = 1
-    for every i with x_i > 0.
+    Some z in a set Z lies strictly below x iff, for some i with x_i > 0,
+    x - e_i is in Z or some z in Z lies strictly below x - e_i; x - e_i
+    factors m - n_i, which the scan meets before m.  The multi-vectors form
+    an up-set, so x is a minimal one iff d(m - n_i) = 1 for every i with
+    x_i > 0.  Likewise b <_S m iff b = m - n_i or b <_S m - n_i for some i.
     """
-    betti = set(_complete_betti(S).betti)
+    betti, ibetti = set(profile.betti), set(profile.ibetti)
+    minus = S._arith.sub
     reach = {}  # x -> (Betti vector <= x, ib vector <= x, multi-vector)
+    above = {}  # m -> (Betti element <=_S m, IBetti element <=_S m)
     for m in S.elements_upto(_scan_bound(S)):
         fib = factor.fiber(S, m)
         multi = fib.denumerant >= 2
@@ -528,57 +532,45 @@ def _order_walk(S, ib):
                     minimal = minimal and not below_multi
             reach[x] = (over_betti or m in betti, over_ib or x in ib, multi)
             rows.append((x, over_betti, over_ib, minimal))
-        yield fib, rows
+        lower = [above.get(minus(m, g), (False, False)) for g in S.gens]
+        below_betti = any(at for at, _ in lower)
+        below_ibetti = any(at for _, at in lower)
+        above[m] = (below_betti or m in betti, below_ibetti or m in ibetti)
+        yield m, fib, rows, below_betti, below_ibetti
 
 
-def _check_isolated_characterization(S):
-    """Oracle (singleton R-class) versus the domination characterization of
-    non-isolated factorizations, plus the minimal-multi-vector identity
-    for I_b, over a covering scan."""
+def _check_walked(S):
+    """The entries isolated_characterization (the singleton R-classes
+    against domination by a Betti factorization, and the minimal
+    multi-vectors against I_b), isolated_elements (m has a non-isolated
+    factorization iff a Betti, iff an IBetti, element lies strictly below
+    it in <=_S) and b1_smallest (numerical: b_1 is the least element with
+    two factorizations, all isolated), from one walk."""
+    profile = _complete_betti(S)
     ib = set(isolated_profile(S).ib)
+    characterized = elements_ok = True
     minimals = set()
-    for fib, rows in _order_walk(S, ib):
+    smallest = None
+    for m, fib, rows, below_betti, below_ibetti in _walk(S, profile, ib):
         singletons = set(fib.isolated)
         for x, over_betti, over_ib, minimal in rows:
             oracle = x in singletons
-            if oracle == over_betti:
-                return _verdict(False)
-            if not oracle and not over_ib:
-                return _verdict(False)  # strengthened form fails
+            if oracle == over_betti or not (oracle or over_ib):
+                characterized = False  # strengthened: I_b dominates too
             if minimal:
                 minimals.add(x)
-    return _verdict(minimals == ib)
-
-
-def _strictly_above(S, elements, targets):
-    """Map each m of elements, a scan in order, to whether b <_S m for some
-    b in targets.  That holds iff b <=_S m - n_i for some i with m - n_i in
-    S, and b <=_S m iff m is in targets or b <_S m.  m - n_i is in S iff
-    the scan met it before m."""
-    targets = set(targets)
-    minus = S._arith.sub
-    reach = {}  # m -> whether b <=_S m for some b in targets
-    out = {}
-    for m in elements:
-        out[m] = any(reach.get(minus(m, g), False) for g in S.gens)
-        reach[m] = out[m] or m in targets
-    return out
-
-
-def _check_isolated_elements(S):
-    """Element-level 3-way: m has a non-isolated factorization iff some
-    Betti element lies strictly below it in <=_S, iff some IBetti element
-    does."""
-    profile = _complete_betti(S)
-    elements = S.elements_upto(_scan_bound(S))
-    by_betti = _strictly_above(S, elements, profile.betti)
-    by_ibetti = _strictly_above(S, elements, profile.ibetti)
-    for m in elements:
-        fib = factor.fiber(S, m)
         has_non_isolated = len(fib.isolated) < fib.denumerant
-        if not has_non_isolated == by_betti[m] == by_ibetti[m]:
-            return _verdict(False)
-    return _verdict(True)
+        if not has_non_isolated == below_betti == below_ibetti:
+            elements_ok = False
+        if smallest is None and fib.denumerant >= 2:
+            smallest = m
+    b1_smallest = _skip()
+    if S.numerical and profile.betti:
+        b1 = min(profile.betti)
+        fib = profile.fibers[b1]
+        b1_smallest = _verdict(b1 == smallest and fib.nc == fib.denumerant)
+    return (_verdict(characterized and minimals == ib),
+            _verdict(elements_ok), b1_smallest)
 
 
 def _check_betti_minimal_characterizations(S):
@@ -617,17 +609,6 @@ def _check_ap_b1(S):
     ap_unique = all(factor.denumerant(S, w) == 1 for w in S.apery(b1))
     i_s_eq = isolated_profile(S).i_s == b1
     return _entry([single, ap_unique, i_s_eq])
-
-
-def _check_b1_smallest(S):
-    profile = _complete_betti(S)
-    if not S.numerical or not profile.betti:
-        return _skip()
-    b1 = min(profile.betti)
-    smallest = next(s for s in S.elements_upto(_scan_bound(S))
-                    if factor.denumerant(S, s) >= 2)
-    fib = profile.fibers[b1]
-    return _verdict(b1 == smallest and fib.nc == fib.denumerant)
 
 
 def _check_thm_isolated(S):
@@ -887,13 +868,14 @@ def check_equivalence_theorems(S):
     report = {}
     if S.numerical and len(S.gens) == 1:
         return report
-    report["isolated_characterization"] = _check_isolated_characterization(S)
-    report["isolated_elements"] = _check_isolated_elements(S)
+    characterization, elements, b1_smallest = _check_walked(S)
+    report["isolated_characterization"] = characterization
+    report["isolated_elements"] = elements
     report["betti_minimal_characterizations"] = \
         _check_betti_minimal_characterizations(S)
     report["disjoint_betti"] = _check_disjoint_betti(S)
     report["ap_b1"] = _check_ap_b1(S)
-    report["b1_smallest"] = _check_b1_smallest(S)
+    report["b1_smallest"] = b1_smallest
     report["isolated_inclusions"] = _check_thm_isolated(S)
     if S.numerical:
         e = len(S.gens)

@@ -115,19 +115,13 @@ def _isolated_report(S, degree_bound):
 
 
 def _constants_report(S):
-    catoms = constants.c_atoms(S)
-    if not S.is_simplicial():
-        # no ray arrangement exists; only the c constants make sense
-        return {
-            "arrangement": list(S.gens),
-            "per_generator": [
-                {"generator": g, "index": i + 1, "c_star": None,
-                 "c_bar": None, "c": constants.c_value(S, i)}
-                for i, g in enumerate(S.gens)],
-            "c_atoms": sorted(idx + 1 for idx, _c in catoms),
-        }
-    arrangement = constants.default_arrangement(S)
-    base = 1 if S.numerical else len(S.simplicial_rays or ())
+    # not simplicial: no ray arrangement exists, so every generator is in
+    # the base and only the c constants make sense
+    arrangement = range(len(S.gens))
+    base = len(S.gens)
+    if S.is_simplicial():
+        arrangement = constants.default_arrangement(S)
+        base = len(S.simplicial_rays)
     per_gen = []
     for pos, idx in enumerate(arrangement):
         in_base = pos < base
@@ -144,7 +138,7 @@ def _constants_report(S):
     return {
         "arrangement": [S.gens[i] for i in arrangement],
         "per_generator": per_gen,
-        "c_atoms": sorted(idx + 1 for idx, _c in catoms),
+        "c_atoms": [idx + 1 for idx, _c in constants.c_atoms(S)],
     }
 
 

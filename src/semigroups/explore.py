@@ -85,9 +85,8 @@ def load_corpus(path):
             line = line.split("#", 1)[0].strip()
             if line:
                 S = make_semigroup(parse_gens(line))
-                key = tuple(sorted(S.gens)) if S.numerical else S.gens
-                if key not in seen:
-                    seen.add(key)
+                if S not in seen:
+                    seen.add(S)
                     out.append(S)
     return Corpus(out, f"file:{path}")
 

@@ -96,11 +96,6 @@ def group_rank(vectors):
     return Lattice(vectors).rank
 
 
-def in_group(vec, generators):
-    """Whether vec lies in the subgroup of Z^n generated by `generators`."""
-    return vec in Lattice(generators)
-
-
 def rational_solve(vec, basis_vectors):
     """Solve vec = sum q_i * b_i over Q for linearly independent b_i.
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import permutations
 from math import gcd
 
@@ -10,12 +12,10 @@ from semigroups import (check_equivalence_theorems, classification_report,
 from semigroups import (IsolatedProfile, betti_divisible_from_params,
                         betti_elements, classify, constants,
                         isolated_profile)
-from semigroups.betti import _free_completion
-from semigroups.classify import (_check_isolated_characterization,
-                                 _check_thm_alpha_free, _order_walk,
+from semigroups.betti import BettiProfile, _free_completion
+from semigroups.classify import (_check_thm_alpha_free, _check_walked,
                                  _scan_bound, _sorted_cost_arrangements,
-                                 _strictly_above,
-                                 admits_shaped_presentation,
+                                 _walk, admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
 from semigroups.explore import enumerate_numerical_by_genus
@@ -294,18 +294,19 @@ def test_order_walk_matches_pairwise_domination():
     for S in _harness_members():
         profile = betti_elements(S)
         ib = set(isolated_profile(S).ib)
-        walk = list(_order_walk(S, ib))
+        walk = list(_walk(S, profile, ib))
         betti_facts = [x for b in profile.betti
                        for x in profile.fibers[b].factorizations]
         # minimal multi-vectors by the sorted pairwise scan
-        multi_vectors = sorted((x for fib, _ in walk if fib.denumerant >= 2
+        multi_vectors = sorted((x for _, fib, *_ in walk
+                                if fib.denumerant >= 2
                                 for x in fib.factorizations), key=sum)
         minimals = []
         for x in multi_vectors:
             if not any(_below(z, x) for z in minimals):
                 minimals.append(x)
         assert set(minimals) == ib, S.gens
-        for fib, rows in walk:
+        for _, fib, rows, _, _ in walk:
             assert [row[0] for row in rows] == list(fib.factorizations)
             for x, over_betti, over_ib, minimal in rows:
                 assert over_betti == any(_below(z, x) for z in betti_facts)
@@ -318,11 +319,14 @@ def test_order_walk_matches_pairwise_domination():
 def test_strictly_above_matches_pairwise_order():
     for S in _harness_members():
         profile = betti_elements(S)
-        elements = S.elements_upto(_scan_bound(S))
-        for targets in (profile.betti, profile.ibetti):
-            assert _strictly_above(S, elements, targets) == {
-                m: any(b != m and S.leq(b, m) for b in targets)
-                for m in elements}
+        walk = list(_walk(S, profile, set(isolated_profile(S).ib)))
+        assert [row[0] for row in walk] == \
+            list(S.elements_upto(_scan_bound(S)))
+        for k, targets in ((3, profile.betti), (4, profile.ibetti)):
+            for row in walk:
+                m = row[0]
+                assert row[k] == any(b != m and S.leq(b, m)
+                                     for b in targets), (S.gens, m)
 
 
 def test_apery_maxima_match_pairwise_scan():
@@ -346,7 +350,7 @@ def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
     for gens in ([3, 4, 5], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
         ib = real(S).ib
-        assert _check_isolated_characterization(S)["ok"]
+        assert _check_walked(S)[0]["ok"]
         for k in range(len(ib)):
             def dropped(T, *args, k=k):
                 prof = real(T, *args)
@@ -354,5 +358,61 @@ def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
                                        prof.is_, prof.i_total, prof.ibetti,
                                        prof.exhaustive)
             monkeypatch.setattr(classify, "isolated_profile", dropped)
-            assert not _check_isolated_characterization(S)["ok"], (gens, k)
+            assert not _check_walked(S)[0]["ok"], (gens, k)
         monkeypatch.setattr(classify, "isolated_profile", real)
+
+
+def test_walked_checks_fail_without_the_least_betti_element(monkeypatch):
+    # all three entries of the walk must be able to fail
+    real = classify.betti_elements
+
+    def dropped(T, *args, **kwargs):
+        prof = real(T, *args, **kwargs)
+        b1 = min(prof.betti)
+        return BettiProfile(prof.betti[1:],
+                            {b: f for b, f in prof.fibers.items() if b != b1},
+                            prof.complete, prof.free_arrangement)
+
+    for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
+        S = make_semigroup(gens)
+        assert all(entry["ok"] for entry in _check_walked(S))
+        monkeypatch.setattr(classify, "betti_elements", dropped)
+        assert not any(entry["ok"] for entry in _check_walked(S)), gens
+        monkeypatch.setattr(classify, "betti_elements", real)
+
+
+class _NoIBettiProfile(BettiProfile):
+    ibetti = ()
+
+
+def test_isolated_elements_fails_without_the_ibetti_elements(monkeypatch):
+    # the IBetti side keeps its own recurrence: the theorem makes it agree
+    # with the Betti side, so only a wrong IBetti set can tell them apart
+    real = classify.betti_elements
+
+    def no_ibetti(T, *args, **kwargs):
+        prof = real(T, *args, **kwargs)
+        return _NoIBettiProfile(prof.betti, prof.fibers, prof.complete,
+                                prof.free_arrangement)
+
+    monkeypatch.setattr(classify, "betti_elements", no_ibetti)
+    for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
+        characterization, elements, _ = _check_walked(make_semigroup(gens))
+        assert characterization["ok"] and not elements["ok"], gens
+
+
+# SHA-256 of every harness report on the members below: the condition
+# vectors, applicability and chain values, which `verify --json` hides on
+# a clean corpus because it lists only violations
+_HARNESS_REPORTS_SHA256 = \
+    "7bc22876bd80b1a59107754dbc1a7d630d6e441e403098078ff771cd250f4cb2"
+
+
+def test_harness_reports_are_pinned():
+    members = _corpus_e_ge_2(9) + [
+        make_semigroup(g) for g in ([(1, 0), (0, 2), (0, 3)],
+                                    [(2, 0), (0, 2), (1, 3), (2, 1)])]
+    reports = [[check_equivalence_theorems(S), verify_bounds(S)]
+               for S in members]
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _HARNESS_REPORTS_SHA256

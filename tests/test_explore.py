@@ -134,6 +134,15 @@ def test_corpus_file_loading(tmp_path):
     assert {tuple(S.gens) for S in corpus} == {(2, 3), (3, 4, 5)}
 
 
+def test_corpus_file_dedup_ignores_generator_order(tmp_path):
+    # an affine semigroup listed with its generators in two orders is one
+    # semigroup, kept at its first line
+    p = tmp_path / "corpus.txt"
+    p.write_text("(1,0);(0,2);(0,3)\n(0,2);(1,0);(0,3)\n5,3\n3,5\n")
+    corpus = load_corpus(p)
+    assert [S.gens for S in corpus] == [((1, 0), (0, 2), (0, 3)), (5, 3)]
+
+
 def test_harness_empty_violations_small():
     rep = run_theorem_harness(enumerate_numerical_by_genus(7))
     assert rep["violations"] == []

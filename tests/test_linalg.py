@@ -3,9 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semigroups.linalg import (Lattice, group_rank, in_cone, in_group,
-                               in_rational_cone, rational_solve,
-                               solve_nonnegative_integer)
+from semigroups.linalg import (Lattice, group_rank, in_cone, in_rational_cone,
+                               rational_solve, solve_nonnegative_integer)
 
 
 def test_lattice_membership_basics():
@@ -34,8 +33,6 @@ def test_multiple_in_lattice():
 
 def test_group_rank_and_membership():
     assert group_rank([(2, 4), (1, 2), (3, 6)]) == 1
-    assert in_group((5,), [(2,), (3,)])
-    assert not in_group((1, 1), [(2, 0), (0, 2)])
 
 
 def test_rational_solve():
