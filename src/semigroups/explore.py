@@ -8,17 +8,19 @@ that is minimal in the child (Rosales & Garcia-Sanchez, Numerical
 Semigroups, 2009; Fromentin & Hivert, Math. Comp. 85, 2016).
 
 The minimum-Frobenius search for Betti-divisible semigroups walks the
-(a, f) parametrization, which provably covers the whole family, pruning
-with the assignment-independent lower bound obtained by setting every
-f_i = 1.
+(a, f) parametrization, which provably covers the whole family, by branch
+and bound.  Each candidate is scored by Johnson's formula for its
+telescopic arrangement without being built; a branch is cut when its
+lower bound (every f_i = 1) exceeds the best Frobenius number so far, and
+ties are kept for the generator tie-break.
 """
 
-from itertools import permutations
-from math import gcd, prod
+from itertools import count, permutations
+from math import gcd
 
 from . import classify
 from .construct import betti_divisible_from_params
-from .errors import InvalidParametersError, SearchCapExceededError
+from .errors import SearchCapExceededError
 from .semigroup import Semigroup, make_semigroup, parse_gens
 
 __all__ = ["Corpus", "enumerate_numerical_by_genus", "load_corpus",
@@ -93,20 +95,21 @@ def load_corpus(path):
 
 # -- minimum-Frobenius Betti-divisible search -----------------------------
 
-def _f0(values):
-    """Lower bound for the Frobenius number of any family member whose a
-    values form this set (attained when every f_i = 1).  Strictly grows
-    when the set grows, which makes it a valid pruning bound."""
-    p = prod(values)
-    return sum(p * (a - 1) // a for a in values) - p
+# Nodes (grow and f_chains calls) one search may visit.  The dearest
+# recorded minimum (523, two distinct Betti elements) takes about 1,200 at
+# f_max 1,200; edim 2 with 40 distinct Betti elements and F <= 10**6 has
+# no answer and would run for minutes, and stops here in about 2 s.
+_SEARCH_NODE_CAP = 10 ** 6
 
 
 def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
     """The Betti-divisible numerical semigroup with >= edim_min minimal
     generators and the smallest Frobenius number <= f_max.
 
-    Returns (frobenius, S).  The search enumerates the (a, f)
-    parametrization; ties are broken by the sorted generator tuple.
+    Returns (frobenius, S).  The search is a branch and bound over the
+    (a, f) parametrization that scores each candidate by Johnson's formula
+    and keeps ties, which are broken by the sorted generator tuple; only
+    the winner is built, and its Apery table must agree with the formula.
 
     ``distinct_betti_min`` restricts the search to semigroups with at
     least that many distinct Betti elements (the count equals the number
@@ -118,84 +121,76 @@ def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
     """
     if edim_min < 2:
         raise ValueError("edim_min must be at least 2")
-    best = None  # (frobenius, sorted gens, S)
+    best = None  # (frobenius, sorted gens, a, f)
+    limit = f_max
+    nodes = count(1)
 
-    def try_params(a, f):
-        nonlocal best
-        if len(set(f[1:])) < distinct_betti_min:
-            return
-        try:
-            S, _predicted = betti_divisible_from_params(a, f)
-        except InvalidParametersError:
-            return
-        frob = S.frobenius()
-        if frob > f_max:
-            return
-        key = (frob, tuple(sorted(S.gens)))
-        if best is None or key < (best[0], best[1]):
-            best = (frob, key[1], S)
+    def visit():
+        if next(nodes) > _SEARCH_NODE_CAP:
+            raise SearchCapExceededError(
+                f"the search visited more than {_SEARCH_NODE_CAP} "
+                f"parameter nodes with its bound at F <= {limit}")
 
-    def f_chains(a, pos, f, partial_cost, n1):
+    def f_chains(a, pos, f, partial_cost, n1, p):
         """Extend the chain f_3 | ... | f_e; partial_cost accumulates
         sum (a_i - 1) n_i over positions >= 2."""
-        e = len(a)
-        if partial_cost - n1 > f_max:
+        nonlocal best, limit
+        visit()
+        if partial_cost - n1 > limit:
             return
-        if pos == e:
-            try_params(a, tuple(f))
+        if pos == len(a):
+            # n_i = f_i p / a_i is prime to a_i and every other generator
+            # is a multiple of a_i, so none is redundant; gcd(n_1..n_i) =
+            # p / (a_1...a_i) and a_i n_i = (f_i / f_{i-1}) a_{i-1} n_{i-1},
+            # so the arrangement is telescopic with c_i = a_i and Johnson's
+            # F = partial_cost - n1 is exact (Canad. J. Math. 12, 1960).
+            key = (partial_cost - n1,
+                   tuple(sorted(fi * (p // ai) for ai, fi in zip(a, f))))
+            if len(set(f[1:])) >= distinct_betti_min and (
+                    best is None or key < best[:2]):
+                best, limit = key + (a, f), key[0]
             return
-        p = prod(a)
+        if gcd(f[-1], a[pos]) != 1:
+            return  # every multiple of f_{pos-1} shares a factor with a_pos
         ni_unit = p // a[pos]
         q = 1
         while True:
-            fi = f[pos - 1] * q
+            fi = f[-1] * q
             cost = (a[pos] - 1) * fi * ni_unit
-            if partial_cost + cost - n1 > f_max:
+            if partial_cost + cost - n1 > limit:
                 return
             if gcd(fi, a[pos]) == 1:
-                f_chains(a, pos + 1, f + [fi], partial_cost + cost, n1)
+                f_chains(a, pos + 1, f + [fi], partial_cost + cost, n1, p)
             q += 1
 
-    def assignments(values):
-        e = len(values)
-        p = prod(values)
-        # choose a_1 and a_2 (f_1 = f_2 = 1); the rest is ordered by the
-        # f chain.  The values are distinct and increasing, so every a is
-        # new and the permutations come in sorted order.
-        for i in range(e):
-            for j in range(e):
-                if i == j:
-                    continue
-                rest = [values[k] for k in range(e)
-                        if k not in (i, j)]
-                for perm in permutations(rest):
-                    a = (values[i], values[j]) + perm
-                    n1 = p // a[0]
-                    base = (a[1] - 1) * (p // a[1])
-                    f_chains(list(a), 2, [1, 1], base, n1)
-
-    def grow(values, start):
+    def grow(values, start, p, s0):
+        """values are pairwise coprime and increasing, p = prod(values) and
+        s0 = sum p (v - 1) / v.  F >= s0 - p when every f_i = 1, so adding
+        a is bounded by a * s0 - p, which grows with a and with the set."""
+        visit()
         if len(values) >= edim_min:
-            assignments(values)
-        if not values:
-            # _f0 of a singleton is always -1; bound the first element by
-            # the cheapest two-element completion (a odd pairs with 2,
-            # giving _f0 = a - 2)
-            for a in range(2, f_max + 3):
-                grow([a], a + 1)
-            return
+            for a in permutations(values):  # each with f_1 = f_2 = 1
+                f_chains(a, 2, [1, 1], (a[1] - 1) * (p // a[1]), p // a[0], p)
         a = start
-        while _f0(values + [a]) <= f_max:
-            if all(gcd(a, v) == 1 for v in values):
-                grow(values + [a], a + 1)
+        while a * s0 - p <= limit:
+            if gcd(a, p) == 1:
+                grow(values + [a], a + 1, p * a, a * s0 + p * (a - 1))
             a += 1
 
-    grow([], 2)
+    # the cheapest completion of {a} adds a + 1: bound (a + 1)(a - 1) - a
+    a = 2
+    while a * a - a - 1 <= limit:
+        grow([a], a + 1, a, a - 1)
+        a += 1
     if best is None:
         raise SearchCapExceededError(
             f"no Betti-divisible semigroup with >= {edim_min} generators "
             f"has Frobenius number <= {f_max}")
-    return best[0], best[2]
+    frob, _gens, a, f = best
+    S, _predicted = betti_divisible_from_params(a, f)
+    if S.frobenius() != frob:
+        raise RuntimeError(f"Johnson's formula is not F(S) for {S.gens}")
+    return frob, S
 
 
 # -- theorem harness ------------------------------------------------------

@@ -161,6 +161,8 @@ _FUZZ = [
     (["analyze", "--gens", "(1,0);(0,1,1)"], 2),
     (["analyze", "--gens", "3,(1,2)"], 2),
     (["analyze", "--gens", "(0,0);(1,2)"], 2),
+    (["search", "min-frobenius-betti-divisible", "--edim", "2",
+      "--distinct-betti", "40", "--max-frobenius", "1000000"], 3),
 ]
 
 

@@ -1,10 +1,12 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 
-from semigroups import (SearchCapExceededError, enumerate_numerical_by_genus,
-                        is_betti_divisible, load_corpus, make_semigroup,
+from semigroups import (SearchCapExceededError, betti_divisible_from_params,
+                        enumerate_numerical_by_genus, is_betti_divisible,
+                        load_corpus, make_semigroup,
                         min_frobenius_betti_divisible, run_theorem_harness)
 
 # OEIS A007323: the number of numerical semigroups of genus 0, 1, ..., 20
@@ -103,6 +105,52 @@ def test_min_frobenius_distinct_betti_restriction():
     assert (frob, sorted(S.gens)) == (383, [30, 42, 70, 105])
     frob2, S2 = min_frobenius_betti_divisible(4, 600, distinct_betti_min=2)
     assert (frob2, sorted(S2.gens)) == (523, [30, 42, 105, 140])
+
+
+def _f_chains(a, top=6):
+    """Every chain 1 = f_1 = f_2 | f_3 | ... with entries <= top and
+    gcd(f_i, a_i) = 1."""
+    chains = [(1, 1)]
+    for ai in a[2:]:
+        chains = [c + (fi,) for c in chains
+                  for fi in range(c[-1], top + 1, c[-1]) if gcd(fi, ai) == 1]
+    return chains
+
+
+def test_family_frobenius_is_johnsons_formula():
+    # The search scores candidates by the telescopic closed form instead of
+    # building them; every valid (a, f) in a small box must keep all its
+    # generators and have exactly that Frobenius number.
+    checked = 0
+    for e, box in ((2, 24), (3, 14), (4, 10)):
+        for a in permutations(range(2, box), e):
+            if any(gcd(x, y) != 1 for x, y in combinations(a, 2)):
+                continue
+            p = prod(a)
+            for f in _f_chains(a):
+                gens = [fi * p // ai for ai, fi in zip(a, f)]
+                S, _predicted = betti_divisible_from_params(a, f)
+                assert list(S.gens) == gens, (a, f)
+                closed = sum((ai - 1) * n
+                             for ai, n in zip(a[1:], gens[1:])) - gens[0]
+                assert S.frobenius() == closed, (a, f)
+                checked += 1
+    assert checked == 3622
+
+
+@pytest.mark.parametrize("edim, distinct, frob, gens", [
+    (3, 1, 29, (15, 10, 6)), (3, 2, 49, (15, 6, 20)),
+    (4, 1, 383, (105, 70, 42, 30)), (4, 2, 523, (105, 42, 30, 140))])
+def test_min_frobenius_ladder_boundary(edim, distinct, frob, gens):
+    # the bound prunes with a strict >, so the minimum is found at
+    # f_max = F and at every larger bound, and one below it there is none;
+    # among the (a, f) giving the winning generators the first found is
+    # kept, which fixes the generator order of the answer
+    with pytest.raises(SearchCapExceededError):
+        min_frobenius_betti_divisible(edim, frob - 1, distinct)
+    for f_max in (frob, frob + 1, 2 * frob):
+        got, S = min_frobenius_betti_divisible(edim, f_max, distinct)
+        assert (got, S.gens) == (frob, gens)
 
 
 def test_min_frobenius_matches_genus_enumeration(genus_20):
