@@ -167,17 +167,25 @@ def _betti_affine(S, degree_bound, fiber_cap):
     return _sweep(S, S.elements_upto(bound), fiber_cap, False)
 
 
-def minimal_presentation(S, degree_bound=None):
+def require_exact_betti(S):
+    """Raise IncompleteBettiError unless the Betti set of S is exact: S is
+    numerical or has a free arrangement.  Then no degree bound changes the
+    set, and otherwise no bound completes it, so the functions that need
+    the exact set take no bound and call this before any sweep."""
+    if not S.numerical and free_arrangement(S) is None:
+        raise IncompleteBettiError(
+            "the Betti profile is a bounded sweep; completeness is required")
+
+
+def minimal_presentation(S):
     """A canonical minimal presentation: for each Betti element, a star of
     relations pairing the lex-smallest factorization of the lex-smallest
     R-class with the lex-smallest factorization of every other R-class.
 
     Returns a tuple of (x, y) factorization pairs with x < y lexicographically.
     """
-    profile = betti_elements(S, degree_bound)
-    if not profile.complete:
-        raise IncompleteBettiError(
-            "minimal presentation needs the exact Betti set")
+    require_exact_betti(S)
+    profile = betti_elements(S)
     relations = []
     for b in profile.betti:
         classes = profile.fibers[b].classes
@@ -188,30 +196,27 @@ def minimal_presentation(S, degree_bound=None):
     return tuple(relations)
 
 
-def presentation_cardinality(S, degree_bound=None):
-    profile = betti_elements(S, degree_bound)
-    if not profile.complete:
-        raise IncompleteBettiError(
-            "presentation cardinality needs the exact Betti set")
-    return profile.presentation_cardinality()
+def presentation_cardinality(S):
+    require_exact_betti(S)
+    return betti_elements(S).presentation_cardinality()
 
 
-def is_complete_intersection(S, degree_bound=None):
+def is_complete_intersection(S):
     """Complete intersection: presentation cardinality equals codimension."""
-    return presentation_cardinality(S, degree_bound) == S.codim
+    return presentation_cardinality(S) == S.codim
 
 
-def all_minimal_presentations(S, degree_bound=None, cap=200000):
-    """Iterate over every minimal presentation of S.
+def all_minimal_presentations(S, cap=200000):
+    """An iterator over every minimal presentation of S.
 
     A minimal presentation chooses, for each Betti element, a spanning tree
     over the R-classes and one representative pair per tree edge.  The
     iteration order is deterministic.  Mostly useful for small semigroups
     (the shape checks of the theorem harness); `cap` guards the blow-up.
+    The gate and the cap raise on the call, not on the first step.
     """
-    profile = betti_elements(S, degree_bound)
-    if not profile.complete:
-        raise IncompleteBettiError("presentations need the exact Betti set")
+    require_exact_betti(S)
+    profile = betti_elements(S)
     per_betti = []
     for b in profile.betti:
         classes = profile.fibers[b].classes
@@ -224,8 +229,7 @@ def all_minimal_presentations(S, degree_bound=None, cap=200000):
                     raise IncompleteBettiError(
                         "too many minimal presentations to enumerate")
         per_betti.append(choices)
-    for combo in product(*per_betti):
-        yield sum(combo, ())
+    return (sum(combo, ()) for combo in product(*per_betti))
 
 
 def _spanning_trees(k):

@@ -13,8 +13,9 @@ from math import prod
 
 from . import constants, factor
 from .betti import (_free_completion, _free_multiple, betti_elements,
-                    free_arrangement, is_complete_intersection, is_free)
-from .errors import IncompleteBettiError, NotNumericalError
+                    free_arrangement, is_complete_intersection, is_free,
+                    require_exact_betti)
+from .errors import NotNumericalError
 from .isolated import betti_minimals, isolated_profile, minimal_multi_elements
 
 __all__ = [
@@ -190,12 +191,9 @@ def is_alpha_rectangular_every_generator(S):
 
 # -- Betti orderings ------------------------------------------------------
 
-def _complete_betti(S, degree_bound=None):
-    profile = betti_elements(S, degree_bound=degree_bound)
-    if not profile.complete:
-        raise IncompleteBettiError(
-            "the Betti profile is a bounded sweep; completeness is required")
-    return profile
+def _complete_betti(S):
+    require_exact_betti(S)
+    return betti_elements(S)
 
 
 def _totally_ordered(S, elems, rel):
@@ -203,37 +201,37 @@ def _totally_ordered(S, elems, rel):
     return all(rel(a, b) for a, b in zip(chain, chain[1:]))
 
 
-def is_betti_sorted(S, degree_bound=None):
-    profile = _complete_betti(S, degree_bound)
+def is_betti_sorted(S):
+    profile = _complete_betti(S)
     return _totally_ordered(S, profile.betti, S.leq)
 
 
-def is_betti_isolated_sorted(S, degree_bound=None):
-    profile = _complete_betti(S, degree_bound)
+def is_betti_isolated_sorted(S):
+    profile = _complete_betti(S)
     return _totally_ordered(S, profile.ibetti, S.leq)
 
 
-def is_betti_divisible(S, degree_bound=None):
-    profile = _complete_betti(S, degree_bound)
+def is_betti_divisible(S):
+    profile = _complete_betti(S)
     return _totally_ordered(S, profile.betti,
                             lambda a, b: _divides_value(S, a, b))
 
 
-def is_betti_isolated_divisible(S, degree_bound=None):
-    profile = _complete_betti(S, degree_bound)
+def is_betti_isolated_divisible(S):
+    profile = _complete_betti(S)
     return _totally_ordered(S, profile.ibetti,
                             lambda a, b: _divides_value(S, a, b))
 
 
-def has_single_betti(S, degree_bound=None):
-    profile = _complete_betti(S, degree_bound)
+def has_single_betti(S):
+    profile = _complete_betti(S)
     if len(profile.betti) == 1:
         return True, profile.betti[0]
     return False, None
 
 
-def has_single_betti_minimal(S, degree_bound=None):
-    mins = betti_minimals(S, degree_bound=degree_bound)
+def has_single_betti_minimal(S):
+    mins = betti_minimals(S)
     if len(mins) == 1:
         return True, mins[0]
     return False, None
@@ -371,8 +369,8 @@ class ClassificationReport:
         return f"ClassificationReport({', '.join(on)})"
 
 
-def classification_report(S, degree_bound=None):
-    profile = _complete_betti(S, degree_bound)
+def classification_report(S):
+    require_exact_betti(S)
     flags = {}
     witnesses = {}
     flags["cohen_macaulay"] = S.is_cohen_macaulay()
@@ -382,8 +380,7 @@ def classification_report(S, degree_bound=None):
     flags["free_some_arrangement"] = arr is not None
     if arr is not None:
         witnesses["free_arrangement"] = arr
-    flags["complete_intersection"] = is_complete_intersection(
-        S, degree_bound=degree_bound)
+    flags["complete_intersection"] = is_complete_intersection(S)
     kinds = (("rectangular", is_rectangular),
              ("c_rectangular", is_c_rectangular),
              ("alpha_rectangular", is_alpha_rectangular))
@@ -408,16 +405,15 @@ def classification_report(S, degree_bound=None):
             flags[kind] = ok
             if ok:
                 witnesses[kind] = {"bounds": bounds}
-    flags["betti_sorted"] = is_betti_sorted(S, degree_bound)
-    flags["betti_isolated_sorted"] = is_betti_isolated_sorted(S, degree_bound)
-    flags["betti_divisible"] = is_betti_divisible(S, degree_bound)
-    flags["betti_isolated_divisible"] = is_betti_isolated_divisible(
-        S, degree_bound)
-    single, b = has_single_betti(S, degree_bound)
+    flags["betti_sorted"] = is_betti_sorted(S)
+    flags["betti_isolated_sorted"] = is_betti_isolated_sorted(S)
+    flags["betti_divisible"] = is_betti_divisible(S)
+    flags["betti_isolated_divisible"] = is_betti_isolated_divisible(S)
+    single, b = has_single_betti(S)
     flags["single_betti"] = single
     if single:
         witnesses["single_betti"] = b
-    single_bm, bm = has_single_betti_minimal(S, degree_bound)
+    single_bm, bm = has_single_betti_minimal(S)
     flags["single_betti_minimal"] = single_bm
     if single_bm:
         witnesses["single_betti_minimal"] = bm
@@ -565,7 +561,7 @@ def _check_walked(S):
         if smallest is None and fib.denumerant >= 2:
             smallest = m
     b1_smallest = _skip()
-    if S.numerical and profile.betti:
+    if S.numerical:
         b1 = min(profile.betti)
         fib = profile.fibers[b1]
         b1_smallest = _verdict(b1 == smallest and fib.nc == fib.denumerant)
@@ -601,11 +597,10 @@ def _check_disjoint_betti(S):
 
 
 def _check_ap_b1(S):
-    profile = _complete_betti(S)
-    if not S.numerical or not profile.betti:
+    if not S.numerical:
         return _skip()
     single = len(betti_minimals(S)) == 1
-    b1 = min(profile.betti)
+    b1 = min(_complete_betti(S).betti)
     ap_unique = all(factor.denumerant(S, w) == 1 for w in S.apery(b1))
     i_s_eq = isolated_profile(S).i_s == b1
     return _entry([single, ap_unique, i_s_eq])
@@ -721,8 +716,6 @@ def _check_cor_ci_b1(S):
     if not S.numerical:
         return _skip()
     profile = _complete_betti(S)
-    if not profile.betti:
-        return _skip()
     e = len(S.gens)
     prof = isolated_profile(S)
     single = len(betti_minimals(S)) == 1
@@ -750,13 +743,10 @@ def _check_cor_ci_b1(S):
 def _check_thm_betti_sorted_alpha(S):
     """Five-way equivalence under the Betti-isolated-sorted hypothesis,
     checked for every choice of the base generator."""
-    if not S.numerical:
-        return _skip()
-    profile = _complete_betti(S)
-    if not profile.betti or not is_betti_isolated_sorted(S):
+    if not S.numerical or not is_betti_isolated_sorted(S):
         return _skip()
     e = len(S.gens)
-    b1 = min(profile.betti)
+    b1 = min(_complete_betti(S).betti)
     for j in range(e):
         cs = {i: constants.c_value(S, i) for i in range(e) if i != j}
         ap = set(S.apery(S.gens[j]))
@@ -785,8 +775,6 @@ def _check_cor_betti_sorted(S):
     if not S.numerical:
         return _skip()
     profile = _complete_betti(S)
-    if not profile.betti:
-        return _skip()
     c1 = is_betti_sorted(S)
     cost = sorted(constants.c_value(S, i) * g for i, g in enumerate(S.gens))
     predicted = sorted(set(cost[1:]))
@@ -796,7 +784,7 @@ def _check_cor_betti_sorted(S):
 
 
 def _check_cor_betti_divisible_presen(S):
-    if not S.numerical or not _complete_betti(S).betti:
+    if not S.numerical:
         return _skip()
     return _entry([is_betti_divisible(S), is_betti_isolated_divisible(S)] +
                   _shaped(S, pure_right=True))
@@ -807,8 +795,6 @@ def _check_thm_betti_divisible_generators(S):
         return _skip()
     from .construct import recover_params
     profile = _complete_betti(S)
-    if not profile.betti:
-        return _skip()
     divisible = is_betti_divisible(S)
     params = recover_params(S)
     if divisible != (params is not None):
@@ -828,8 +814,6 @@ def _check_thm_betti_divisible_free(S):
         return _skip()
     from .construct import is_gluing_partition
     e = len(S.gens)
-    if e == 1:
-        return _skip()
     c1 = is_betti_divisible(S)
     c3 = is_free_all_arrangements(S)
     c2 = None
@@ -848,8 +832,6 @@ def _check_thm_single_betti_alpha(S):
     if not S.numerical:
         return _skip()
     profile = _complete_betti(S)
-    if not profile.betti:
-        return _skip()
     e = len(S.gens)
     c1 = len(profile.betti) == 1
     c2 = all(is_c_rectangular(S, j)[0] for j in range(e)) and \

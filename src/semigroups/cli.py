@@ -89,19 +89,14 @@ def _betti_report(S, degree_bound, fiber_cap):
         "presentation_cardinality":
             prof.presentation_cardinality() if prof.complete else None,
         "complete_intersection":
-            betti_mod.is_complete_intersection(S, degree_bound=degree_bound)
+            prof.presentation_cardinality() == S.codim
             if prof.complete else None,
     }
 
 
 def _isolated_report(S, degree_bound):
-    try:
-        prof = isolated.isolated_profile(S, degree_bound=degree_bound,
-                                         bound=degree_bound)
-    except InfiniteSetError:
-        ib, complete = isolated.ib_set(S, degree_bound)
-        return {"i_b_set": [list(x) for x in ib], "i_b": len(ib),
-                "exhaustive": False}
+    prof = isolated.isolated_profile(S, degree_bound=degree_bound,
+                                     bound=degree_bound)
     rep = {
         "i_b_set": [list(x) for x in prof.ib],
         "i_b": prof.i_b,
@@ -162,12 +157,10 @@ def cmd_analyze(args):
     report["isolated"] = _isolated_report(S, args.degree_bound)
     report["constants"] = _constants_report(S)
     try:
-        cls = classify.classification_report(S,
-                                             degree_bound=args.degree_bound)
+        cls = classify.classification_report(S)
         report["classification"] = {"flags": cls.flags,
                                     "witnesses": cls.witnesses}
-    except (IncompleteBettiError, DegreeBoundRequiredError,
-            NotSimplicialError) as exc:
+    except IncompleteBettiError as exc:
         report["classification"] = {"unavailable": str(exc)}
     if args.json:
         # timing is excluded so identical inputs give byte-identical output
@@ -249,7 +242,7 @@ def cmd_betti(args):
 
 def cmd_classify(args):
     S = _semigroup(args)
-    cls = classify.classification_report(S, degree_bound=args.degree_bound)
+    cls = classify.classification_report(S)
     rep = {"gens": list(S.gens), "flags": cls.flags,
            "witnesses": cls.witnesses}
     if args.json:
@@ -341,16 +334,18 @@ def cmd_verify(args):
     return 0 if not report["violations"] else 1
 
 
-def _add_common(p):
+def _add_common(p, degree_bound=False, fiber_cap=False):
     p.add_argument("--gens", required=True,
                    help="'24,26,36,39' or '(1,0);(0,2);(0,3)'")
     p.add_argument("--json", action="store_true",
                    help="emit canonical JSON instead of text")
-    p.add_argument("--degree-bound", type=int, default=None, metavar="N",
-                   help="total-degree bound for affine sweeps")
-    p.add_argument("--fiber-cap", type=int,
-                   default=factor.DEFAULT_FIBER_CAP, metavar="N",
-                   help="maximum factorizations per fiber")
+    if degree_bound:
+        p.add_argument("--degree-bound", type=int, default=None, metavar="N",
+                       help="total-degree bound for affine sweeps")
+    if fiber_cap:
+        p.add_argument("--fiber-cap", type=int,
+                       default=factor.DEFAULT_FIBER_CAP, metavar="N",
+                       help="maximum factorizations per fiber")
 
 
 def build_parser():
@@ -361,16 +356,16 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full invariant report")
-    _add_common(p)
+    _add_common(p, degree_bound=True, fiber_cap=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("factorize", help="fiber of one element")
-    _add_common(p)
+    _add_common(p, fiber_cap=True)
     p.add_argument("--element", required=True)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("betti", help="Betti elements and presentation")
-    _add_common(p)
+    _add_common(p, degree_bound=True, fiber_cap=True)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("classify", help="structural classification flags")

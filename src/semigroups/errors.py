@@ -35,7 +35,8 @@ class FiberCapExceededError(SemigroupError):
 
 
 class IncompleteBettiError(SemigroupError):
-    """The Betti set is only known up to a degree bound; the operation needs it exact."""
+    """S is affine with no free arrangement, so its Betti set is only known
+    from a bounded sweep; the operation needs it exact."""
 
 
 class DegreeBoundRequiredError(SemigroupError):

@@ -100,16 +100,14 @@ def _isolated_profile(S, degree_bound, bound):
                            complete and exhaustive)
 
 
-def betti_minimals(S, degree_bound=None):
+def betti_minimals(S):
     """Minimal Betti elements with respect to the semigroup order."""
-    if degree_bound is None:
-        return S._cached("betti_minimals", _betti_minimals, S, None)
-    return _betti_minimals(S, degree_bound)
+    betti_mod.require_exact_betti(S)
+    return S._cached("betti_minimals", _betti_minimals, S)
 
 
-def _betti_minimals(S, degree_bound):
-    profile = betti_mod.betti_elements(S, degree_bound)
-    bs = profile.betti
+def _betti_minimals(S):
+    bs = betti_mod.betti_elements(S).betti
     return tuple(b for b in bs
                  if not any(b2 != b and S.leq(b2, b) for b2 in bs))
 

@@ -124,7 +124,46 @@ def test_affine_betti_bounded_sweep():
     assert not prof.complete
     with pytest.raises(IncompleteBettiError):
         from semigroups.classify import _complete_betti
-        _complete_betti(S, degree_bound=8)
+        _complete_betti(S)
+
+
+# Every function that needs the exact Betti set, and the harness entry
+# points built on it
+def _exact_betti_functions():
+    from semigroups import classify, isolated
+    return (minimal_presentation, presentation_cardinality,
+            is_complete_intersection, all_minimal_presentations,
+            isolated.betti_minimals, classify.is_betti_sorted,
+            classify.is_betti_isolated_sorted, classify.is_betti_divisible,
+            classify.is_betti_isolated_divisible, classify.has_single_betti,
+            classify.has_single_betti_minimal,
+            classify.classification_report, classify._complete_betti,
+            classify.verify_bounds, classify.check_equivalence_theorems)
+
+
+def test_exact_betti_functions_refuse_without_sweeping():
+    # a simplicial semigroup with no free arrangement, and a non-simplicial
+    # one: no degree bound makes either Betti set exact
+    for gens in ([(3, 0), (0, 3), (1, 2), (2, 1)],
+                 [(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)]):
+        for fn in _exact_betti_functions():
+            S = make_semigroup(gens)
+            with pytest.raises(IncompleteBettiError,
+                               match="completeness is required"):
+                fn(S)
+            assert "betti" not in S._memo, (gens, fn)
+    # the bounded sweep itself stays available, flagged incomplete
+    S = make_semigroup([(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    assert not betti_elements(S, degree_bound=8).complete
+
+
+def test_only_the_reporting_functions_take_a_degree_bound():
+    from inspect import signature
+    from semigroups import isolated
+    for fn in _exact_betti_functions():
+        assert "degree_bound" not in signature(fn).parameters, fn
+    for fn in (betti_elements, isolated.ib_set, isolated.isolated_profile):
+        assert "degree_bound" in signature(fn).parameters, fn
 
 
 def test_betti_elements_honours_a_smaller_cap_on_a_kept_profile():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import resource
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from semigroups.cli import main
+from semigroups.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -110,6 +111,9 @@ _REJECTED_FLAGS = [
     (["classify", "--gens", "3,5"], "--threads"),
     (["search", "min-frobenius-betti-divisible", "--edim", "2",
       "--max-frobenius", "10"], "--threads"),
+    (["factorize", "--gens", "3,5", "--element", "8"], "--degree-bound"),
+    (["classify", "--gens", "3,5"], "--degree-bound"),
+    (["classify", "--gens", "3,5"], "--fiber-cap"),
 ]
 
 
@@ -118,6 +122,58 @@ def test_subcommands_reject_unused_flags(capsys):
         assert run(capsys, *argv)[0] == 0, argv
         code, _, err = run(capsys, *argv, flag, "4")
         assert code == 2 and "unrecognized arguments" in err, (argv, flag)
+
+
+class _ReadRecorder:
+    """Wraps a parsed namespace and records every option a handler reads."""
+
+    def __init__(self, args):
+        self._args = args
+        self.reads = set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self._args, name)
+
+
+# Valid argvs per subcommand; together they reach every branch that reads
+# an option
+_HANDLER_ARGVS = {
+    "analyze": [["--gens", "3,5"]],
+    "factorize": [["--gens", "3,5", "--element", "8"]],
+    "betti": [["--gens", "3,5"]],
+    "classify": [["--gens", "3,5"]],
+    "construct": [_CONSTRUCT[1:], ["--recover", "--gens", "2,3"]],
+    "glue": [["--gens1", "2,3", "--gens2", "2,5", "--a1", "7", "--a2",
+              "5"]],
+    "search": [["min-frobenius-betti-divisible", "--edim", "2",
+                "--max-frobenius", "10"]],
+    "verify": [["--genus", "3"]],
+}
+# Options accepted although no handler reads them, with the reason
+_UNREAD_OPTIONS = {
+    ("verify", "threads"):
+        "acceptance criterion 10 runs `verify --threads 8`",
+}
+
+
+def test_every_declared_option_is_read(capsys):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_HANDLER_ARGVS)
+    for name, sub in subparsers.choices.items():
+        reads = set()
+        for argv in _HANDLER_ARGVS[name]:
+            recorder = _ReadRecorder(parser.parse_args([name, *argv]))
+            assert recorder._args.func(recorder) == 0, (name, argv)
+            reads |= recorder.reads
+        capsys.readouterr()
+        declared = {a.dest for a in sub._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        unread = {d for d in declared - reads
+                  if (name, d) not in _UNREAD_OPTIONS}
+        assert not unread, (name, unread)
 
 
 def test_json_big_integers_as_strings():
