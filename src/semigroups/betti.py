@@ -56,8 +56,9 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     if S.numerical:
         profile = S._cached("betti", _betti_numerical, S, fiber_cap)
     elif degree_bound is not None and free_arrangement(S) is None:
-        # a sweep to this bound: only the sweep to the default bound is kept
-        profile = _betti_affine(S, degree_bound, fiber_cap)
+        # kept under its bound: every caller in one report shares the sweep
+        profile = S._cached(("betti", degree_bound), _betti_affine, S,
+                            degree_bound, fiber_cap)
     else:
         profile = S._cached("betti", _betti_affine, S, degree_bound,
                             fiber_cap)

@@ -4,13 +4,14 @@ Exit codes: 0 success (for `verify`: zero violations), 1 verification
 violations, 2 parse errors, 3 infeasible computations, 4 internal errors.
 JSON output is canonical (sorted keys, fixed indentation) and therefore
 byte-stable; integers beyond 2**53 are serialized as strings so consumers
-with double-precision JSON readers do not lose digits.
+with double-precision JSON readers do not lose digits.  The module writes
+it in one pass, byte-identical to json.dumps(sort_keys=True, indent=2).
 """
 
 import argparse
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import betti as betti_mod
 from . import classify, constants, construct, explore, factor, isolated
@@ -32,26 +33,34 @@ _INFEASIBLE_ERRORS = (DegreeBoundRequiredError, FiberCapExceededError,
 _JSON_INT_LIMIT = 1 << 53
 
 
-def _jsonable(obj):
-    if isinstance(obj, bool) or obj is None:
-        return obj
+def _json(obj, indent="\n"):
+    """obj as canonical JSON text.  Dict keys become str(k), sorted; sets
+    are sorted, tuples are lists, and any other object is its str()."""
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
-        return str(obj) if abs(obj) > _JSON_INT_LIMIT else obj
+        return _quote(str(obj)) if abs(obj) > _JSON_INT_LIMIT else str(obj)
     if isinstance(obj, float):
-        return obj
+        return repr(obj)
     if isinstance(obj, str):
-        return obj
+        return _quote(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        parts, ends = [f"{_quote(k)}: {_json(v, inner)}"
+                       for k, v in items], "{}"
+    elif isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in seq]
-    return str(obj)
+        parts, ends = [_json(v, inner) for v in seq], "[]"
+    else:
+        return _quote(str(obj))
+    if not parts:
+        return ends
+    return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
 
 
 def _emit_json(report):
-    sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True, indent=2))
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(report) + "\n")
 
 
 def _parse_element(text):

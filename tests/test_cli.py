@@ -1,12 +1,20 @@
 import argparse
+import hashlib
 import json
 import resource
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semigroups import betti, cli
 from semigroups.cli import build_parser, main
+
+PANEL = Path(__file__).resolve().parents[1] / "bench" / "analyze_panel.json"
 
 
 def run(capsys, *argv):
@@ -177,10 +185,111 @@ def test_every_declared_option_is_read(capsys):
 
 
 def test_json_big_integers_as_strings():
-    from semigroups.cli import _jsonable
     big = (1 << 53) + 1
-    assert _jsonable({"x": big, "y": 7}) == {"x": str(big), "y": 7}
-    assert _jsonable([(1 << 53), -big]) == [1 << 53, str(-big)]
+    assert json.loads(cli._json({"x": big, "y": 7})) == {"x": str(big),
+                                                          "y": 7}
+    assert json.loads(cli._json([(1 << 53), -big])) == [1 << 53, str(-big)]
+
+
+def _jsonable(obj):
+    """The reference: what the CLI handed to json.dumps before it wrote
+    its JSON itself."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > (1 << 53) else obj
+    if isinstance(obj, float):
+        return obj
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [_jsonable(v) for v in seq]
+    return str(obj)
+
+
+_INTS = st.one_of(st.integers(), st.builds(
+    lambda sign, d: sign * ((1 << 53) + d), st.sampled_from([1, -1]),
+    st.integers(-2, 2)))
+# ASCII, control characters and non-ASCII letters such as é
+_TEXT = st.text(st.characters(max_codepoint=0x2FFF))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS, _TEXT,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=9),  # printed as its str()
+    st.sets(_INTS), st.frozensets(st.tuples(_INTS, _INTS)),
+    st.sets(_TEXT))
+_KEYS = st.one_of(_TEXT, _INTS, st.tuples(_INTS, _INTS), st.booleans(),
+                  st.none())
+
+
+def _containers(children):
+    return st.one_of(st.lists(children), st.lists(children).map(tuple),
+                     st.dictionaries(_KEYS, children))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.recursive(_LEAVES, _containers, max_leaves=30))
+def test_json_matches_json_dumps(obj):
+    want = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+    assert cli._json(obj) == want
+
+
+def test_json_matches_json_dumps_by_hand():
+    big = (1 << 53) + 1
+    obj = {big: [-big, big - 1], (1, 2): frozenset({(3, 4), (1, 5)}),
+           "k": ("é\n\"", None, True, False, 0.5), 1: {}, "1": [],
+           "e": set(), "t": (), "f": Fraction(1, 3)}
+    want = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+    assert cli._json(obj) == want
+
+
+def test_analyze_json_matches_the_panel_digests(capsys):
+    with open(PANEL, encoding="utf-8") as fh:
+        digests = json.load(fh)["digests"]
+    assert digests
+    for gens, want in digests.items():
+        code, out, _ = run(capsys, "analyze", "--gens", gens, "--json")
+        assert code == 0, gens
+        assert hashlib.sha256(out.encode()).hexdigest() == want, gens
+
+
+def test_verify_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--genus", "8", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "85acd510d4fa37101ed7a40da68242dfdbca9e78daf1d777d475501dbdc9abc9"
+
+
+# Affine semigroups with no free arrangement, their explicit degree bound
+# and the SHA-256 of their `analyze --json` output
+_BOUNDED = [
+    ("(1,0,1);(0,1,0);(1,1,0);(0,0,1)", "8",
+     "290bbb01b19a72a75eee5b5574b45661621d55e653a2605c7181852e8a912879"),
+    ("(3,0);(0,3);(1,2);(2,1)", "30",
+     "6cde144efa9a776696c0703376b68e5761b2611e92ca00fa8e15cb33e270d604"),
+]
+
+
+@pytest.mark.parametrize("gens, bound, digest", _BOUNDED,
+                         ids=[gens for gens, _, _ in _BOUNDED])
+def test_analyze_sweeps_an_explicit_degree_bound_once(monkeypatch, capsys,
+                                                      gens, bound, digest):
+    sweeps = []
+    real = betti._sweep
+
+    def counted(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(betti, "_sweep", counted)
+    code, out, _ = run(capsys, "analyze", "--gens", gens, "--degree-bound",
+                       bound, "--json")
+    assert code == 0
+    assert len(sweeps) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_byte_stable(capsys):
