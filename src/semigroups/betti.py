@@ -17,15 +17,15 @@ class BettiProfile:
             held to a fiber_cap.
         complete: False when the set was computed by a bounded sweep and may
             miss elements beyond the bound.
-        free_arrangement: witness arrangement (tuple of generator indices)
-            when completeness was certified via freeness, else None.
+        widest: the largest denumerant of a Betti fiber (0 without any), so
+            a fiber cap is checked in O(1).
     """
 
-    def __init__(self, betti, fibers, complete, free_arrangement=None):
+    def __init__(self, betti, fibers, complete):
         self.betti = tuple(betti)
         self.fibers = fibers
         self.complete = complete
-        self.free_arrangement = free_arrangement
+        self.widest = max((f.denumerant for f in fibers.values()), default=0)
 
     @property
     def ibetti(self):
@@ -62,10 +62,12 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     else:
         profile = S._cached("betti", _betti_affine, S, degree_bound,
                             fiber_cap)
-    if fiber_cap is not None:  # a kept profile may come from a larger cap
-        for fib in profile.fibers.values():
-            if fib.denumerant > fiber_cap:
-                raise FiberCapExceededError(fib.element, fiber_cap)
+    # a kept profile may come from a larger cap; walk the fibers only to
+    # name the first one over this cap, in the order they were built
+    if fiber_cap is not None and profile.widest > fiber_cap:
+        fib = next(f for f in profile.fibers.values()
+                   if f.denumerant > fiber_cap)
+        raise FiberCapExceededError(fib.element, fiber_cap)
     return profile
 
 
@@ -107,8 +109,14 @@ def _free_completion(S, prefix, alpha_base=None):
     have c_i^* = alpha_i + 1, alpha taken with respect to gens[j].  Each
     step depends on the earlier generators only as a set, so the search is
     memoized on (prefix, alpha_base) and shared by every caller.
+
+    The search runs only when _peelable holds for the whole generator
+    set: that gate reads c-bar alone, and it rules out most non-free
+    semigroups before any c_i^* (a submonoid Apery table) is built.
     """
     def compute():
+        if not _peelable(S, frozenset(range(len(S.gens)))):
+            return None
         base = tuple(sorted(prefix))
         pos = len(base)
         rest = [i for i in range(len(S.gens)) if i not in prefix]
@@ -127,6 +135,27 @@ def _free_completion(S, prefix, alpha_base=None):
         return None
 
     return S._cached(("free_completion", prefix, alpha_base), compute)
+
+
+def _peelable(S, rest):
+    """Whether generators can be peeled off the end of an arrangement of
+    the index set rest, one at a time down to the rays (one generator for
+    numerical input), each with c-bar > 1 at the last position of
+    (rest minus k, k).  S is free for (a_1, ..., a_e) exactly when it glues
+    the free <a_1, ..., a_{e-1}> to N a_e, with c-bar_e = c_e^* >= 2, so a
+    free arrangement peels this way.  Only c-bar is read, never membership.
+    """
+    def compute():
+        if len(rest) == S.rank:
+            return True
+        top = len(rest) - 1
+        return any(
+            constants.c_bar(S, tuple(sorted(rest - {k})) + (k,), top) > 1
+            and _peelable(S, rest - {k})
+            for k in sorted(rest)
+            if S.numerical or k not in S.simplicial_rays)
+
+    return S._cached(("peelable", rest), compute)
 
 
 def is_free(S, arrangement=None):
@@ -155,7 +184,7 @@ def _betti_affine(S, degree_bound, fiber_cap):
                                 S.gens[arr[pos]])
                  for pos in range(S.rank, len(arr))}
         fibers = {b: factor.fiber(S, b, fiber_cap) for b in betti}
-        return BettiProfile(sorted(betti), fibers, True, free_arrangement=arr)
+        return BettiProfile(sorted(betti), fibers, True)
     bound = degree_bound
     if bound is None:
         if S.simplicial_rays is None:

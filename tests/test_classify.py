@@ -1,6 +1,6 @@
 import hashlib
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 from semigroups import (check_equivalence_theorems, classification_report,
@@ -11,7 +11,7 @@ from semigroups import (check_equivalence_theorems, classification_report,
                         is_rectangular, make_semigroup, verify_bounds)
 from semigroups import (IsolatedProfile, betti_divisible_from_params,
                         betti_elements, classify, constants,
-                        isolated_profile)
+                        free_arrangement, is_free, isolated_profile)
 from semigroups.betti import BettiProfile, _free_completion
 from semigroups.classify import (_check_thm_alpha_free, _check_walked,
                                  _scan_bound, _sorted_cost_arrangements,
@@ -19,6 +19,7 @@ from semigroups.classify import (_check_thm_alpha_free, _check_walked,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
 from semigroups.explore import enumerate_numerical_by_genus
+from semigroups.semigroup import Semigroup
 
 
 def test_alpha_rectangular_goldens():
@@ -83,7 +84,8 @@ def test_free_all_arrangements_matches_betti_divisible():
 def test_free_all_arrangements_is_checked_beyond_seven_generators():
     # thm_betti_divisible_free evaluates freeness for every arrangement at
     # every embedding dimension; the subset check on the e = 8 family
-    # member below finds no failing subset (about 1 s)
+    # member below finds no failing subset (0.7-1.1 s measured on a
+    # 2-core x86_64 VM)
     S = make_semigroup(range(8, 16))
     entry = classify._check_thm_betti_divisible_free(S)
     assert entry["conditions"] == [False, None, False] and entry["ok"]
@@ -250,6 +252,65 @@ def test_alpha_free_check_matches_permutation_scan():
     assert found[True] >= 40 and found[False] >= 400, found
 
 
+def test_free_all_arrangements_matches_every_permutation():
+    corpus = _corpus_e_ge_2(8)
+    assert len(corpus) == 155
+    found = {True: 0, False: 0}
+    for S in corpus:
+        brute = _BruteConstants(S.gens)
+        expected = all(brute.free(p)
+                       for p in permutations(range(len(S.gens))))
+        assert is_free_all_arrangements(S) == expected, S.gens
+        found[expected] += 1
+    assert found[True] >= 10 and found[False] >= 100, found
+
+
+def _affine_probe_corpus():
+    """Rays (a,0) and (0,b), 2 <= a, b <= 4, with one or two generators in
+    the box [1,a] x [1,b]; the distinct semigroups this gives."""
+    seen = {}
+    for a in range(2, 5):
+        for b in range(2, 5):
+            box = [(x, y) for x in range(1, a + 1) for y in range(1, b + 1)]
+            for k in (1, 2):
+                for extra in combinations(box, k):
+                    S = make_semigroup([(a, 0), (0, b), *extra])
+                    seen.setdefault(S.gens, S)
+    return list(seen.values())
+
+
+def test_affine_free_arrangement_is_first_free_permutation():
+    corpus = _affine_probe_corpus()
+    assert len(corpus) == 374
+    free = 0
+    for S in corpus:
+        rays = tuple(S.simplicial_rays)
+        first = next((rays + p for p in permutations(S.nonray_indices())
+                      if is_free(S, rays + p)), None)
+        assert free_arrangement(S) == first, S.gens
+        free += first is not None
+    assert free == 306
+
+
+def test_peel_gate_rules_out_without_building_c_star(monkeypatch):
+    # gcd(4, 5) = gcd(3, 5) = gcd(3, 4) = 1: no generator can be last, so
+    # the search ends after e gcds, before any submonoid Apery table
+    S = make_semigroup([3, 4, 5])
+    calls = []
+
+    def counted(name, real):
+        return lambda *a: calls.append(name) or real(*a)
+
+    monkeypatch.setattr(constants, "c_bar",
+                        counted("c_bar", constants.c_bar))
+    monkeypatch.setattr(constants, "c_star",
+                        counted("c_star", constants.c_star))
+    monkeypatch.setattr(Semigroup, "_least_multiple",
+                        counted("_least_multiple", Semigroup._least_multiple))
+    assert free_some_arrangement(S) is None
+    assert set(calls) == {"c_bar"} and len(calls) <= len(S.gens), calls
+
+
 def test_search_memo_counts_none_as_a_hit(monkeypatch):
     S = make_semigroup([3, 4, 5])
     assert free_some_arrangement(S) is None
@@ -371,7 +432,7 @@ def test_walked_checks_fail_without_the_least_betti_element(monkeypatch):
         b1 = min(prof.betti)
         return BettiProfile(prof.betti[1:],
                             {b: f for b, f in prof.fibers.items() if b != b1},
-                            prof.complete, prof.free_arrangement)
+                            prof.complete)
 
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
@@ -392,8 +453,7 @@ def test_isolated_elements_fails_without_the_ibetti_elements(monkeypatch):
 
     def no_ibetti(T, *args, **kwargs):
         prof = real(T, *args, **kwargs)
-        return _NoIBettiProfile(prof.betti, prof.fibers, prof.complete,
-                                prof.free_arrangement)
+        return _NoIBettiProfile(prof.betti, prof.fibers, prof.complete)
 
     monkeypatch.setattr(classify, "betti_elements", no_ibetti)
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
