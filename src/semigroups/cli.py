@@ -328,7 +328,11 @@ def cmd_verify(args):
     if args.genus is not None:
         corpus = explore.enumerate_numerical_by_genus(args.genus)
     else:
-        corpus = explore.load_corpus(args.corpus)
+        try:
+            corpus = explore.load_corpus(args.corpus)
+        except OSError as exc:
+            raise ValueError(f"cannot read corpus {args.corpus!r}: "
+                             f"{exc.strerror}") from None
     report = explore.run_theorem_harness(corpus)
     report["provenance"] = corpus.provenance
     if args.json:

@@ -5,7 +5,11 @@ removing effective generators (minimal generators larger than the
 Frobenius number), which visits each semigroup exactly once.  Removing
 g > F(S) from S != N keeps msg(S) - {g} and adds each g + n, n in msg(S),
 that is minimal in the child (Rosales & Garcia-Sanchez, Numerical
-Semigroups, 2009; Fromentin & Hivert, Math. Comp. 85, 2016).
+Semigroups, 2009; Fromentin & Hivert, Math. Comp. 85, 2016).  A node
+carries its finite gap mask (bit s set iff s is a gap), and g + n is
+minimal in the child iff g + n - y is a gap of the child for every kept
+generator y: one AND of the child's mask shifted by each y tests every
+candidate at once.
 
 The minimum-Frobenius search for Betti-divisible semigroups walks the
 (a, f) parametrization, which provably covers the whole family, by branch
@@ -50,6 +54,8 @@ class Corpus:
 
 def enumerate_numerical_by_genus(g_max, cap=GENUS_CAP):
     """All numerical semigroups of genus <= g_max, via the semigroup tree."""
+    if not isinstance(g_max, int) or isinstance(g_max, bool):
+        raise ValueError(f"genus {g_max!r} is not an integer")
     if g_max > cap:
         raise SearchCapExceededError(
             f"genus {g_max} exceeds the enumeration cap {cap}")
@@ -57,23 +63,33 @@ def enumerate_numerical_by_genus(g_max, cap=GENUS_CAP):
         raise ValueError(f"genus {g_max} is negative")
     out = [Semigroup((1,), 1, 1, (0,))]
 
-    def walk(gens, mask, frob, genus):
-        # gens is msg(S) ascending; bit s of mask is set iff s is in S;
-        # x joins msg(child) iff x - y is a gap for every smaller y in it
+    def walk(gens, gaps, frob, genus):
+        # gens is msg(S) ascending; bit s of gaps is set iff s is a gap.
+        # Removing g > F gives the child with mask gaps | 1 << g.  It keeps
+        # old = msg(S) - {g} and adds each x = g + n (n in msg(S)) that is
+        # minimal in it: x is new iff bit x of spread, the AND of child << y
+        # over every old y, is set.  With m the multiplicity of S:
+        # - every old y is <= F + m < g + m <= x, so y < x;
+        # - each new generator is >= g + m, and two of them sum to more
+        #   than x, as x <= g + F + m < 2g + m; so any decomposition of x
+        #   in the child uses an old generator;
+        # - hence x is minimal iff x - y is a gap of the child for every
+        #   old y;
+        # - every new x is above every old y, so old + new is ascending.
         out.append(Semigroup(gens, 1, 1, (0,)))
         if genus < g_max:
-            for g in gens:
+            for i, g in enumerate(gens):
                 if g > frob:
-                    child = mask & ~(1 << g)
-                    msg = [n for n in gens if n != g]
-                    for x in [g + n for n in gens]:
-                        if not any(child >> (x - y) & 1
-                                   for y in msg if y < x):
-                            msg.append(x)
-                    walk(tuple(sorted(msg)), child, g, genus + 1)
+                    child = gaps | 1 << g
+                    old = gens[:i] + gens[i + 1:]
+                    spread = -1
+                    for y in old:
+                        spread &= child << y
+                    new = tuple(g + n for n in gens if spread >> (g + n) & 1)
+                    walk(old + new, child, g, genus + 1)
 
     if g_max:
-        walk((2, 3), ~2, 1, 1)  # the one child of N, where the rule fails
+        walk((2, 3), 2, 1, 1)  # the one child of N, where the rule fails
     return Corpus(out, f"enumerated-by-genus<={g_max}")
 
 

@@ -328,6 +328,12 @@ _FUZZ = [
     (["analyze", "--gens", "(0,0);(1,2)"], 2),
     (["search", "min-frobenius-betti-divisible", "--edim", "2",
       "--distinct-betti", "40", "--max-frobenius", "1000000"], 3),
+    (["verify", "--genus", "26"], 3),
+    (["verify", "--genus", "-1"], 2),
+    (["verify", "--genus", "x"], 2),
+    (["verify"], 2),
+    (["verify", "--corpus", "no-such-corpus.txt"], 2),
+    (["verify", "--corpus", "."], 2),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import combinations, permutations
 from math import gcd, prod
@@ -75,6 +76,20 @@ def test_enumeration_counts_match_a007323(genus_20):
     assert [counts[g] for g in range(21)] == A007323
 
 
+@pytest.mark.parametrize("g_max, nodes, digest", [
+    (14, 4107,
+     "7315aa9f83b19e0ac1658a4d624a1d7af17dc338e44010ed4683e498b4f8e122"),
+    (16, 11770,
+     "48f4ee1808650221ec14f4edc56f6f1145d2bb7b0736a355832a955b19e157d5")])
+def test_enumeration_node_order_is_pinned(g_max, nodes, digest):
+    # verify reports witnesses in corpus order, so the tree's node order is
+    # part of its output: each node's gens joined by ',', nodes by newline
+    corpus = list(enumerate_numerical_by_genus(g_max))
+    text = "\n".join(",".join(map(str, S.gens)) for S in corpus)
+    assert len(corpus) == nodes
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_enumeration_generators_survive_validation():
     for S in enumerate_numerical_by_genus(12):
         assert make_semigroup(S.gens).gens == S.gens
@@ -91,6 +106,9 @@ def test_enumeration_cap():
         enumerate_numerical_by_genus(26)
     with pytest.raises(ValueError):
         enumerate_numerical_by_genus(-1)
+    for g_max in (2.5, 3.0, True, False, "3", None):
+        with pytest.raises(ValueError):
+            enumerate_numerical_by_genus(g_max)
 
 
 def test_min_frobenius_trivial():
