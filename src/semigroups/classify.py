@@ -63,6 +63,16 @@ def _scan_bound(S):
     return max(betti_sum, ap_sum) + max(sum(g) for g in S.gens)
 
 
+def _scan_fibers(S):
+    """The fiber of every element up to _scan_bound(S), in scan order,
+    built once per semigroup by factor.fibers_upto; each carries its
+    element, so the list keeps no pairs.  The harness builds it before its
+    first Betti sweep: every numerical candidate w + n_j is at most the
+    scan bound, so the sweep reads these fibers."""
+    return S._cached("scan_fibers", lambda: [
+        fib for _, fib in factor.fibers_upto(S, _scan_bound(S))])
+
+
 def _divides_value(S, a, b):
     """Whether b is a positive integer multiple of a (element-wise)."""
     ar = S._arith
@@ -436,6 +446,7 @@ def _chain(name, *values):
 def verify_bounds(S):
     """Evaluate every applicable inequality chain of the bound results."""
     out = []
+    _scan_fibers(S)  # first, so that the Betti sweep reads its fibers
     profile = _complete_betti(S)
     prof = isolated_profile(S)
     e = len(S.gens)
@@ -518,8 +529,8 @@ def _walk(S, profile, ib):
     minus = S._arith.sub
     reach = {}  # x -> (Betti vector <= x, ib vector <= x, multi-vector)
     above = {}  # m -> (Betti element <=_S m, IBetti element <=_S m)
-    for m in S.elements_upto(_scan_bound(S)):
-        fib = factor.fiber(S, m)
+    for fib in _scan_fibers(S):
+        m = fib.element
         multi = fib.denumerant >= 2
         rows = []
         for x in fib.factorizations:
@@ -548,6 +559,7 @@ def _check_walked(S):
     factorization iff a Betti, iff an IBetti, element lies strictly below
     it in <=_S) and b1_smallest (numerical: b_1 is the least element with
     two factorizations, all isolated), from one walk."""
+    _scan_fibers(S)  # first, so that the Betti sweep reads its fibers
     profile = _complete_betti(S)
     ib = set(isolated_profile(S).ib)
     characterized = elements_ok = True

@@ -264,6 +264,8 @@ def cmd_classify(args):
 
 def cmd_construct(args):
     if args.recover:
+        if args.gens is None:
+            raise ValueError("--recover needs --gens")
         S = _semigroup(args)
         params = construct.recover_params(S)
         if params is None:
@@ -347,16 +349,29 @@ def cmd_verify(args):
     return 0 if not report["violations"] else 1
 
 
+def _nonnegative(text):
+    """An argparse type: a decimal int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") \
+            from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def _add_common(p, degree_bound=False, fiber_cap=False):
     p.add_argument("--gens", required=True,
                    help="'24,26,36,39' or '(1,0);(0,2);(0,3)'")
     p.add_argument("--json", action="store_true",
                    help="emit canonical JSON instead of text")
     if degree_bound:
-        p.add_argument("--degree-bound", type=int, default=None, metavar="N",
+        p.add_argument("--degree-bound", type=_nonnegative, default=None,
+                       metavar="N",
                        help="total-degree bound for affine sweeps")
     if fiber_cap:
-        p.add_argument("--fiber-cap", type=int,
+        p.add_argument("--fiber-cap", type=_nonnegative,
                        default=factor.DEFAULT_FIBER_CAP, metavar="N",
                        help="maximum factorizations per fiber")
 

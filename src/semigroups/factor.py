@@ -12,6 +12,17 @@ Garcia-Sanchez, Finitely Generated Commutative Monoids, 1999, and
 Numerical Semigroups, 2009, the chapters on presentations).  nc counts
 them; fiber enumerates Z(m) where the factorizations themselves are
 needed.
+
+A scan of every element up to a bound builds each fiber from the fibers
+below it instead (Barron, O'Neill and Pelayo, "On dynamic algorithms for
+factorization invariants in numerical monoids", Math. Comp. 86, 2017):
+Z(m) is the union over i of {x + e_i : x in Z(m - n_i)}, because a
+factorization x of m with x_i > 0 is x - e_i plus e_i, and x - e_i
+factors m - n_i.  fibers_upto runs it in the order of S.elements_upto,
+which is closed downward and meets m - n_i before m, so every fiber the
+recurrence reads is already built.  raw_fiber stays for single elements
+outside a scan, where building every fiber below one large element would
+cost far more.
 """
 
 from .errors import FiberCapExceededError
@@ -100,12 +111,17 @@ def r_classes(factorizations):
 class Fiber:
     """The fiber Z(m) together with its R-class decomposition."""
 
-    __slots__ = ("element", "factorizations", "classes")
+    __slots__ = ("element", "factorizations", "classes", "isolated")
 
     def __init__(self, element, factorizations, classes):
         self.element = element
         self.factorizations = factorizations
         self.classes = classes
+        # factorizations forming a singleton R-class, lex-sorted; when
+        # every class is one, that is all of them, in the same order
+        self.isolated = factorizations \
+            if len(classes) == len(factorizations) \
+            else tuple(c[0] for c in classes if len(c) == 1)
 
     @property
     def nc(self):
@@ -115,11 +131,6 @@ class Fiber:
     @property
     def denumerant(self):
         return len(self.factorizations)
-
-    @property
-    def isolated(self):
-        """Factorizations forming a singleton R-class, lex-sorted."""
-        return tuple(c[0] for c in self.classes if len(c) == 1)
 
     def __repr__(self):
         return f"Fiber({self.element!r}, nc={self.nc}, d={self.denumerant})"
@@ -147,6 +158,43 @@ def _new_fiber(S, m, cap):
     return Fiber(m, facts, r_classes(facts))
 
 
+def fibers_upto(S, bound, cap=DEFAULT_FIBER_CAP):
+    """[(m, fiber of m) for every m in S.elements_upto(bound)], in that
+    order, each fiber built from the fibers below it and kept on S under
+    the key fiber() uses; a fiber already kept is reused.  Raises
+    FiberCapExceededError at the first m with more than cap
+    factorizations."""
+    built = {}  # scanned element -> its factorizations
+    out = []
+    # Z(m) is the union of Z(m - n_i) + e_i.  The scan is closed downward
+    # (m - n_i in S lies in it whenever m does) and m - n_i comes before m:
+    # numerical, m - n_i < m; affine, m - n_i is at most m in every
+    # coordinate and differs from it, so it comes first in lexicographic
+    # order and has a smaller coordinate sum.  So every Z(m - n_i) with
+    # m - n_i in S is in built when m is reached, and any other m - n_i
+    # has an empty fiber.
+    for m in S.elements_upto(bound):
+        fib = S._cached(("fiber", m), _fiber_from_below, S, m, built, cap)
+        if cap is not None and fib.denumerant > cap:
+            raise FiberCapExceededError(m, cap)  # also one kept earlier
+        built[m] = fib.factorizations
+        out.append((m, fib))
+    return out
+
+
+def _fiber_from_below(S, m, built, cap):
+    """The fiber of m from the factorizations in built of every m - n_i
+    in S; only m = 0 has none, and its one factorization is zero."""
+    minus = S._arith.sub
+    facts = {x[:i] + (x[i] + 1,) + x[i + 1:]
+             for i, g in enumerate(S.gens)
+             for x in built.get(minus(m, g), ())}
+    if cap is not None and len(facts) > cap:
+        raise FiberCapExceededError(m, cap)
+    facts = tuple(sorted(facts)) if facts else ((0,) * len(S.gens),)
+    return Fiber(m, facts, r_classes(facts))
+
+
 def denumerant(S, m, cap=DEFAULT_FIBER_CAP):
     """Number of factorizations of m in S."""
     return fiber(S, m, cap).denumerant
@@ -160,7 +208,7 @@ def nc(S, m):
     enumerated."""
     if not S.contains(m):  # also rejects a wrong-shape m
         return 0
-    inside = _prefix_tests(S)[-1]
+    inside = S._cached("member_test", S._monoid.unchecked)
     minus = S._arith.sub
     nodes = [g for g in S.gens if inside(minus(m, g))]
     count = 0

@@ -10,7 +10,7 @@ from semigroups import (check_equivalence_theorems, classification_report,
                         is_c_rectangular, is_free_all_arrangements,
                         is_rectangular, make_semigroup, verify_bounds)
 from semigroups import (IsolatedProfile, betti_divisible_from_params,
-                        betti_elements, classify, constants,
+                        betti_elements, classify, constants, factor,
                         free_arrangement, is_free, isolated_profile)
 from semigroups.betti import BettiProfile, _free_completion
 from semigroups.classify import (_check_thm_alpha_free, _check_walked,
@@ -18,7 +18,8 @@ from semigroups.classify import (_check_thm_alpha_free, _check_walked,
                                  _walk, admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
-from semigroups.explore import enumerate_numerical_by_genus
+from semigroups.explore import (enumerate_numerical_by_genus,
+                                run_theorem_harness)
 from semigroups.semigroup import Semigroup
 
 
@@ -466,6 +467,21 @@ def test_isolated_elements_fails_without_the_ibetti_elements(monkeypatch):
 # a clean corpus because it lists only violations
 _HARNESS_REPORTS_SHA256 = \
     "7bc22876bd80b1a59107754dbc1a7d630d6e441e403098078ff771cd250f4cb2"
+
+
+def test_harness_builds_the_scan_fibers_from_below(monkeypatch):
+    # raw_fiber builds only the fibers outside the scan: elements of
+    # Ap(S; b_1) above the scan bound, and the Betti fibers of the
+    # semigroups a gluing check builds.  Before the scan built its fibers
+    # from the fibers below, this pass made 866 calls.
+    calls = []
+    real = factor.raw_fiber
+    monkeypatch.setattr(factor, "raw_fiber",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    corpus = _corpus_e_ge_2(6)
+    report = run_theorem_harness(corpus, chain_witnesses=None)
+    assert (report["checked"], report["violations"]) == (49, [])
+    assert len(calls) == 42
 
 
 def test_harness_reports_are_pinned():

@@ -100,6 +100,17 @@ def test_exit_code_parse_error(capsys):
     assert "error" in err
 
 
+def test_exit_code_parse_error_on_missing_gens_and_negative_bounds(capsys):
+    for argv in (["construct", "--recover"],
+                 ["construct", "--a", "2,3", "--f", "1,1", "--recover"],
+                 ["factorize", "--gens", "3,5", "--element", "2",
+                  "--fiber-cap", "-1"],
+                 ["betti", "--gens", "3,5", "--degree-bound", "-1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error: " in err, argv
+
+
 def test_exit_code_infeasible(capsys):
     # e >= 2 is required for the parametrized family
     code, _, err = run(capsys, "construct", "--a", "4,6", "--f", "1,1")
@@ -323,6 +334,16 @@ _FUZZ = [
     (["factorize", "--gens", "3,5", "--element", "-3"], 0),
     (["factorize", "--gens", "3,5", "--element", "1" + "0" * 12,
       "--fiber-cap", "10"], 3),
+    (["factorize", "--gens", "3,5", "--element", "2", "--fiber-cap", "-1"],
+     2),
+    (["factorize", "--gens", "3,5", "--element", "2", "--fiber-cap", "0"],
+     0),
+    (["factorize", "--gens", "3,5", "--element", "8", "--fiber-cap", "0"],
+     3),
+    (["betti", "--gens", "3,5", "--degree-bound", "-1"], 2),
+    (["analyze", "--gens", "3,5", "--fiber-cap", "-1"], 2),
+    (["construct", "--recover"], 2),
+    (["construct", "--a", "2,3", "--f", "1,1", "--recover"], 2),
     (["analyze", "--gens", "(1,0);(0,1,1)"], 2),
     (["analyze", "--gens", "3,(1,2)"], 2),
     (["analyze", "--gens", "(0,0);(1,2)"], 2),

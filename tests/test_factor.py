@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from semigroups import (FiberCapExceededError, InvalidGeneratorsError,
                         denumerant, fiber, isolated_factorizations,
                         make_semigroup, nc, r_classes)
+from semigroups.classify import _scan_bound
 from semigroups.explore import enumerate_numerical_by_genus
-from semigroups.factor import raw_fiber
+from semigroups.factor import fibers_upto, raw_fiber
 
 # the affine members of the analyze benchmark panel, and one more
 AFFINE = ([(1, 0), (0, 2), (0, 3)], [(3, 0), (0, 3), (1, 2), (2, 1)],
@@ -95,6 +96,42 @@ def test_fiber_cap_honoured_when_cached():
     with pytest.raises(FiberCapExceededError):
         fiber(S, 30, cap=3)
     assert fiber(S, 30, cap=6).denumerant == 6
+
+
+def test_fibers_upto_matches_raw_fiber_over_every_scan():
+    members = [S for S in enumerate_numerical_by_genus(9)
+               if len(S.gens) > 1]
+    members += [make_semigroup(g) for g in ([(1, 0), (0, 2), (0, 3)],
+                                            [(2, 0), (0, 2), (1, 3), (2, 1)])]
+    for S in members:
+        bound = _scan_bound(S)  # affine: keeps the Betti fibers on S
+        fresh = make_semigroup(list(S.gens))
+        scan = fibers_upto(S, bound)
+        assert [m for m, _ in scan] == list(fresh.elements_upto(bound))
+        for m, fib in scan:
+            facts = raw_fiber(fresh.gens, m)
+            assert (fib.factorizations, fib.classes) == \
+                (facts, r_classes(facts)), (S.gens, m)
+            assert fiber(S, m) is fib
+
+
+def test_fibers_upto_reuses_kept_fibers():
+    S = make_semigroup([3, 4, 5])
+    kept = fiber(S, 8)
+    assert dict(fibers_upto(S, 12))[8] is kept
+
+
+def test_fibers_upto_raises_where_raw_fiber_does():
+    S = make_semigroup([3, 5])
+    for cap, first in ((3, 45), (0, 0)):
+        for m in S.elements_upto(first - 1):
+            raw_fiber(S.gens, m, cap=cap)
+        with pytest.raises(FiberCapExceededError) as raw:
+            raw_fiber(S.gens, first, cap=cap)
+        with pytest.raises(FiberCapExceededError) as scan:
+            fibers_upto(make_semigroup([3, 5]), 60, cap=cap)
+        assert (scan.value.element, scan.value.cap, str(scan.value)) == \
+            (first, cap, str(raw.value))
 
 
 def test_fiber_cached_identity():
