@@ -178,26 +178,28 @@ def is_rectangular(S, base_idx=None):
     ap = _apery_for(S, base_idx)
     alphas = [constants.alpha(S, i, base_idx if S.numerical else None)
               for i in others]
-    ap_sorted = list(ap)
-
-    def dfs(pos, remaining, mu):
-        if pos == len(others):
-            if remaining != 1:
-                return None
-            if sorted(S._box_values(others, mu)) == ap_sorted:
-                return tuple(mu)
-            return None
-        for d in range(1, min(alphas[pos] + 1, remaining) + 1):
-            if remaining % d == 0:
-                found = dfs(pos + 1, remaining // d, mu + [d - 1])
-                if found is not None:
-                    return found
-        return None
-
-    mu = dfs(0, len(ap), [])
+    mu = _box_bounds(S, others, alphas, list(ap), 0, len(ap), [])
     if mu is None:
         return False, None
     return True, dict(zip(others, mu))
+
+
+def _box_bounds(S, others, alphas, ap_sorted, pos, remaining, mu):
+    """The first bounds mu, extended from the given prefix, whose box of
+    exponents over the others is Ap, or None."""
+    if pos == len(others):
+        if remaining != 1:
+            return None
+        if sorted(S._box_values(others, mu)) == ap_sorted:
+            return tuple(mu)
+        return None
+    for d in range(1, min(alphas[pos] + 1, remaining) + 1):
+        if remaining % d == 0:
+            found = _box_bounds(S, others, alphas, ap_sorted, pos + 1,
+                                remaining // d, mu + [d - 1])
+            if found is not None:
+                return found
+    return None
 
 
 def is_alpha_rectangular_every_generator(S):
@@ -298,69 +300,78 @@ def admits_shaped_presentation(S, arrangement, pure_right, fixed_c):
                 class_of[b, x] = ci
 
     cvals = [constants.c_value(S, i) for i in range(e)]
+    shape = (S, arrangement, pure_right, fixed_c, betti, need, fibers,
+             class_of, cvals)
+    return _shaped_dfs(shape, 1, {b: 0 for b in betti},
+                       {b: {} for b in betti}, {})
 
-    def dfs(p, counts, forests, lefts):
-        if p == e:
-            return all(counts[b] == need[b] for b in betti)
-        gi = arrangement[p]
-        n = S.gens[gi]
-        if fixed_c:
-            left_cands = ([cvals[gi]] if cvals[gi] is not None
-                          and cvals[gi] * n in need else [])
+
+def _shaped_dfs(shape, p, counts, forests, lefts):
+    """Whether the relations chosen at positions < p extend to a
+    presentation of the shape; counts, forests and lefts record them."""
+    S, arrangement, pure_right, fixed_c, betti, need, fibers, class_of, \
+        cvals = shape
+    e = len(S.gens)
+    if p == e:
+        return all(counts[b] == need[b] for b in betti)
+    gi = arrangement[p]
+    n = S.gens[gi]
+    if fixed_c:
+        left_cands = ([cvals[gi]] if cvals[gi] is not None
+                      and cvals[gi] * n in need else [])
+    else:
+        left_cands = [b // n for b in betti if b % n == 0]
+    prev = arrangement[p - 1]
+    allowed = set(arrangement[:p])
+    for left_coef in left_cands:
+        b = left_coef * n
+        if counts[b] >= need[b]:
+            continue
+        left = tuple(left_coef if i == gi else 0 for i in range(e))
+        lc = class_of.get((b, left))
+        if lc is None:
+            continue
+        if fixed_c and cvals[prev] is None:
+            continue
+        if pure_right:
+            # the floor coefficient of the previous generator: c_(p-1)
+            # in the c-shape, the previously chosen left coefficient in
+            # the a-shape (free for the very first position)
+            step = cvals[prev] if fixed_c else lefts.get(prev, 1)
+            rights = []
+            k = step
+            while k * S.gens[prev] <= b:
+                if k * S.gens[prev] == b:
+                    rights.append(tuple(k if i == prev else 0
+                                        for i in range(e)))
+                k += step
         else:
-            left_cands = [b // n for b in betti if b % n == 0]
-        prev = arrangement[p - 1]
-        allowed = set(arrangement[:p])
-        for left_coef in left_cands:
-            b = left_coef * n
-            if counts[b] >= need[b]:
+            floor = cvals[prev] if fixed_c else lefts.get(prev, 0)
+            rights = [y for y in fibers[b].factorizations
+                      if y[prev] >= max(floor, 1)
+                      and all(y[i] == 0 or i in allowed
+                              for i in range(e))]
+        for right in rights:
+            if right == left:
                 continue
-            left = tuple(left_coef if i == gi else 0 for i in range(e))
-            lc = class_of.get((b, left))
-            if lc is None:
+            rc = class_of.get((b, right))
+            if rc is None or rc == lc:
                 continue
-            if fixed_c and cvals[prev] is None:
+            forest = forests[b]
+            ra, rb = _ffind(forest, lc), _ffind(forest, rc)
+            if ra == rb:
                 continue
-            if pure_right:
-                # the floor coefficient of the previous generator: c_(p-1)
-                # in the c-shape, the previously chosen left coefficient in
-                # the a-shape (free for the very first position)
-                step = cvals[prev] if fixed_c else lefts.get(prev, 1)
-                rights = []
-                k = step
-                while k * S.gens[prev] <= b:
-                    if k * S.gens[prev] == b:
-                        rights.append(tuple(k if i == prev else 0
-                                            for i in range(e)))
-                    k += step
-            else:
-                floor = cvals[prev] if fixed_c else lefts.get(prev, 0)
-                rights = [y for y in fibers[b].factorizations
-                          if y[prev] >= max(floor, 1)
-                          and all(y[i] == 0 or i in allowed
-                                  for i in range(e))]
-            for right in rights:
-                if right == left:
-                    continue
-                rc = class_of.get((b, right))
-                if rc is None or rc == lc:
-                    continue
-                forest = forests[b]
-                ra, rb = _ffind(forest, lc), _ffind(forest, rc)
-                if ra == rb:
-                    continue
-                new_forests = dict(forests)
-                new_forests[b] = dict(forest)
-                new_forests[b][ra] = rb
-                new_counts = dict(counts)
-                new_counts[b] += 1
-                new_lefts = dict(lefts)
-                new_lefts[gi] = left_coef
-                if dfs(p + 1, new_counts, new_forests, new_lefts):
-                    return True
-        return False
-
-    return dfs(1, {b: 0 for b in betti}, {b: {} for b in betti}, {})
+            new_forests = dict(forests)
+            new_forests[b] = dict(forest)
+            new_forests[b][ra] = rb
+            new_counts = dict(counts)
+            new_counts[b] += 1
+            new_lefts = dict(lefts)
+            new_lefts[gi] = left_coef
+            if _shaped_dfs(shape, p + 1, new_counts, new_forests,
+                           new_lefts):
+                return True
+    return False
 
 
 def _ffind(forest, x):

@@ -349,16 +349,21 @@ def cmd_verify(args):
     return 0 if not report["violations"] else 1
 
 
-def _nonnegative(text):
-    """An argparse type: a decimal int >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") \
-            from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is negative")
-    return n
+def _int_at_least(low):
+    """An argparse type: a decimal int >= low."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{n} is less than {low}")
+        return n
+    return parse
+
+
+_nonnegative, _positive = _int_at_least(0), _int_at_least(1)
 
 
 def _add_common(p, degree_bound=False, fiber_cap=False):
@@ -422,7 +427,7 @@ def build_parser():
     p.add_argument("problem", choices=["min-frobenius-betti-divisible"])
     p.add_argument("--edim", type=int, required=True)
     p.add_argument("--max-frobenius", type=int, required=True)
-    p.add_argument("--distinct-betti", type=int, default=1,
+    p.add_argument("--distinct-betti", type=_positive, default=1,
                    help="require at least this many distinct Betti elements")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
@@ -431,7 +436,7 @@ def build_parser():
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
+    p.add_argument("--threads", type=_positive, default=1, metavar="N",
                    help="accepted; the harness runs in one process")
     p.set_defaults(func=cmd_verify)
 

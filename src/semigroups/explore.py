@@ -9,16 +9,19 @@ Semigroups, 2009; Fromentin & Hivert, Math. Comp. 85, 2016).  A node
 carries its finite gap mask (bit s set iff s is a gap), and g + n is
 minimal in the child iff g + n - y is a gap of the child for every kept
 generator y: one AND of the child's mask shifted by each y tests every
-candidate at once.
+candidate at once.  A node is a bare Semigroup: its membership engine is
+built only if it is asked about membership.
 
 The minimum-Frobenius search for Betti-divisible semigroups walks the
 (a, f) parametrization, which provably covers the whole family, by branch
 and bound.  Each candidate is scored by Johnson's formula for its
 telescopic arrangement without being built; a branch is cut when its
-lower bound (every f_i = 1) exceeds the best Frobenius number so far, and
-ties are kept for the generator tie-break.
+lower bound (every f_i = 1, and the least values it could still add)
+exceeds the best Frobenius number so far, and ties are kept for the
+generator tie-break.
 """
 
+from bisect import bisect_right
 from itertools import count, permutations
 from math import gcd
 
@@ -31,8 +34,8 @@ __all__ = ["Corpus", "enumerate_numerical_by_genus", "load_corpus",
            "min_frobenius_betti_divisible", "run_theorem_harness",
            "DEFAULT_CHAIN_WITNESSES"]
 
-# Genus <= 25 is 1,179,597 semigroups (OEIS A007323) at ~480 bytes each
-# as enumerated (tracemalloc, genus 20): ~570 MB; genus 26 passes 0.9 GB.
+# Genus <= 25 is 1,179,597 semigroups (OEIS A007323) at ~330 bytes each
+# as enumerated (tracemalloc, genus 20): ~390 MB; genus 26 adds 770,832.
 GENUS_CAP = 25
 
 
@@ -62,35 +65,39 @@ def enumerate_numerical_by_genus(g_max, cap=GENUS_CAP):
     if g_max < 0:
         raise ValueError(f"genus {g_max} is negative")
     out = [Semigroup((1,), 1, 1, (0,))]
-
-    def walk(gens, gaps, frob, genus):
-        # gens is msg(S) ascending; bit s of gaps is set iff s is a gap.
-        # Removing g > F gives the child with mask gaps | 1 << g.  It keeps
-        # old = msg(S) - {g} and adds each x = g + n (n in msg(S)) that is
-        # minimal in it: x is new iff bit x of spread, the AND of child << y
-        # over every old y, is set.  With m the multiplicity of S:
-        # - every old y is <= F + m < g + m <= x, so y < x;
-        # - each new generator is >= g + m, and two of them sum to more
-        #   than x, as x <= g + F + m < 2g + m; so any decomposition of x
-        #   in the child uses an old generator;
-        # - hence x is minimal iff x - y is a gap of the child for every
-        #   old y;
-        # - every new x is above every old y, so old + new is ascending.
-        out.append(Semigroup(gens, 1, 1, (0,)))
-        if genus < g_max:
-            for i, g in enumerate(gens):
-                if g > frob:
-                    child = gaps | 1 << g
-                    old = gens[:i] + gens[i + 1:]
-                    spread = -1
-                    for y in old:
-                        spread &= child << y
-                    new = tuple(g + n for n in gens if spread >> (g + n) & 1)
-                    walk(old + new, child, g, genus + 1)
-
     if g_max:
-        walk((2, 3), 2, 1, 1)  # the one child of N, where the rule fails
+        _walk(out, (2, 3), 2, 1, 1, g_max)  # the one child of N: rule fails
     return Corpus(out, f"enumerated-by-genus<={g_max}")
+
+
+def _walk(out, gens, gaps, frob, genus, g_max):
+    """Append the subtree of S = <gens> to out, in preorder.
+
+    gens is msg(S) ascending, so the generators g > F are the suffix past
+    F; bit s of gaps is set iff s is a gap.  Removing g > F gives the child
+    with mask gaps | 1 << g.  It keeps old = msg(S) - {g} and adds each
+    x = g + n (n in msg(S)) that is minimal in it: x is new iff bit x of
+    spread, the AND of child << y over every old y, is set.  With m the
+    multiplicity of S:
+    - every old y is <= F + m < g + m <= x, so y < x;
+    - each new generator is >= g + m, and two of them sum to more than x,
+      as x <= g + F + m < 2g + m; so any decomposition of x in the child
+      uses an old generator;
+    - hence x is minimal iff x - y is a gap of the child for every old y;
+    - every new x is above every old y, so old + new is ascending.
+    """
+    out.append(Semigroup(gens, 1, 1, (0,)))
+    if genus < g_max:
+        for i in range(bisect_right(gens, frob), len(gens)):
+            g = gens[i]
+            child = gaps | 1 << g
+            old = gens[:i] + gens[i + 1:]
+            spread = -1
+            for y in old:
+                spread &= child << y
+            if spread:
+                old += tuple(g + n for n in gens if spread >> (g + n) & 1)
+            _walk(out, old, child, g, genus + 1, g_max)
 
 
 def load_corpus(path):
@@ -112,10 +119,31 @@ def load_corpus(path):
 # -- minimum-Frobenius Betti-divisible search -----------------------------
 
 # Nodes (grow and f_chains calls) one search may visit.  The dearest
-# recorded minimum (523, two distinct Betti elements) takes about 1,200 at
-# f_max 1,200; edim 2 with 40 distinct Betti elements and F <= 10**6 has
-# no answer and would run for minutes, and stops here in about 2 s.
+# recorded minimum (523, two distinct Betti elements) takes 110 at f_max
+# 1,200.  edim 10 with F <= 10**12 would try every f-chain of each of the
+# 10! arrangements of {2, 3, 5, ..., 29} and more, and stops here in
+# about 2 s.
 _SEARCH_NODE_CAP = 10 ** 6
+
+
+def _cheapest_completion(p, s0, a, more):
+    """F, with every f_i = 1, of the values (product p, s0 as in grow)
+    together with a, a + 1, ..., a + more - 1: a lower bound on F for
+    every candidate the branch adding a can reach.
+
+    With every f_i = 1, F = s0 - p = p (k - 1 - sum 1/v) for k values,
+    whatever the arrangement, and any f_i > 1 only adds to F.  F does not
+    fall when a value v grows: F = q (v B - 1), with q the product of the
+    other values and B = k - 1 - sum of 1/u over them, which is >= 0 as
+    every u >= 2.  Nor when a value w is added: F becomes w F + p (w - 1),
+    which is >= F as F >= -p.  The branch adding a adds at least `more`
+    values, distinct and at least a, so a, a + 1, ... are its cheapest
+    completion.  The bound grows with a, so the loop over a may stop at
+    the first a whose bound exceeds the limit.  The cut is strict
+    (> limit), so ties survive."""
+    for c in range(a, a + more):
+        p, s0 = p * c, c * s0 + p * (c - 1)
+    return s0 - p
 
 
 def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
@@ -181,23 +209,21 @@ def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
 
     def grow(values, start, p, s0):
         """values are pairwise coprime and increasing, p = prod(values) and
-        s0 = sum p (v - 1) / v.  F >= s0 - p when every f_i = 1, so adding
-        a is bounded by a * s0 - p, which grows with a and with the set."""
+        s0 = sum p (v - 1) / v, so that s0 - p is F when every f_i = 1."""
         visit()
-        if len(values) >= edim_min:
+        if len(values) >= need:
             for a in permutations(values):  # each with f_1 = f_2 = 1
                 f_chains(a, 2, [1, 1], (a[1] - 1) * (p // a[1]), p // a[0], p)
+        more = max(need - len(values), 1)
         a = start
-        while a * s0 - p <= limit:
+        while _cheapest_completion(p, s0, a, more) <= limit:
             if gcd(a, p) == 1:
                 grow(values + [a], a + 1, p * a, a * s0 + p * (a - 1))
             a += 1
 
-    # the cheapest completion of {a} adds a + 1: bound (a + 1)(a - 1) - a
-    a = 2
-    while a * a - a - 1 <= limit:
-        grow([a], a + 1, a, a - 1)
-        a += 1
+    # f_2, ..., f_e take at most e - 1 distinct values
+    need = max(edim_min, distinct_betti_min + 1)
+    grow([], 2, 1, 0)
     if best is None:
         raise SearchCapExceededError(
             f"no Betti-divisible semigroup with >= {edim_min} generators "

@@ -217,7 +217,7 @@ class Semigroup:
         self.simplicial_rays = simplicial_rays
         self.numerical = ambient_dim == 1
         self._arith = _arithmetic(self.gens[0])
-        self._monoid = SubMonoid(self.gens)
+        self._monoid = None  # the SubMonoid of gens, built on first use
         self._memo = {}
 
     def _cached(self, key, compute, *args):
@@ -265,8 +265,16 @@ class Semigroup:
 
     # -- membership ------------------------------------------------------
 
+    def _engine(self):
+        """The membership engine of S, built on the first call: the genus
+        tree makes many semigroups that are never asked about membership."""
+        monoid = self._monoid
+        if monoid is None:
+            monoid = self._monoid = SubMonoid(self.gens)
+        return monoid
+
     def contains(self, v):
-        return self._monoid.contains(v)
+        return (self._monoid or self._engine()).contains(v)
 
     def __contains__(self, v):
         return self.contains(v)
@@ -285,7 +293,7 @@ class Semigroup:
         """Membership engine for the monoid generated by a subset of gens."""
         key = tuple(sorted(indices))  # membership is order-independent
         if len(key) == len(self.gens):
-            return self._monoid
+            return self._engine()
         return self._cached(("submonoid", key), lambda: SubMonoid(
             tuple(self.gens[i] for i in key)))
 
@@ -321,7 +329,7 @@ class Semigroup:
         # Ap(S; B) is the part of Ap(S; b) with no other base below it
         b = bases[0]
         if b == self.multiplicity:  # the membership table is Ap(S; n_1)
-            table = self._monoid._table()
+            table = self._engine()._table()
         else:
             table = _apery_table(self.gens, b)
         ap = sorted(table)

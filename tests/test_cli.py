@@ -349,6 +349,14 @@ _FUZZ = [
     (["analyze", "--gens", "(0,0);(1,2)"], 2),
     (["search", "min-frobenius-betti-divisible", "--edim", "2",
       "--distinct-betti", "40", "--max-frobenius", "1000000"], 3),
+    (["search", "min-frobenius-betti-divisible", "--edim", "10",
+      "--max-frobenius", "1000000000000"], 3),
+    (["search", "min-frobenius-betti-divisible", "--edim", "3",
+      "--max-frobenius", "50", "--distinct-betti", "0"], 2),
+    (["search", "min-frobenius-betti-divisible", "--edim", "3",
+      "--max-frobenius", "50", "--distinct-betti", "-1"], 2),
+    (["verify", "--genus", "3", "--threads", "-4"], 2),
+    (["verify", "--genus", "3", "--threads", "0"], 2),
     (["verify", "--genus", "26"], 3),
     (["verify", "--genus", "-1"], 2),
     (["verify", "--genus", "x"], 2),

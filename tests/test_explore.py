@@ -1,13 +1,15 @@
+import gc
 import hashlib
+import weakref
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import gcd, prod
 
 import pytest
 
 from semigroups import (SearchCapExceededError, betti_divisible_from_params,
-                        enumerate_numerical_by_genus, is_betti_divisible,
-                        load_corpus, make_semigroup,
+                        enumerate_numerical_by_genus, explore,
+                        is_betti_divisible, load_corpus, make_semigroup,
                         min_frobenius_betti_divisible, run_theorem_harness)
 
 # OEIS A007323: the number of numerical semigroups of genus 0, 1, ..., 20
@@ -222,3 +224,109 @@ def test_harness_detects_broken_witness():
         [make_semigroup([2, 3])],
         chain_witnesses={("betti_sorted", "betti_divisible"): (2, 3)})
     assert any(v["check"].startswith("witness:") for v in rep["violations"])
+
+
+def _coprime_sets(e, top):
+    """Increasing e-tuples of pairwise coprime values >= 2 whose product
+    without the least value is <= top."""
+    def extend(values, rest):  # rest is the product of values[1:]
+        k = e - len(values)
+        if not k:
+            yield values
+            return
+        v = values[-1] + 1 if values else 2
+        while rest * v ** (k - (not values)) <= top:
+            if all(gcd(v, u) == 1 for u in values):
+                yield from extend(values + (v,), rest * v if values else 1)
+            v += 1
+    return extend((), 1)
+
+
+def _brute_betti_divisible(f_top):
+    """Every Betti-divisible semigroup with F <= f_top, from its (a, f)
+    parameters, as (F, sorted gens, e, distinct values among f_2..f_e).
+
+    No branch and bound: each minimal generator of a numerical semigroup
+    is at most F + m <= 2F + 1, so n_i = f_i p / a_i <= 2 f_top + 1 boxes
+    every arrangement and every chain f_1 = f_2 = 1 | f_3 | ... | f_e with
+    gcd(f_i, a_i) = 1; each is scored by Johnson's formula."""
+    top = 2 * f_top + 1
+    found = []
+    for e in count(2):
+        sets = list(_coprime_sets(e, top))
+        if not sets:
+            return found
+        for a in (a for values in sets for a in permutations(values)):
+            p = prod(a)
+            chains = [(1, 1)]
+            for ai in a[2:]:
+                chains = [c + (fi,) for c in chains
+                          for fi in range(c[-1], top * ai // p + 1, c[-1])
+                          if gcd(fi, ai) == 1]
+            for f in chains:
+                gens = [fi * p // ai for ai, fi in zip(a, f)]
+                frob = sum((ai - 1) * n
+                           for ai, n in zip(a[1:], gens[1:])) - gens[0]
+                if frob <= f_top:
+                    found.append((frob, tuple(sorted(gens)), e,
+                                  len(set(f[1:]))))
+
+
+def test_min_frobenius_matches_exhaustive_oracle():
+    # every (a, f) with F <= 300, unpruned, against the branch and bound
+    # at every bound up to 300, answers and exceptions alike
+    brute = _brute_betti_divisible(300)
+    for edim in (2, 3, 4):
+        for distinct in (1, 2, 3):
+            best = min(((frob, gens) for frob, gens, e, d in brute
+                        if e >= edim and d >= distinct), default=None)
+            for f_max in range(1, 301):
+                if best is None or best[0] > f_max:
+                    with pytest.raises(SearchCapExceededError,
+                                       match="no Betti-divisible"):
+                        min_frobenius_betti_divisible(edim, f_max, distinct)
+                    continue
+                frob, S = min_frobenius_betti_divisible(edim, f_max,
+                                                        distinct)
+                assert (frob, tuple(sorted(S.gens))) == best, \
+                    (edim, distinct, f_max)
+
+
+def test_min_frobenius_proves_absence_within_few_nodes(monkeypatch):
+    # 40 distinct Betti elements need 41 generators, whose cheapest
+    # completion already exceeds F <= 10**6, so the search ends without
+    # reaching even a small node cap
+    monkeypatch.setattr(explore, "_SEARCH_NODE_CAP", 1000)
+    with pytest.raises(SearchCapExceededError, match="no Betti-divisible"):
+        min_frobenius_betti_divisible(2, 10 ** 6, 40)
+
+
+def test_genus_tree_nodes_build_membership_on_first_use():
+    for S in enumerate_numerical_by_genus(12):
+        assert S._monoid is None
+        T = make_semigroup(S.gens)
+        top = S.gens[-1] + 1
+        assert [S.contains(v) for v in range(top)] == \
+            [T.contains(v) for v in range(top)]
+        assert S._monoid is not None
+        assert (S.frobenius(), S.genus()) == (T.frobenius(), T.genus())
+
+
+def test_dropped_semigroups_are_freed_without_the_cycle_collector():
+    # no recursive closure keeps a node or a harnessed semigroup alive
+    # once the caller drops it, so reference counting alone frees them
+    gc.collect()
+    gc.disable()
+    try:
+        corpus = enumerate_numerical_by_genus(6)
+        node = weakref.ref(corpus.semigroups[-1])
+        del corpus
+        assert node() is None
+        S = make_semigroup([6, 9, 20])
+        assert run_theorem_harness([S], chain_witnesses=None)[
+            "violations"] == []
+        harnessed = weakref.ref(S)
+        del S
+        assert harnessed() is None
+    finally:
+        gc.enable()
