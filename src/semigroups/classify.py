@@ -8,7 +8,7 @@ search harness can detect a "mixed" vector (some conditions true, others
 false), which would falsify the theorem on that semigroup.
 """
 
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, groupby, permutations
 from math import prod
 
 from . import constants, factor
@@ -16,7 +16,8 @@ from .betti import (_free_completion, _free_multiple, betti_elements,
                     free_arrangement, is_complete_intersection, is_free,
                     require_exact_betti)
 from .errors import NotNumericalError
-from .isolated import betti_minimals, isolated_profile, minimal_multi_elements
+from .isolated import (betti_minimals, isolated_profile, minimal_in_order,
+                       minimal_multi_elements)
 
 __all__ = [
     "is_free", "free_some_arrangement", "free_arrangement_starting_at",
@@ -64,13 +65,12 @@ def _scan_bound(S):
 
 
 def _scan_fibers(S):
-    """The fiber of every element up to _scan_bound(S), in scan order,
-    built once per semigroup by factor.fibers_upto; each carries its
-    element, so the list keeps no pairs.  The harness builds it before its
-    first Betti sweep: every numerical candidate w + n_j is at most the
-    scan bound, so the sweep reads these fibers."""
-    return S._cached("scan_fibers", lambda: [
-        fib for _, fib in factor.fibers_upto(S, _scan_bound(S))])
+    """The fiber of every element up to _scan_bound(S), in scan order, by
+    factor.fibers_upto; each carries its element, so the list keeps no
+    pairs.  The harness builds it before its first Betti sweep: every
+    numerical candidate w + n_j is at most the scan bound, so the sweep
+    reads these fibers."""
+    return [fib for _, fib in factor.fibers_upto(S, _scan_bound(S))]
 
 
 def _divides_value(S, a, b):
@@ -137,24 +137,40 @@ def is_free_all_arrangements(S):
 
 # -- rectangularity -------------------------------------------------------
 
+def _base_key(S, base_idx):
+    """The base a base_idx names: a generator index (numerical), or None
+    for the rays (affine, where alpha_i ignores base_idx)."""
+    return (base_idx or 0) if S.numerical else None
+
+
 def is_alpha_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds alpha_i.
 
     Returns (flag, bounds) where bounds maps generator index -> alpha_i.
+    Kept on S per base, as is_c_rectangular: the classification report,
+    the harness and its chain of families all read it.
     """
+    return S._cached(("alpha_rect", _base_key(S, base_idx)), _alpha_box,
+                     S, base_idx)
+
+
+def _alpha_box(S, base_idx):
     others = _others(S, base_idx)
-    alphas = [constants.alpha(S, i, base_idx if S.numerical else None)
-              for i in others]
+    alphas = [constants.alpha(S, i, _base_key(S, base_idx)) for i in others]
     return _box_witness(S, base_idx, others, alphas)
 
 
 def is_c_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds c_i - 1."""
+    return S._cached(("c_rect", _base_key(S, base_idx)), _c_box, S, base_idx)
+
+
+def _c_box(S, base_idx):
     others = _others(S, base_idx)
-    cs = [constants.c_value(S, i) for i in others]
-    if any(c is None for c in cs):
+    cs = constants.c_values(S)
+    if any(cs[i] is None for i in others):
         return False, None
-    return _box_witness(S, base_idx, others, [c - 1 for c in cs])
+    return _box_witness(S, base_idx, others, [cs[i] - 1 for i in others])
 
 
 def _box_witness(S, base_idx, others, bounds):
@@ -176,8 +192,7 @@ def is_rectangular(S, base_idx=None):
     """
     others = _others(S, base_idx)
     ap = _apery_for(S, base_idx)
-    alphas = [constants.alpha(S, i, base_idx if S.numerical else None)
-              for i in others]
+    alphas = [constants.alpha(S, i, _base_key(S, base_idx)) for i in others]
     mu = _box_bounds(S, others, alphas, list(ap), 0, len(ap), [])
     if mu is None:
         return False, None
@@ -261,7 +276,8 @@ def _sorted_cost_arrangements(S):
     """Arrangements (index tuples) with c_1 n_1 <= ... <= c_e n_e: every
     ordering of each run of tied costs."""
     e = len(S.gens)
-    cost = [constants.c_value(S, i) * S.gens[i] for i in range(e)]
+    cs = constants.c_values(S)
+    cost = [cs[i] * S.gens[i] for i in range(e)]
     order = sorted(range(e), key=lambda i: (cost[i], S.gens[i]))
     out = [()]
     for _, group in groupby(order, key=cost.__getitem__):
@@ -299,7 +315,7 @@ def admits_shaped_presentation(S, arrangement, pure_right, fixed_c):
             for x in cls:
                 class_of[b, x] = ci
 
-    cvals = [constants.c_value(S, i) for i in range(e)]
+    cvals = constants.c_values(S)
     shape = (S, arrangement, pure_right, fixed_c, betti, need, fibers,
              class_of, cvals)
     return _shaped_dfs(shape, 1, {b: 0 for b in betti},
@@ -447,6 +463,60 @@ def classification_report(S):
     return ClassificationReport(flags, witnesses)
 
 
+# -- inputs shared by the harness checks ---------------------------------
+
+class HarnessInputs:
+    """What the harness checks of one semigroup read, derived once and
+    passed down: the scan fibers and their denumerants, the Betti profile,
+    the isolated profile, the Betti minimals, the c values (one tuple) and
+    one _Base per Apery base.  The scan list, the denumerant map and the
+    _Base records live for one harness call.  The memo of S keeps what the
+    library functions keep (the profiles, the minimals, the c values, the
+    Apery sets and alpha_i) and the rectangularity verdicts of each base,
+    which the classification report and the chain of families read too.
+    Sharing an input never reads one condition off another: each check
+    still evaluates its own conditions from these inputs."""
+
+    __slots__ = ("S", "fibers", "profile", "prof", "minimals", "cs",
+                 "_denumerants", "bases")
+
+    def __init__(self, S):
+        self.S = S
+        self.fibers = _scan_fibers(S)  # first: the Betti sweep reads them
+        self.profile = _complete_betti(S)
+        self.prof = isolated_profile(S)
+        self.minimals = betti_minimals(S)
+        self.cs = constants.c_values(S)
+        self._denumerants = {fib.element: fib.denumerant
+                             for fib in self.fibers}
+        bases = range(len(S.gens)) if S.numerical else (None,)
+        self.bases = {j: _Base(self, j) for j in bases}
+
+    def denumerant(self, m):
+        """The number of factorizations of m, read off the scan when m
+        lies in it."""
+        d = self._denumerants.get(m)
+        return factor.denumerant(self.S, m) if d is None else d
+
+
+class _Base:
+    """Ap(S; base) and what several checks read about it: the generators
+    outside the base with their alpha_i, the alpha- and c-rectangular
+    verdicts, and whether every w in Ap(S; base) factors uniquely."""
+
+    __slots__ = ("ap", "others", "alphas", "alpha_rect", "c_rect", "unique")
+
+    def __init__(self, inputs, j):
+        S = inputs.S
+        self.ap = _apery_for(S, j)
+        self.others = _others(S, j)
+        self.alphas = [constants.alpha(S, i, _base_key(S, j))
+                       for i in self.others]
+        self.alpha_rect = is_alpha_rectangular(S, j)[0]
+        self.c_rect = is_c_rectangular(S, j)[0]
+        self.unique = all(inputs.denumerant(w) == 1 for w in self.ap)
+
+
 # -- verified inequality chains ------------------------------------------
 
 def _chain(name, *values):
@@ -454,15 +524,15 @@ def _chain(name, *values):
     return {"name": name, "ok": ok, "values": list(values)}
 
 
-def verify_bounds(S):
-    """Evaluate every applicable inequality chain of the bound results."""
+def verify_bounds(S, inputs=None):
+    """Evaluate every applicable inequality chain of the bound results.
+    inputs, when given, is the HarnessInputs of S."""
+    if S.numerical and len(S.gens) == 1:
+        return []
+    inputs = inputs or HarnessInputs(S)
     out = []
-    _scan_fibers(S)  # first, so that the Betti sweep reads its fibers
-    profile = _complete_betti(S)
-    prof = isolated_profile(S)
+    profile, prof = inputs.profile, inputs.prof
     e = len(S.gens)
-    if S.numerical and e == 1:
-        return out
     betti = list(profile.betti)
     nc_sum = profile.nc_sum()
     ib = prof.i_b
@@ -477,12 +547,12 @@ def verify_bounds(S):
                           (2 * d - m) * (m - 1) + 2, d * (d - 1)))
         attained = ib == d * (d - 1)
         maximal = (m == d - 1) and all(
-            factor.denumerant(S, b) == 2 for b in betti)
+            profile.fibers[b].denumerant == 2 for b in betti)
         out.append({"name": "ib_max_equality", "ok": attained == maximal,
                     "values": [attained, maximal]})
 
     if S.numerical and betti:
-        cs = [constants.c_value(S, i) for i in range(e)]
+        cs = inputs.cs
         c_sum = sum(cs)
         c_prod = prod(cs)
         i_s = prof.i_s
@@ -521,9 +591,10 @@ def _skip():
     return {"applicable": False, "conditions": [], "ok": True}
 
 
-def _walk(S, profile, ib):
+def _walk(S, profile, ib, fibers=None):
     """Yield (m, fiber, rows, below_betti, below_ibetti) for every element
-    m up to _scan_bound(S), in scan order.  rows has one row
+    m up to _scan_bound(S), in scan order, reading fibers (by default
+    _scan_fibers(S)).  rows has one row
     (x, over_betti, over_ib, minimal) per factorization x: whether some
     Betti factorization, or some vector of ib, lies strictly below x, and
     whether x is minimal among the multi-vectors (the factorizations of
@@ -540,7 +611,7 @@ def _walk(S, profile, ib):
     minus = S._arith.sub
     reach = {}  # x -> (Betti vector <= x, ib vector <= x, multi-vector)
     above = {}  # m -> (Betti element <=_S m, IBetti element <=_S m)
-    for fib in _scan_fibers(S):
+    for fib in _scan_fibers(S) if fibers is None else fibers:
         m = fib.element
         multi = fib.denumerant >= 2
         rows = []
@@ -563,20 +634,21 @@ def _walk(S, profile, ib):
         yield m, fib, rows, below_betti, below_ibetti
 
 
-def _check_walked(S):
+def _check_walked(S, inputs=None):
     """The entries isolated_characterization (the singleton R-classes
     against domination by a Betti factorization, and the minimal
     multi-vectors against I_b), isolated_elements (m has a non-isolated
     factorization iff a Betti, iff an IBetti, element lies strictly below
     it in <=_S) and b1_smallest (numerical: b_1 is the least element with
     two factorizations, all isolated), from one walk."""
-    _scan_fibers(S)  # first, so that the Betti sweep reads its fibers
-    profile = _complete_betti(S)
-    ib = set(isolated_profile(S).ib)
+    inputs = inputs or HarnessInputs(S)
+    profile = inputs.profile
+    ib = set(inputs.prof.ib)
     characterized = elements_ok = True
     minimals = set()
     smallest = None
-    for m, fib, rows, below_betti, below_ibetti in _walk(S, profile, ib):
+    for m, fib, rows, below_betti, below_ibetti in _walk(S, profile, ib,
+                                                          inputs.fibers):
         singletons = set(fib.isolated)
         for x, over_betti, over_ib, minimal in rows:
             oracle = x in singletons
@@ -598,12 +670,11 @@ def _check_walked(S):
             _verdict(elements_ok), b1_smallest)
 
 
-def _check_betti_minimal_characterizations(S):
-    profile = _complete_betti(S)
-    a = list(betti_minimals(S))
-    ibetti = profile.ibetti
+def _check_betti_minimal_characterizations(S, inputs):
+    profile = inputs.profile
     # every list in the natural order of its sorted source
-    b = [x for x in ibetti if not any(y != x and S.leq(y, x) for y in ibetti)]
+    a = list(inputs.minimals)
+    b = list(minimal_in_order(S, profile.ibetti))
     c = [bb for bb in profile.betti
          if profile.fibers[bb].nc == profile.fibers[bb].denumerant]
     d = list(minimal_multi_elements(
@@ -611,35 +682,46 @@ def _check_betti_minimal_characterizations(S):
     return _verdict(a == b == c == d)
 
 
-def _check_disjoint_betti(S):
-    profile = _complete_betti(S)
-    for b1 in profile.betti:
-        for b2 in profile.betti:
-            if b1 == b2 or not S.leq(b1, b2):
-                continue
-            iso2 = factor.isolated_factorizations(S, b2)
-            for x in factor.fiber(S, b1).factorizations:
-                for y in iso2:
-                    if any(xc and yc for xc, yc in zip(x, y)):
-                        return _verdict(False)
-    return _verdict(True)
+def _support(factorizations):
+    """Bit i set iff some factorization has a positive entry i."""
+    mask = 0
+    for x in factorizations:
+        for i, xi in enumerate(x):
+            if xi:
+                mask |= 1 << i
+    return mask
 
 
-def _check_ap_b1(S):
+def _check_disjoint_betti(S, inputs):
+    """No factorization of a Betti element b_1 shares support with an
+    isolated factorization of a Betti element b_2 above it in <=_S.  Some
+    such pair shares support iff the union of the supports over Z(b_1)
+    meets the union over the isolated factorizations of b_2, so the order
+    is tested only for pairs whose unions meet."""
+    fibers = inputs.profile.fibers
+    full = {b: _support(fib.factorizations) for b, fib in fibers.items()}
+    iso = {b: _support(fib.isolated) for b, fib in fibers.items()}
+    inside, minus = S._member_test(), S._arith.sub
+    return _verdict(not any(
+        full[b1] & iso[b2] and inside(minus(b2, b1))
+        for b1 in fibers for b2 in fibers if b1 != b2))
+
+
+def _check_ap_b1(S, inputs):
     if not S.numerical:
         return _skip()
-    single = len(betti_minimals(S)) == 1
-    b1 = min(_complete_betti(S).betti)
-    ap_unique = all(factor.denumerant(S, w) == 1 for w in S.apery(b1))
-    i_s_eq = isolated_profile(S).i_s == b1
+    single = len(inputs.minimals) == 1
+    b1 = min(inputs.profile.betti)
+    ap_unique = all(inputs.denumerant(w) == 1 for w in S.apery(b1))
+    i_s_eq = inputs.prof.i_s == b1
     return _entry([single, ap_unique, i_s_eq])
 
 
-def _check_thm_isolated(S):
+def _check_thm_isolated(S, inputs):
     """The C(M) inclusions and their equality linkage."""
-    prof = isolated_profile(S)
+    prof = inputs.prof
     e = len(S.gens)
-    catoms = constants.c_atoms(S)
+    catoms = [(idx, c) for idx, c in enumerate(inputs.cs) if c is not None]
     ib = set(prof.ib)
     pure = {tuple(c if i == idx else 0 for i in range(e))
             for idx, c in catoms}
@@ -653,25 +735,23 @@ def _check_thm_isolated(S):
         # the second set is infinite (or only windowed); only the
         # inclusions can be verified
         return _verdict(True)
-    cs = dict(catoms)
-    box = {t for t in product(*(range(cs[i]) for i in range(e)))}
+    # box_ok put iso_all - pure inside the box {x : x_i < c_i for all i},
+    # so the two are equal iff they have as many members: count the box,
+    # which has 2^e members already when every c_i is 2
     first_eq = pure == ib
-    second_eq = iso_all - pure == box
+    second_eq = len(iso_all - pure) == prod(inputs.cs)
     return _verdict(first_eq == second_eq)
 
 
-def _check_prop_alpha(S, j=None):
+def _check_prop_alpha(S, inputs, j=None):
     """Four-way equivalence for alpha-rectangularity at one base."""
-    ap = _apery_for(S, j)
-    others = _others(S, j)
-    alphas = [constants.alpha(S, i, j if S.numerical else None)
-              for i in others]
+    base = inputs.bases[j]
     maxima = S.apery_maxima(S.gens[j or 0] if S.numerical else None)
     unique_max = len(maxima) == 1
-    c1 = is_alpha_rectangular(S, j)[0]
-    c2 = unique_max and factor.denumerant(S, maxima[0]) == 1
-    c3 = unique_max and all(factor.denumerant(S, w) == 1 for w in ap)
-    c4 = len(ap) == prod(a + 1 for a in alphas)
+    c1 = base.alpha_rect
+    c2 = unique_max and inputs.denumerant(maxima[0]) == 1
+    c3 = unique_max and base.unique
+    c4 = len(base.ap) == prod(a + 1 for a in base.alphas)
     return _entry([c1, c2, c3, c4])
 
 
@@ -684,52 +764,45 @@ def _check_thm_alpha_free(S, j):
     return _free_completion(S, frozenset((j,)), alpha_base=j) is not None
 
 
-def _check_thm_alpha_c(S, j=None):
+def _check_thm_alpha_c(S, inputs, j=None):
     """Six-way equivalence between alpha- and c-rectangularity, with the
     consequence c_i = alpha_i + 1.  Returns None when some c_i does not
     exist (then the statements are vacuous for this base)."""
-    others = _others(S, j)
-    cs = {i: constants.c_value(S, i) for i in others}
-    if any(c is None for c in cs.values()):
+    base = inputs.bases[j]
+    others, cs = base.others, inputs.cs
+    if any(cs[i] is None for i in others):
         return None
-    ap = _apery_for(S, j)
-    ap_set = set(ap)
-    prof = isolated_profile(S)
+    ap_set = set(base.ap)
     e = len(S.gens)
-    others_set = set(others)
-    ib_restricted = {x for x in prof.ib
-                     if all(x[i] == 0 for i in range(e)
-                            if i not in others_set)}
+    outside = [i for i in range(e) if i not in others]
+    ib_restricted = {x for x in inputs.prof.ib
+                     if not any(x[i] for i in outside)}
     pure = {tuple(cs[i] if k == i else 0 for k in range(e)) for i in others}
     ib_cond = ib_restricted == pure
     not_in_ap = all(S._arith.scale(cs[i], S.gens[i]) not in ap_set
                     for i in others)
-    unique = all(factor.denumerant(S, w) == 1 for w in ap)
-    card = len(ap) == prod(cs[i] for i in others)
-    crect = is_c_rectangular(S, j)[0]
-    conds = [is_alpha_rectangular(S, j)[0],
-             crect and not_in_ap,
-             crect and ib_cond,
-             ib_cond and unique,
+    card = len(base.ap) == prod(cs[i] for i in others)
+    conds = [base.alpha_rect,
+             base.c_rect and not_in_ap,
+             base.c_rect and ib_cond,
+             ib_cond and base.unique,
              ib_cond and not_in_ap,
              ib_cond and card]
     extra = True
     if conds[0]:
-        extra = all(cs[i] == constants.alpha(
-            S, i, j if S.numerical else None) + 1 for i in others)
+        extra = all(cs[i] == a + 1 for i, a in zip(others, base.alphas))
     return _entry(conds, extra_ok=extra)
 
 
-def _check_thm_ci_b1(S):
-    profile = _complete_betti(S)
+def _check_thm_ci_b1(S, inputs):
+    profile = inputs.profile
     if not profile.betti:
         return _skip()
-    prof = isolated_profile(S)
     m = S.codim
-    mins = betti_minimals(S)
+    mins = inputs.minimals
     c1 = is_complete_intersection(S) and len(mins) == 1
     c2 = False
-    if prof.i_b == m + 1:
+    if inputs.prof.i_b == m + 1:
         for b1 in mins:
             if all(profile.fibers[b].nc ==
                    len(profile.fibers[b].isolated) + 1
@@ -739,16 +812,14 @@ def _check_thm_ci_b1(S):
     return _entry([c1, c2])
 
 
-def _check_cor_ci_b1(S):
+def _check_cor_ci_b1(S, inputs):
     """Numerical 4-way in an arrangement minimizing c_i n_i, plus the
     Betti-set and n_1 consequences."""
     if not S.numerical:
         return _skip()
-    profile = _complete_betti(S)
+    profile, prof, cs = inputs.profile, inputs.prof, inputs.cs
     e = len(S.gens)
-    prof = isolated_profile(S)
-    single = len(betti_minimals(S)) == 1
-    cs = [constants.c_value(S, i) for i in range(e)]
+    single = len(inputs.minimals) == 1
     cost = [cs[i] * S.gens[i] for i in range(e)]
     low = min(cost)
     c1 = free_some_arrangement(S) is not None and single
@@ -756,7 +827,7 @@ def _check_cor_ci_b1(S):
     c3 = prof.i_b == e and single
     ok = True
     for j in (i for i in range(e) if cost[i] == low):
-        c4 = prof.i_b == e and is_alpha_rectangular(S, j)[0]
+        c4 = prof.i_b == e and inputs.bases[j].alpha_rect
         conds = [c1, c2, c3, c4]
         if len(set(conds)) != 1:
             ok = False
@@ -769,19 +840,20 @@ def _check_cor_ci_b1(S):
     return _verdict(ok)
 
 
-def _check_thm_betti_sorted_alpha(S):
+def _check_thm_betti_sorted_alpha(S, inputs):
     """Five-way equivalence under the Betti-isolated-sorted hypothesis,
     checked for every choice of the base generator."""
     if not S.numerical or not is_betti_isolated_sorted(S):
         return _skip()
     e = len(S.gens)
-    b1 = min(_complete_betti(S).betti)
+    b1 = min(inputs.profile.betti)
     for j in range(e):
-        cs = {i: constants.c_value(S, i) for i in range(e) if i != j}
-        ap = set(S.apery(S.gens[j]))
+        base = inputs.bases[j]
+        cs = {i: inputs.cs[i] for i in base.others}
+        ap = set(base.ap)
         conds = [b1 not in ap,
-                 is_alpha_rectangular(S, j)[0],
-                 is_c_rectangular(S, j)[0],
+                 base.alpha_rect,
+                 base.c_rect,
                  all(cs[i] * S.gens[i] not in ap for i in cs),
                  S.gens[j] == prod(cs.values())]
         if len(set(conds)) != 1:
@@ -792,20 +864,21 @@ def _check_thm_betti_sorted_alpha(S):
 def _shaped(S, pure_right):
     """Whether some cost-sorted arrangement admits a staircase-shaped
     presentation, with c coefficients and with arbitrary ones."""
+    arrangements = _sorted_cost_arrangements(S)
     return [any(admits_shaped_presentation(S, arr, pure_right=pure_right,
                                            fixed_c=fixed_c)
-                for arr in _sorted_cost_arrangements(S))
+                for arr in arrangements)
             for fixed_c in (True, False)]
 
 
-def _check_cor_betti_sorted(S):
+def _check_cor_betti_sorted(S, inputs):
     """Numerical 4-way: Betti sorted / Betti-isolated sorted / staircase
     presentation with c coefficients / with arbitrary coefficients."""
     if not S.numerical:
         return _skip()
-    profile = _complete_betti(S)
+    profile = inputs.profile
     c1 = is_betti_sorted(S)
-    cost = sorted(constants.c_value(S, i) * g for i, g in enumerate(S.gens))
+    cost = sorted(c * g for c, g in zip(inputs.cs, S.gens))
     predicted = sorted(set(cost[1:]))
     extra = not c1 or predicted == list(profile.betti) == list(profile.ibetti)
     return _entry([c1, is_betti_isolated_sorted(S)] +
@@ -819,11 +892,11 @@ def _check_cor_betti_divisible_presen(S):
                   _shaped(S, pure_right=True))
 
 
-def _check_thm_betti_divisible_generators(S):
+def _check_thm_betti_divisible_generators(S, inputs):
     if not S.numerical:
         return _skip()
     from .construct import recover_params
-    profile = _complete_betti(S)
+    profile = inputs.profile
     divisible = is_betti_divisible(S)
     params = recover_params(S)
     if divisible != (params is not None):
@@ -857,60 +930,62 @@ def _check_thm_betti_divisible_free(S):
     return _entry([c1, c2, c3])
 
 
-def _check_thm_single_betti_alpha(S):
+def _check_thm_single_betti_alpha(S, inputs):
     if not S.numerical:
         return _skip()
-    profile = _complete_betti(S)
-    e = len(S.gens)
-    c1 = len(profile.betti) == 1
-    c2 = all(is_c_rectangular(S, j)[0] for j in range(e)) and \
-        isolated_profile(S).i_b == e
-    c3 = is_alpha_rectangular_every_generator(S)
+    bases = inputs.bases.values()
+    c1 = len(inputs.profile.betti) == 1
+    c2 = all(base.c_rect for base in bases) and \
+        inputs.prof.i_b == len(S.gens)
+    c3 = all(base.alpha_rect for base in bases)
     return _entry([c1, c2, c3])
 
 
-def check_equivalence_theorems(S):
+def check_equivalence_theorems(S, inputs=None):
     """Evaluate the multi-way characterization theorems independently.
 
     Returns a mapping from theorem id to {applicable, conditions, ok}.
     Each vector must be constant (all true or all false); a mixed vector
-    is a counterexample to the corresponding theorem.
+    is a counterexample to the corresponding theorem.  inputs, when
+    given, is the HarnessInputs of S.
     """
     report = {}
     if S.numerical and len(S.gens) == 1:
         return report
-    characterization, elements, b1_smallest = _check_walked(S)
+    inputs = inputs or HarnessInputs(S)
+    characterization, elements, b1_smallest = _check_walked(S, inputs)
     report["isolated_characterization"] = characterization
     report["isolated_elements"] = elements
     report["betti_minimal_characterizations"] = \
-        _check_betti_minimal_characterizations(S)
-    report["disjoint_betti"] = _check_disjoint_betti(S)
-    report["ap_b1"] = _check_ap_b1(S)
+        _check_betti_minimal_characterizations(S, inputs)
+    report["disjoint_betti"] = _check_disjoint_betti(S, inputs)
+    report["ap_b1"] = _check_ap_b1(S, inputs)
     report["b1_smallest"] = b1_smallest
-    report["isolated_inclusions"] = _check_thm_isolated(S)
+    report["isolated_inclusions"] = _check_thm_isolated(S, inputs)
     if S.numerical:
         e = len(S.gens)
         report["prop_alpha"] = _verdict(
-            all(_check_prop_alpha(S, j)["ok"] for j in range(e)))
+            all(_check_prop_alpha(S, inputs, j)["ok"] for j in range(e)))
         free_checks = [_check_thm_alpha_free(S, j) for j in range(e)]
         applicable = [v for v in free_checks if v is not None]
         report["thm_alpha_free"] = \
             _verdict(all(applicable)) if applicable else _skip()
-        c_checks = [_check_thm_alpha_c(S, j) for j in range(e)]
+        c_checks = [_check_thm_alpha_c(S, inputs, j) for j in range(e)]
         report["thm_alpha_c"] = _verdict(
             all(v["ok"] for v in c_checks if v is not None))
     else:
-        report["prop_alpha"] = _check_prop_alpha(S)
-        entry = _check_thm_alpha_c(S)
+        report["prop_alpha"] = _check_prop_alpha(S, inputs)
+        entry = _check_thm_alpha_c(S, inputs)
         report["thm_alpha_c"] = entry if entry is not None else _skip()
-    report["thm_ci_b1"] = _check_thm_ci_b1(S)
-    report["cor_ci_b1"] = _check_cor_ci_b1(S)
-    report["thm_betti_sorted_alpha"] = _check_thm_betti_sorted_alpha(S)
-    report["cor_betti_sorted"] = _check_cor_betti_sorted(S)
+    report["thm_ci_b1"] = _check_thm_ci_b1(S, inputs)
+    report["cor_ci_b1"] = _check_cor_ci_b1(S, inputs)
+    report["thm_betti_sorted_alpha"] = \
+        _check_thm_betti_sorted_alpha(S, inputs)
+    report["cor_betti_sorted"] = _check_cor_betti_sorted(S, inputs)
     report["cor_betti_divisible_presen"] = \
         _check_cor_betti_divisible_presen(S)
     report["thm_betti_divisible_generators"] = \
-        _check_thm_betti_divisible_generators(S)
+        _check_thm_betti_divisible_generators(S, inputs)
     report["thm_betti_divisible_free"] = _check_thm_betti_divisible_free(S)
-    report["thm_single_betti_alpha"] = _check_thm_single_betti_alpha(S)
+    report["thm_single_betti_alpha"] = _check_thm_single_betti_alpha(S, inputs)
     return report

@@ -69,15 +69,17 @@ def c_value(S, idx, cap=None):
     return S._cached(("c_value", idx, cap), compute)
 
 
+def c_values(S):
+    """(c_value(S, 0), ..., c_value(S, e - 1)), made once."""
+    return S._cached("c_values", lambda: tuple(
+        c_value(S, idx) for idx in range(len(S.gens))))
+
+
 def c_atoms(S):
     """The set C(M): pairs (index, c) for atoms with some multiple in the
     monoid generated by the other atoms, sorted by index."""
-    out = []
-    for idx in range(len(S.gens)):
-        c = c_value(S, idx)
-        if c is not None:
-            out.append((idx, c))
-    return tuple(out)
+    return tuple((idx, c) for idx, c in enumerate(c_values(S))
+                 if c is not None)
 
 
 def alpha(S, idx, base_idx=None):

@@ -124,7 +124,7 @@ def recover_params(S):
     e = len(S.gens)
     if e < 2:
         return None
-    cs = [constants.c_value(S, i) for i in range(e)]
+    cs = constants.c_values(S)
     order = sorted(range(e), key=lambda i: (cs[i] * S.gens[i], S.gens[i]))
     a = tuple(cs[i] for i in order)
     gens = tuple(S.gens[i] for i in order)

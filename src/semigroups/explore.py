@@ -283,11 +283,13 @@ def run_theorem_harness(corpus, chain_witnesses=DEFAULT_CHAIN_WITNESSES):
         checked += 1
         if S.numerical and len(S.gens) == 1:
             continue
-        for bound in classify.verify_bounds(S):
+        inputs = classify.HarnessInputs(S)
+        for bound in classify.verify_bounds(S, inputs):
             if not bound["ok"]:
                 violations.append({"gens": S.gens, "check": bound["name"],
                                    "detail": bound["values"]})
-        for name, entry in classify.check_equivalence_theorems(S).items():
+        for name, entry in classify.check_equivalence_theorems(
+                S, inputs).items():
             if not entry["ok"]:
                 violations.append({"gens": S.gens, "check": name,
                                    "detail": entry["conditions"]})

@@ -208,7 +208,7 @@ def nc(S, m):
     enumerated."""
     if not S.contains(m):  # also rejects a wrong-shape m
         return 0
-    inside = S._cached("member_test", S._engine().unchecked)
+    inside = S._member_test()
     minus = S._arith.sub
     nodes = [g for g in S.gens if inside(minus(m, g))]
     count = 0

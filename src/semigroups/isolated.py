@@ -103,20 +103,29 @@ def _isolated_profile(S, degree_bound, bound):
 def betti_minimals(S):
     """Minimal Betti elements with respect to the semigroup order."""
     betti_mod.require_exact_betti(S)
-    return S._cached("betti_minimals", _betti_minimals, S)
+    return S._cached("betti_minimals", lambda: minimal_in_order(
+        S, betti_mod.betti_elements(S).betti))
 
 
-def _betti_minimals(S):
-    bs = betti_mod.betti_elements(S).betti
-    return tuple(b for b in bs
-                 if not any(b2 != b and S.leq(b2, b) for b2 in bs))
+def minimal_in_order(S, elems):
+    """The members of elems, a tuple sorted in the natural order, with no
+    other member below them in <=_S.  a <=_S b means b - a in S, so a <= b
+    (numerical) or a <= b in every coordinate (affine): a comes first, and
+    only the earlier members are read off the membership table."""
+    inside, minus = S._member_test(), S._arith.sub
+    return tuple(b for k, b in enumerate(elems)
+                 if not any(inside(minus(b, a)) for a in elems[:k]))
 
 
 def minimal_multi_elements(S, bound=None):
     """Elements with several factorizations all of whose atom-predecessors
     factor uniquely.  Computed by a direct scan, independent of the Betti
     machinery (every such element lies below max(gens) + max Ap(S; n_1) for
-    numerical semigroups)."""
+    numerical semigroups).
+
+    The scan is closed downward, so m - n_i lies in S iff it was scanned.
+    Two factorizations of m - n_i give two of m, so m has several as soon
+    as some m - n_i has; only the other elements are counted."""
     if S.numerical:
         limit = max(S.gens) + max(S.apery(S.gens[0]))
     else:
@@ -125,16 +134,13 @@ def minimal_multi_elements(S, bound=None):
                 "affine minimal multi-element scan needs a bound")
         limit = bound
     minus = S._arith.sub
+    multi = {}  # scanned element -> whether it factors in several ways
     out = []
     for m in S.elements_upto(limit):
-        if factor.denumerant(S, m) < 2:
-            continue
-        ok = True
-        for g in S.gens:
-            prev = minus(m, g)
-            if S.contains(prev) and factor.denumerant(S, prev) != 1:
-                ok = False
-                break
-        if ok:
-            out.append(m)
+        if any(multi.get(minus(m, g)) for g in S.gens):
+            multi[m] = True
+        else:
+            multi[m] = factor.denumerant(S, m) >= 2
+            if multi[m]:
+                out.append(m)
     return tuple(out)

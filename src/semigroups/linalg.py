@@ -159,16 +159,3 @@ def in_cone(vec, generators):
                 return True
     return False
 
-
-def solve_nonnegative_integer(vec, rays):
-    """Solve vec = sum c_i * ray_i with c_i nonnegative integers.
-
-    Rays must be linearly independent.  Returns the (unique) tuple of ints or
-    None if there is no such solution.
-    """
-    sol = rational_solve(vec, rays)
-    if sol is None:
-        return None
-    if any(q.denominator != 1 or q < 0 for q in sol):
-        return None
-    return tuple(int(q) for q in sol)

@@ -276,6 +276,11 @@ class Semigroup:
     def contains(self, v):
         return (self._monoid or self._engine()).contains(v)
 
+    def _member_test(self):
+        """SubMonoid.unchecked of S, made once: a membership test for
+        elements already shaped like the generators."""
+        return self._cached("member_test", self._engine().unchecked)
+
     def __contains__(self, v):
         return self.contains(v)
 
@@ -458,7 +463,8 @@ class Semigroup:
         """Numerical: sorted elements s <= bound.  Affine: sorted elements
         with coordinate sum <= bound."""
         if self.numerical:
-            return tuple(s for s in range(bound + 1) if self.contains(s))
+            inside = self._member_test()
+            return tuple(s for s in range(bound + 1) if inside(s))
         plus = self._arith.add
         frontier = [self._arith.scale(0, self.gens[0])]
         seen = set(frontier)

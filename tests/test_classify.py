@@ -1,5 +1,8 @@
 import hashlib
 import json
+import resource
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import gcd
 
@@ -12,6 +15,7 @@ from semigroups import (check_equivalence_theorems, classification_report,
 from semigroups import (IsolatedProfile, betti_divisible_from_params,
                         betti_elements, classify, constants, factor,
                         free_arrangement, is_free, isolated_profile)
+from semigroups.isolated import betti_minimals, minimal_in_order
 from semigroups.betti import BettiProfile, _free_completion
 from semigroups.classify import (_check_thm_alpha_free, _check_walked,
                                  _scan_bound, _sorted_cost_arrangements,
@@ -492,3 +496,134 @@ def test_harness_reports_are_pinned():
                for S in members]
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _HARNESS_REPORTS_SHA256
+
+
+# -- shared harness inputs against the pairwise scans they replace ----------
+
+_FREE_AFFINE_PANEL = ([(1, 0), (0, 2), (0, 3)],
+                      [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)],
+                      [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (1, 2, 0)])
+
+
+def _differential_members():
+    members = _corpus_e_ge_2(9) + [make_semigroup(g)
+                                   for g in _FREE_AFFINE_PANEL]
+    assert all(S.numerical or free_arrangement(S) for S in members)
+    return members
+
+
+def _pairwise_disjoint_betti(S, profile):
+    """The scan the support masks replace: every pair of a factorization
+    of b_1 and an isolated one of b_2, for every b_1 <=_S b_2."""
+    for b1 in profile.betti:
+        for b2 in profile.betti:
+            if b1 == b2 or not S.leq(b1, b2):
+                continue
+            for x in profile.fibers[b1].factorizations:
+                for y in profile.fibers[b2].isolated:
+                    if any(xc and yc for xc, yc in zip(x, y)):
+                        return False
+    return True
+
+
+def _all_isolated(profile):
+    """The profile with every factorization made its own R-class, so that
+    the disjointness statement fails on some members."""
+    fibers = {b: factor.Fiber(b, fib.factorizations,
+                              tuple((x,) for x in fib.factorizations))
+              for b, fib in profile.fibers.items()}
+    return BettiProfile(profile.betti, fibers, profile.complete)
+
+
+def test_disjoint_betti_masks_match_pairwise_scan():
+    verdicts = []
+    for S in _differential_members():
+        inputs = classify.HarnessInputs(S)
+        for profile in (inputs.profile, _all_isolated(inputs.profile)):
+            inputs.profile = profile
+            got = classify._check_disjoint_betti(S, inputs)["ok"]
+            assert got == _pairwise_disjoint_betti(S, profile), S.gens
+            verdicts.append(got)
+    assert verdicts.count(False) > 50 and verdicts.count(True) > 300
+
+
+def _pairwise_minimal(S, elems):
+    return tuple(b for b in elems
+                 if not any(a != b and S.leq(a, b) for a in elems))
+
+
+def test_minimal_elements_match_pairwise_leq():
+    sizes = set()
+    for S in _differential_members():
+        profile = betti_elements(S)
+        assert betti_minimals(S) == _pairwise_minimal(S, profile.betti)
+        # the elements with two or more factorizations: an up-set whose
+        # minimal members are the minimal multi-elements
+        multi = tuple(fib.element for fib in classify._scan_fibers(S)
+                      if fib.denumerant >= 2)
+        for elems in (profile.ibetti, multi):
+            got = minimal_in_order(S, elems)
+            assert got == _pairwise_minimal(S, elems), (S.gens, elems)
+            sizes.add(len(elems) - len(got))
+    assert max(sizes) > 10  # the order removes many members somewhere
+
+
+def test_harness_checks_each_base_once_without_pairwise_order_scans(
+        monkeypatch):
+    # one harness call derives each base's rectangularity verdicts once,
+    # and no check but the two Betti-sorted predicates asks <=_S pairwise
+    S = make_semigroup([24, 26, 36, 39])
+    boxes = []
+    real_box = classify._box_witness
+    monkeypatch.setattr(classify, "_box_witness",
+                        lambda T, j, *a: boxes.append(j) or real_box(T, j, *a))
+    depth = [0]
+
+    def counted(fn):
+        def wrapped(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    for name in ("is_betti_sorted", "is_betti_isolated_sorted"):
+        monkeypatch.setattr(classify, name, counted(getattr(classify, name)))
+    stray = []
+    real_leq = Semigroup.leq
+
+    def leq(T, a, b):
+        if not depth[0]:
+            stray.append((a, b))
+        return real_leq(T, a, b)
+
+    monkeypatch.setattr(Semigroup, "leq", leq)
+    report = run_theorem_harness([S], chain_witnesses=None)
+    assert (report["checked"], report["violations"]) == (1, [])
+    assert sorted(set(boxes)) == [0, 1, 2, 3]
+    assert all(boxes.count(j) <= 2 for j in range(4)), boxes
+    assert stray == []
+
+
+def test_harness_on_the_ordinary_semigroup_of_genus_25_stays_small():
+    # <26, ..., 51>: every c_i exists, so the C(M) box has 3 * 2^25
+    # members; the check counts them instead of building them
+    code = ("import time\n"
+            "from semigroups import make_semigroup\n"
+            "from semigroups.explore import run_theorem_harness\n"
+            "S = make_semigroup(range(26, 52))\n"
+            "t = time.perf_counter()\n"
+            "rep = run_theorem_harness([S], chain_witnesses=None)\n"
+            "print(time.perf_counter() - t, rep['checked'],"
+            " len(rep['violations']))\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=60, preexec_fn=limit)
+    assert r.returncode == 0, r.stderr
+    seconds, checked, violations = r.stdout.split()
+    assert (checked, violations) == ("1", "0")
+    assert float(seconds) <= 1.0

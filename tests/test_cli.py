@@ -363,6 +363,8 @@ _FUZZ = [
     (["verify"], 2),
     (["verify", "--corpus", "no-such-corpus.txt"], 2),
     (["verify", "--corpus", "."], 2),
+    # work, not shape: a C(M) box of 3 * 2^25 members, counted, not built
+    (["verify", "--corpus", "corpora/ordinary_genus_25.txt"], 0),
 ]
 
 
@@ -373,6 +375,9 @@ def _limit_address_space():
 @pytest.mark.parametrize("argv, code", _FUZZ,
                          ids=[" ".join(argv) for argv, _ in _FUZZ])
 def test_cli_fuzz_exit_codes(argv, code):
+    # corpus files shipped with the tests are named relative to tests/
+    argv = [str(Path(__file__).parent / a) if a.startswith("corpora/") else a
+            for a in argv]
     r = subprocess.run([sys.executable, "-m", "semigroups.cli", *argv],
                        capture_output=True, timeout=5,
                        preexec_fn=_limit_address_space)

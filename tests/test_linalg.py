@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigroups.linalg import (Lattice, group_rank, in_cone, in_rational_cone,
-                               rational_solve, solve_nonnegative_integer)
+                               rational_solve)
 
 
 def test_lattice_membership_basics():
@@ -46,12 +46,6 @@ def test_cone_membership():
     assert in_rational_cone((2, 2), rays)
     assert not in_rational_cone((0, 1), rays)
     assert in_cone((3, 2), [(1, 0), (1, 2)])
-
-
-def test_solve_nonnegative_integer():
-    sol = solve_nonnegative_integer((4, 4), [(2, 0), (0, 2)])
-    assert sol == (2, 2)
-    assert solve_nonnegative_integer((1, 1), [(2, 0), (0, 2)]) is None
 
 
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
