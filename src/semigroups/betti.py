@@ -243,16 +243,21 @@ def all_minimal_presentations(S, cap=200000):
     over the R-classes and one representative pair per tree edge.  The
     iteration order is deterministic.  Mostly useful for small semigroups
     (the shape checks of the theorem harness); `cap` guards the blow-up.
-    The gate and the cap raise on the call, not on the first step.
+    The gate and the cap raise on the call, not on the first step.  Each
+    spanning tree gives at least one choice, so when the k R-classes of
+    some Betti element have more than cap trees (Cayley: k^(k-2)) the call
+    raises before it lists any tree.
     """
     require_exact_betti(S)
     profile = betti_elements(S)
+    all_classes = [profile.fibers[b].classes for b in profile.betti]
+    if any(len(c) > 2 and len(c) ** (len(c) - 2) > cap for c in all_classes):
+        raise IncompleteBettiError(
+            "too many minimal presentations to enumerate")
     per_betti = []
-    for b in profile.betti:
-        classes = profile.fibers[b].classes
-        k = len(classes)
+    for classes in all_classes:
         choices = []
-        for tree in _spanning_trees(k):
+        for tree in _spanning_trees(len(classes)):
             for reps in _edge_reps(tree, classes):
                 choices.append(reps)
                 if len(choices) > cap:

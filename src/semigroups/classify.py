@@ -468,17 +468,21 @@ def classification_report(S):
 class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
     passed down: the scan fibers and their denumerants, the Betti profile,
-    the isolated profile, the Betti minimals, the c values (one tuple) and
-    one _Base per Apery base.  The scan list, the denumerant map and the
-    _Base records live for one harness call.  The memo of S keeps what the
-    library functions keep (the profiles, the minimals, the c values, the
-    Apery sets and alpha_i) and the rectangularity verdicts of each base,
-    which the classification report and the chain of families read too.
-    Sharing an input never reads one condition off another: each check
-    still evaluates its own conditions from these inputs."""
+    the isolated profile, the Betti minimals, the c values (one tuple),
+    one _Base per Apery base and, for numerical S, the Betti-sorted,
+    Betti-isolated-sorted and Betti-divisible verdicts.  The scan list,
+    the denumerant map and the _Base records live for one harness call.
+    The memo of S keeps what the library functions keep (the profiles, the
+    minimals, the c values, the Apery sets and alpha_i) and the
+    rectangularity verdicts of each base.  run_theorem_harness builds
+    these for a twin of each corpus member, so the memo is dropped with
+    the twin and nothing is kept on the caller's semigroups.  Sharing an
+    input never reads one condition off another: each check still
+    evaluates its own conditions from these inputs."""
 
     __slots__ = ("S", "fibers", "profile", "prof", "minimals", "cs",
-                 "_denumerants", "bases")
+                 "_denumerants", "bases", "betti_sorted",
+                 "betti_isolated_sorted", "betti_divisible")
 
     def __init__(self, S):
         self.S = S
@@ -491,6 +495,10 @@ class HarnessInputs:
                              for fib in self.fibers}
         bases = range(len(S.gens)) if S.numerical else (None,)
         self.bases = {j: _Base(self, j) for j in bases}
+        numerical = S.numerical  # the checks that read these skip affine S
+        self.betti_sorted = numerical and is_betti_sorted(S)
+        self.betti_isolated_sorted = numerical and is_betti_isolated_sorted(S)
+        self.betti_divisible = numerical and is_betti_divisible(S)
 
     def denumerant(self, m):
         """The number of factorizations of m, read off the scan when m
@@ -843,7 +851,7 @@ def _check_cor_ci_b1(S, inputs):
 def _check_thm_betti_sorted_alpha(S, inputs):
     """Five-way equivalence under the Betti-isolated-sorted hypothesis,
     checked for every choice of the base generator."""
-    if not S.numerical or not is_betti_isolated_sorted(S):
+    if not S.numerical or not inputs.betti_isolated_sorted:
         return _skip()
     e = len(S.gens)
     b1 = min(inputs.profile.betti)
@@ -877,18 +885,18 @@ def _check_cor_betti_sorted(S, inputs):
     if not S.numerical:
         return _skip()
     profile = inputs.profile
-    c1 = is_betti_sorted(S)
+    c1 = inputs.betti_sorted
     cost = sorted(c * g for c, g in zip(inputs.cs, S.gens))
     predicted = sorted(set(cost[1:]))
     extra = not c1 or predicted == list(profile.betti) == list(profile.ibetti)
-    return _entry([c1, is_betti_isolated_sorted(S)] +
+    return _entry([c1, inputs.betti_isolated_sorted] +
                   _shaped(S, pure_right=False), extra_ok=extra)
 
 
-def _check_cor_betti_divisible_presen(S):
+def _check_cor_betti_divisible_presen(S, inputs):
     if not S.numerical:
         return _skip()
-    return _entry([is_betti_divisible(S), is_betti_isolated_divisible(S)] +
+    return _entry([inputs.betti_divisible, is_betti_isolated_divisible(S)] +
                   _shaped(S, pure_right=True))
 
 
@@ -897,7 +905,7 @@ def _check_thm_betti_divisible_generators(S, inputs):
         return _skip()
     from .construct import recover_params
     profile = inputs.profile
-    divisible = is_betti_divisible(S)
+    divisible = inputs.betti_divisible
     params = recover_params(S)
     if divisible != (params is not None):
         return _entry([divisible, params is not None])
@@ -909,14 +917,14 @@ def _check_thm_betti_divisible_generators(S, inputs):
     return _entry([divisible], extra_ok=extra)
 
 
-def _check_thm_betti_divisible_free(S):
+def _check_thm_betti_divisible_free(S, inputs=None):
     """Betti divisible / every-partition gluing (left out for e > 5) /
     free for every arrangement."""
     if not S.numerical:
         return _skip()
     from .construct import is_gluing_partition
     e = len(S.gens)
-    c1 = is_betti_divisible(S)
+    c1 = (inputs or HarnessInputs(S)).betti_divisible
     c3 = is_free_all_arrangements(S)
     c2 = None
     if e <= 5:
@@ -983,9 +991,10 @@ def check_equivalence_theorems(S, inputs=None):
         _check_thm_betti_sorted_alpha(S, inputs)
     report["cor_betti_sorted"] = _check_cor_betti_sorted(S, inputs)
     report["cor_betti_divisible_presen"] = \
-        _check_cor_betti_divisible_presen(S)
+        _check_cor_betti_divisible_presen(S, inputs)
     report["thm_betti_divisible_generators"] = \
         _check_thm_betti_divisible_generators(S, inputs)
-    report["thm_betti_divisible_free"] = _check_thm_betti_divisible_free(S)
+    report["thm_betti_divisible_free"] = \
+        _check_thm_betti_divisible_free(S, inputs)
     report["thm_single_betti_alpha"] = _check_thm_single_betti_alpha(S, inputs)
     return report

@@ -22,7 +22,7 @@ generator tie-break.
 """
 
 from bisect import bisect_right
-from itertools import count, permutations
+from itertools import permutations
 from math import gcd
 
 from . import classify
@@ -146,6 +146,77 @@ def _cheapest_completion(p, s0, a, more):
     return s0 - p
 
 
+class _Search:
+    """The state of one min_frobenius_betti_divisible search: the number
+    of values it needs, the best candidate so far with its Frobenius
+    number as the bound, and the nodes visited.  grow and f_chains recurse
+    through this object, not through closures, so a finished search
+    leaves no reference cycle behind."""
+
+    __slots__ = ("need", "distinct_betti_min", "best", "limit", "nodes")
+
+    def __init__(self, need, distinct_betti_min, f_max):
+        self.need = need
+        self.distinct_betti_min = distinct_betti_min
+        self.best = None  # (frobenius, sorted gens, a, f)
+        self.limit = f_max
+        self.nodes = 0
+
+    def visit(self):
+        self.nodes += 1
+        if self.nodes > _SEARCH_NODE_CAP:
+            raise SearchCapExceededError(
+                f"the search visited more than {_SEARCH_NODE_CAP} "
+                f"parameter nodes with its bound at F <= {self.limit}")
+
+    def f_chains(self, a, pos, f, partial_cost, n1, p):
+        """Extend the chain f_3 | ... | f_e; partial_cost accumulates
+        sum (a_i - 1) n_i over positions >= 2."""
+        self.visit()
+        if partial_cost - n1 > self.limit:
+            return
+        if pos == len(a):
+            # n_i = f_i p / a_i is prime to a_i and every other generator
+            # is a multiple of a_i, so none is redundant; gcd(n_1..n_i) =
+            # p / (a_1...a_i) and a_i n_i = (f_i / f_{i-1}) a_{i-1} n_{i-1},
+            # so the arrangement is telescopic with c_i = a_i and Johnson's
+            # F = partial_cost - n1 is exact (Canad. J. Math. 12, 1960).
+            key = (partial_cost - n1,
+                   tuple(sorted(fi * (p // ai) for ai, fi in zip(a, f))))
+            if len(set(f[1:])) >= self.distinct_betti_min and (
+                    self.best is None or key < self.best[:2]):
+                self.best, self.limit = key + (a, f), key[0]
+            return
+        if gcd(f[-1], a[pos]) != 1:
+            return  # every multiple of f_{pos-1} shares a factor with a_pos
+        ni_unit = p // a[pos]
+        q = 1
+        while True:
+            fi = f[-1] * q
+            cost = (a[pos] - 1) * fi * ni_unit
+            if partial_cost + cost - n1 > self.limit:
+                return
+            if gcd(fi, a[pos]) == 1:
+                self.f_chains(a, pos + 1, f + [fi], partial_cost + cost,
+                              n1, p)
+            q += 1
+
+    def grow(self, values, start, p, s0):
+        """values are pairwise coprime and increasing, p = prod(values) and
+        s0 = sum p (v - 1) / v, so that s0 - p is F when every f_i = 1."""
+        self.visit()
+        if len(values) >= self.need:
+            for a in permutations(values):  # each with f_1 = f_2 = 1
+                self.f_chains(a, 2, [1, 1], (a[1] - 1) * (p // a[1]),
+                              p // a[0], p)
+        more = max(self.need - len(values), 1)
+        a = start
+        while _cheapest_completion(p, s0, a, more) <= self.limit:
+            if gcd(a, p) == 1:
+                self.grow(values + [a], a + 1, p * a, a * s0 + p * (a - 1))
+            a += 1
+
+
 def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
     """The Betti-divisible numerical semigroup with >= edim_min minimal
     generators and the smallest Frobenius number <= f_max.
@@ -165,65 +236,11 @@ def min_frobenius_betti_divisible(edim_min, f_max, distinct_betti_min=1):
     """
     if edim_min < 2:
         raise ValueError("edim_min must be at least 2")
-    best = None  # (frobenius, sorted gens, a, f)
-    limit = f_max
-    nodes = count(1)
-
-    def visit():
-        if next(nodes) > _SEARCH_NODE_CAP:
-            raise SearchCapExceededError(
-                f"the search visited more than {_SEARCH_NODE_CAP} "
-                f"parameter nodes with its bound at F <= {limit}")
-
-    def f_chains(a, pos, f, partial_cost, n1, p):
-        """Extend the chain f_3 | ... | f_e; partial_cost accumulates
-        sum (a_i - 1) n_i over positions >= 2."""
-        nonlocal best, limit
-        visit()
-        if partial_cost - n1 > limit:
-            return
-        if pos == len(a):
-            # n_i = f_i p / a_i is prime to a_i and every other generator
-            # is a multiple of a_i, so none is redundant; gcd(n_1..n_i) =
-            # p / (a_1...a_i) and a_i n_i = (f_i / f_{i-1}) a_{i-1} n_{i-1},
-            # so the arrangement is telescopic with c_i = a_i and Johnson's
-            # F = partial_cost - n1 is exact (Canad. J. Math. 12, 1960).
-            key = (partial_cost - n1,
-                   tuple(sorted(fi * (p // ai) for ai, fi in zip(a, f))))
-            if len(set(f[1:])) >= distinct_betti_min and (
-                    best is None or key < best[:2]):
-                best, limit = key + (a, f), key[0]
-            return
-        if gcd(f[-1], a[pos]) != 1:
-            return  # every multiple of f_{pos-1} shares a factor with a_pos
-        ni_unit = p // a[pos]
-        q = 1
-        while True:
-            fi = f[-1] * q
-            cost = (a[pos] - 1) * fi * ni_unit
-            if partial_cost + cost - n1 > limit:
-                return
-            if gcd(fi, a[pos]) == 1:
-                f_chains(a, pos + 1, f + [fi], partial_cost + cost, n1, p)
-            q += 1
-
-    def grow(values, start, p, s0):
-        """values are pairwise coprime and increasing, p = prod(values) and
-        s0 = sum p (v - 1) / v, so that s0 - p is F when every f_i = 1."""
-        visit()
-        if len(values) >= need:
-            for a in permutations(values):  # each with f_1 = f_2 = 1
-                f_chains(a, 2, [1, 1], (a[1] - 1) * (p // a[1]), p // a[0], p)
-        more = max(need - len(values), 1)
-        a = start
-        while _cheapest_completion(p, s0, a, more) <= limit:
-            if gcd(a, p) == 1:
-                grow(values + [a], a + 1, p * a, a * s0 + p * (a - 1))
-            a += 1
-
     # f_2, ..., f_e take at most e - 1 distinct values
-    need = max(edim_min, distinct_betti_min + 1)
-    grow([], 2, 1, 0)
+    search = _Search(max(edim_min, distinct_betti_min + 1),
+                     distinct_betti_min, f_max)
+    search.grow([], 2, 1, 0)
+    best = search.best
     if best is None:
         raise SearchCapExceededError(
             f"no Betti-divisible semigroup with >= {edim_min} generators "
@@ -257,12 +274,19 @@ _CHAIN = ["single_betti", "betti_divisible", "betti_sorted",
           "complete_intersection"]
 
 
-def _chain_memberships(S):
+def _chain_memberships(S, inputs=None):
+    """Membership of S in each family of the chain.  inputs, when given,
+    is the HarnessInputs of S, whose Betti-order verdicts are read."""
     e = len(S.gens)
+    if inputs is None:
+        divisible = classify.is_betti_divisible(S)
+        betti_sorted = classify.is_betti_sorted(S)
+    else:
+        divisible, betti_sorted = inputs.betti_divisible, inputs.betti_sorted
     return {
         "single_betti": classify.has_single_betti(S)[0],
-        "betti_divisible": classify.is_betti_divisible(S),
-        "betti_sorted": classify.is_betti_sorted(S),
+        "betti_divisible": divisible,
+        "betti_sorted": betti_sorted,
         "ci_single_bm": (classify.has_single_betti_minimal(S)[0] and
                          classify.is_complete_intersection(S)),
         "alpha_rect_some": any(classify.is_alpha_rectangular(S, j)[0]
@@ -275,7 +299,9 @@ def _chain_memberships(S):
 def run_theorem_harness(corpus, chain_witnesses=DEFAULT_CHAIN_WITNESSES):
     """Check every bound chain, equivalence theorem and family inclusion on
     every corpus member.  Returns a report dict with the (expected empty)
-    violation list and the strictness witnesses found."""
+    violation list and the strictness witnesses found.  Each member is
+    checked on a fresh twin, so the harness's memory does not grow with
+    the corpus and the corpus members are left as they were."""
     violations = []
     witnesses = {}
     checked = 0
@@ -283,6 +309,10 @@ def run_theorem_harness(corpus, chain_witnesses=DEFAULT_CHAIN_WITNESSES):
         checked += 1
         if S.numerical and len(S.gens) == 1:
             continue
+        # check a twin with an empty memo and no membership engine: what
+        # the checks derive is dropped with it, and the caller's S is
+        # never written to
+        S = Semigroup(S.gens, S.ambient_dim, S.rank, S.simplicial_rays)
         inputs = classify.HarnessInputs(S)
         for bound in classify.verify_bounds(S, inputs):
             if not bound["ok"]:
@@ -294,7 +324,7 @@ def run_theorem_harness(corpus, chain_witnesses=DEFAULT_CHAIN_WITNESSES):
                 violations.append({"gens": S.gens, "check": name,
                                    "detail": entry["conditions"]})
         if S.numerical:
-            flags = _chain_memberships(S)
+            flags = _chain_memberships(S, inputs)
             for small, big in zip(_CHAIN, _CHAIN[1:]):
                 if flags[small] and not flags[big]:
                     violations.append({

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from semigroups import (FiberCapExceededError, IncompleteBettiError,
@@ -100,6 +102,17 @@ def test_all_minimal_presentations_listed_in_order():
     last = (((0, 0, 0, 2), (1, 2, 0, 0)), ((0, 0, 0, 2), (2, 0, 1, 0)))
     assert list(all_minimal_presentations(S)) == [
         head + tree + (tail, pair) for tree in trees for pair in last]
+
+
+def test_all_minimal_presentations_cap_raises_before_listing_trees():
+    # a Betti element of <14, ..., 27> has 8 R-classes, so 8^6 = 262,144
+    # spanning trees (Cayley), each giving at least one choice: over the
+    # cap before the C(28, 7) edge sets are filtered
+    S = make_semigroup(range(14, 28))
+    start = time.perf_counter()
+    with pytest.raises(IncompleteBettiError):
+        all_minimal_presentations(S)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_affine_free_arrangement():

@@ -3,6 +3,7 @@ import json
 import resource
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 
@@ -13,8 +14,9 @@ from semigroups import (check_equivalence_theorems, classification_report,
                         is_c_rectangular, is_free_all_arrangements,
                         is_rectangular, make_semigroup, verify_bounds)
 from semigroups import (IsolatedProfile, betti_divisible_from_params,
-                        betti_elements, classify, constants, factor,
-                        free_arrangement, is_free, isolated_profile)
+                        betti_elements, classify, constants, construct,
+                        factor, free_arrangement, is_free,
+                        isolated_profile)
 from semigroups.isolated import betti_minimals, minimal_in_order
 from semigroups.betti import BettiProfile, _free_completion
 from semigroups.classify import (_check_thm_alpha_free, _check_walked,
@@ -604,6 +606,39 @@ def test_harness_checks_each_base_once_without_pairwise_order_scans(
     assert sorted(set(boxes)) == [0, 1, 2, 3]
     assert all(boxes.count(j) <= 2 for j in range(4)), boxes
     assert stray == []
+
+
+def test_harness_evaluates_each_betti_order_predicate_once(monkeypatch):
+    # 477 members of the genus <= 10 corpus have e >= 2; each Betti-order
+    # predicate runs once on each, besides the parts of the gluing check
+    calls = Counter()
+    gluing = [0]
+    real_gluing = construct.is_gluing_partition
+
+    def in_gluing(*args, **kwargs):
+        gluing[0] += 1
+        try:
+            return real_gluing(*args, **kwargs)
+        finally:
+            gluing[0] -= 1
+
+    def counted(name, fn):
+        def wrapped(S):
+            if not gluing[0]:
+                calls[name] += 1
+            return fn(S)
+        return wrapped
+
+    monkeypatch.setattr(construct, "is_gluing_partition", in_gluing)
+    names = ("is_betti_sorted", "is_betti_isolated_sorted",
+             "is_betti_divisible")
+    for name in names:
+        monkeypatch.setattr(classify, name,
+                            counted(name, getattr(classify, name)))
+    report = run_theorem_harness(enumerate_numerical_by_genus(10),
+                                 chain_witnesses=None)
+    assert (report["checked"], report["violations"]) == (478, [])
+    assert calls == {name: 477 for name in names}
 
 
 def test_harness_on_the_ordinary_semigroup_of_genus_25_stays_small():

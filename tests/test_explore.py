@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import combinations, count, permutations
@@ -314,7 +315,8 @@ def test_genus_tree_nodes_build_membership_on_first_use():
 
 def test_dropped_semigroups_are_freed_without_the_cycle_collector():
     # no recursive closure keeps a node or a harnessed semigroup alive
-    # once the caller drops it, so reference counting alone frees them
+    # once the caller drops it, so reference counting alone frees them,
+    # and a search leaves no cycle for the collector to find
     gc.collect()
     gc.disable()
     try:
@@ -328,5 +330,34 @@ def test_dropped_semigroups_are_freed_without_the_cycle_collector():
         harnessed = weakref.ref(S)
         del S
         assert harnessed() is None
+        assert min_frobenius_betti_divisible(4, 1200, 2)[0] == 523
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_harness_leaves_the_corpus_untouched():
+    # every member is checked on a twin, so none gains a memo entry or a
+    # membership engine
+    corpus = enumerate_numerical_by_genus(8)
+    assert run_theorem_harness(corpus)["violations"] == []
+    assert all(S._memo == {} and S._monoid is None for S in corpus)
+
+
+def test_harness_memory_stays_flat_in_the_corpus_size():
+    # what the checks derive is dropped with each member's twin, so the
+    # harness retains next to nothing on a corpus the caller keeps; the
+    # warm-up on another corpus loads what the first call loads once
+    run_theorem_harness(enumerate_numerical_by_genus(9))
+    corpus = enumerate_numerical_by_genus(9)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_theorem_harness(corpus)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report["violations"] == []
+    assert retained < 100_000, retained
