@@ -6,6 +6,9 @@ from . import constants, factor
 from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
                      IncompleteBettiError)
 
+# choices per Betti element that all_minimal_presentations may list
+_PRESENTATION_CAP = 200000
+
 
 class BettiProfile:
     """Betti elements of a semigroup with their fibers.
@@ -236,22 +239,24 @@ def is_complete_intersection(S):
     return presentation_cardinality(S) == S.codim
 
 
-def all_minimal_presentations(S, cap=200000):
+def all_minimal_presentations(S):
     """An iterator over every minimal presentation of S.
 
     A minimal presentation chooses, for each Betti element, a spanning tree
     over the R-classes and one representative pair per tree edge.  The
     iteration order is deterministic.  Mostly useful for small semigroups
-    (the shape checks of the theorem harness); `cap` guards the blow-up.
-    The gate and the cap raise on the call, not on the first step.  Each
-    spanning tree gives at least one choice, so when the k R-classes of
-    some Betti element have more than cap trees (Cayley: k^(k-2)) the call
-    raises before it lists any tree.
+    (the harness's shape checks search forests in classify._shaped_dfs);
+    _PRESENTATION_CAP guards the blow-up.  The gate and the cap raise on
+    the call, not on the first step.  Each spanning tree gives at least
+    one choice, so when the k R-classes of some Betti element have more
+    trees than the cap (Cayley: k^(k-2)) the call raises before it lists
+    any tree.
     """
     require_exact_betti(S)
     profile = betti_elements(S)
     all_classes = [profile.fibers[b].classes for b in profile.betti]
-    if any(len(c) > 2 and len(c) ** (len(c) - 2) > cap for c in all_classes):
+    if any(len(c) > 2 and len(c) ** (len(c) - 2) > _PRESENTATION_CAP
+           for c in all_classes):
         raise IncompleteBettiError(
             "too many minimal presentations to enumerate")
     per_betti = []
@@ -260,7 +265,7 @@ def all_minimal_presentations(S, cap=200000):
         for tree in _spanning_trees(len(classes)):
             for reps in _edge_reps(tree, classes):
                 choices.append(reps)
-                if len(choices) > cap:
+                if len(choices) > _PRESENTATION_CAP:
                     raise IncompleteBettiError(
                         "too many minimal presentations to enumerate")
         per_betti.append(choices)

@@ -145,16 +145,7 @@ def _base_key(S, base_idx):
 
 def is_alpha_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds alpha_i.
-
-    Returns (flag, bounds) where bounds maps generator index -> alpha_i.
-    Kept on S per base, as is_c_rectangular: the classification report,
-    the harness and its chain of families all read it.
-    """
-    return S._cached(("alpha_rect", _base_key(S, base_idx)), _alpha_box,
-                     S, base_idx)
-
-
-def _alpha_box(S, base_idx):
+    Returns (flag, bounds) where bounds maps generator index -> alpha_i."""
     others = _others(S, base_idx)
     alphas = [constants.alpha(S, i, _base_key(S, base_idx)) for i in others]
     return _box_witness(S, base_idx, others, alphas)
@@ -162,10 +153,6 @@ def _alpha_box(S, base_idx):
 
 def is_c_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds c_i - 1."""
-    return S._cached(("c_rect", _base_key(S, base_idx)), _c_box, S, base_idx)
-
-
-def _c_box(S, base_idx):
     others = _others(S, base_idx)
     cs = constants.c_values(S)
     if any(cs[i] is None for i in others):
@@ -186,9 +173,9 @@ def _box_witness(S, base_idx, others, bounds):
 def is_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is an exponent box for some bounds mu_i.
 
-    Valid bounds satisfy mu_i <= alpha_i and prod(mu_i + 1) = #Ap, so the
-    search enumerates ordered factorizations of #Ap before comparing
-    boxes.
+    Valid bounds satisfy 1 <= mu_i <= alpha_i and prod(mu_i + 1) = #Ap, so
+    the search enumerates ordered factorizations of #Ap into factors >= 2
+    before comparing boxes.
     """
     others = _others(S, base_idx)
     ap = _apery_for(S, base_idx)
@@ -208,7 +195,10 @@ def _box_bounds(S, others, alphas, ap_sorted, pos, remaining, mu):
         if sorted(S._box_values(others, mu)) == ap_sorted:
             return tuple(mu)
         return None
-    for d in range(1, min(alphas[pos] + 1, remaining) + 1):
+    # mu_i >= 1: n_i is minimal and not in the base, so it lies in Ap, and
+    # its one factorization is itself; a box with mu_i = 0 holds only sums
+    # of the other generators, so it misses n_i and is never Ap
+    for d in range(2, min(alphas[pos] + 1, remaining) + 1):
         if remaining % d == 0:
             found = _box_bounds(S, others, alphas, ap_sorted, pos + 1,
                                 remaining // d, mu + [d - 1])
@@ -467,22 +457,24 @@ def classification_report(S):
 
 class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
-    passed down: the scan fibers and their denumerants, the Betti profile,
-    the isolated profile, the Betti minimals, the c values (one tuple),
-    one _Base per Apery base and, for numerical S, the Betti-sorted,
-    Betti-isolated-sorted and Betti-divisible verdicts.  The scan list,
-    the denumerant map and the _Base records live for one harness call.
-    The memo of S keeps what the library functions keep (the profiles, the
-    minimals, the c values, the Apery sets and alpha_i) and the
-    rectangularity verdicts of each base.  run_theorem_harness builds
-    these for a twin of each corpus member, so the memo is dropped with
-    the twin and nothing is kept on the caller's semigroups.  Sharing an
-    input never reads one condition off another: each check still
-    evaluates its own conditions from these inputs."""
+    passed down, their one source: the scan fibers and their denumerants,
+    the Betti profile, the isolated profile, the Betti minimals, the c
+    values (one tuple), one _Base per Apery base and, for numerical S, the
+    Betti-sorted, Betti-isolated-sorted, Betti-divisible and free (some
+    arrangement) verdicts and the cost-sorted arrangements.  The memo of S
+    keeps only what the library functions keep (the profiles, the minimals,
+    the c values, the Apery sets and alpha_i), no rectangularity verdict;
+    the rest lives for one harness call.  Only the public verify_bounds and
+    check_equivalence_theorems build their own when given none;
+    run_theorem_harness builds one for a twin of each corpus member, so
+    nothing is kept on the caller's semigroups.  Sharing an input never
+    reads one condition off another: each check still evaluates its own
+    conditions from these inputs."""
 
     __slots__ = ("S", "fibers", "profile", "prof", "minimals", "cs",
                  "_denumerants", "bases", "betti_sorted",
-                 "betti_isolated_sorted", "betti_divisible")
+                 "betti_isolated_sorted", "betti_divisible", "free_some",
+                 "cost_sorted")
 
     def __init__(self, S):
         self.S = S
@@ -499,6 +491,8 @@ class HarnessInputs:
         self.betti_sorted = numerical and is_betti_sorted(S)
         self.betti_isolated_sorted = numerical and is_betti_isolated_sorted(S)
         self.betti_divisible = numerical and is_betti_divisible(S)
+        self.free_some = numerical and free_some_arrangement(S) is not None
+        self.cost_sorted = numerical and _sorted_cost_arrangements(S)
 
     def denumerant(self, m):
         """The number of factorizations of m, read off the scan when m
@@ -520,7 +514,7 @@ class _Base:
         self.others = _others(S, j)
         self.alphas = [constants.alpha(S, i, _base_key(S, j))
                        for i in self.others]
-        self.alpha_rect = is_alpha_rectangular(S, j)[0]
+        self.alpha_rect = _box_witness(S, j, self.others, self.alphas)[0]
         self.c_rect = is_c_rectangular(S, j)[0]
         self.unique = all(inputs.denumerant(w) == 1 for w in self.ap)
 
@@ -599,15 +593,15 @@ def _skip():
     return {"applicable": False, "conditions": [], "ok": True}
 
 
-def _walk(S, profile, ib, fibers=None):
-    """Yield (m, fiber, rows, below_betti, below_ibetti) for every element
-    m up to _scan_bound(S), in scan order, reading fibers (by default
-    _scan_fibers(S)).  rows has one row
-    (x, over_betti, over_ib, minimal) per factorization x: whether some
-    Betti factorization, or some vector of ib, lies strictly below x, and
-    whether x is minimal among the multi-vectors (the factorizations of
-    elements with two or more).  below_betti and below_ibetti: whether
-    some Betti, or IBetti, element lies strictly below m in <=_S.
+def _walk(S, profile, ib, fibers):
+    """Yield (m, fiber, rows, below_betti, below_ibetti) for every m up to
+    _scan_bound(S), in scan order, reading fibers, the scan fibers of S.
+    rows has one row (x, over_betti, over_ib, minimal) per factorization
+    x: whether some Betti factorization, or some vector of ib, lies
+    strictly below x, and whether x is minimal among the multi-vectors
+    (the factorizations of elements with two or more).  below_betti and
+    below_ibetti: whether some Betti, or IBetti, element lies strictly
+    below m in <=_S.
 
     Some z in a set Z lies strictly below x iff, for some i with x_i > 0,
     x - e_i is in Z or some z in Z lies strictly below x - e_i; x - e_i
@@ -619,7 +613,7 @@ def _walk(S, profile, ib, fibers=None):
     minus = S._arith.sub
     reach = {}  # x -> (Betti vector <= x, ib vector <= x, multi-vector)
     above = {}  # m -> (Betti element <=_S m, IBetti element <=_S m)
-    for fib in _scan_fibers(S) if fibers is None else fibers:
+    for fib in fibers:
         m = fib.element
         multi = fib.denumerant >= 2
         rows = []
@@ -642,14 +636,13 @@ def _walk(S, profile, ib, fibers=None):
         yield m, fib, rows, below_betti, below_ibetti
 
 
-def _check_walked(S, inputs=None):
+def _check_walked(S, inputs):
     """The entries isolated_characterization (the singleton R-classes
     against domination by a Betti factorization, and the minimal
     multi-vectors against I_b), isolated_elements (m has a non-isolated
     factorization iff a Betti, iff an IBetti, element lies strictly below
     it in <=_S) and b1_smallest (numerical: b_1 is the least element with
     two factorizations, all isolated), from one walk."""
-    inputs = inputs or HarnessInputs(S)
     profile = inputs.profile
     ib = set(inputs.prof.ib)
     characterized = elements_ok = True
@@ -763,11 +756,11 @@ def _check_prop_alpha(S, inputs, j=None):
     return _entry([c1, c2, c3, c4])
 
 
-def _check_thm_alpha_free(S, j):
+def _check_thm_alpha_free(S, inputs, j):
     """alpha-rectangularity at base j must be realized by a free
     arrangement with c_i^* = alpha_i + 1 at every later position.
     Returns None when the hypothesis fails."""
-    if not is_alpha_rectangular(S, j)[0]:
+    if not inputs.bases[j].alpha_rect:
         return None
     return _free_completion(S, frozenset((j,)), alpha_base=j) is not None
 
@@ -830,7 +823,7 @@ def _check_cor_ci_b1(S, inputs):
     single = len(inputs.minimals) == 1
     cost = [cs[i] * S.gens[i] for i in range(e)]
     low = min(cost)
-    c1 = free_some_arrangement(S) is not None and single
+    c1 = inputs.free_some and single
     c2 = is_complete_intersection(S) and single
     c3 = prof.i_b == e and single
     ok = True
@@ -869,13 +862,12 @@ def _check_thm_betti_sorted_alpha(S, inputs):
     return _verdict(True)
 
 
-def _shaped(S, pure_right):
+def _shaped(S, inputs, pure_right):
     """Whether some cost-sorted arrangement admits a staircase-shaped
     presentation, with c coefficients and with arbitrary ones."""
-    arrangements = _sorted_cost_arrangements(S)
     return [any(admits_shaped_presentation(S, arr, pure_right=pure_right,
                                            fixed_c=fixed_c)
-                for arr in arrangements)
+                for arr in inputs.cost_sorted)
             for fixed_c in (True, False)]
 
 
@@ -890,14 +882,14 @@ def _check_cor_betti_sorted(S, inputs):
     predicted = sorted(set(cost[1:]))
     extra = not c1 or predicted == list(profile.betti) == list(profile.ibetti)
     return _entry([c1, inputs.betti_isolated_sorted] +
-                  _shaped(S, pure_right=False), extra_ok=extra)
+                  _shaped(S, inputs, pure_right=False), extra_ok=extra)
 
 
 def _check_cor_betti_divisible_presen(S, inputs):
     if not S.numerical:
         return _skip()
     return _entry([inputs.betti_divisible, is_betti_isolated_divisible(S)] +
-                  _shaped(S, pure_right=True))
+                  _shaped(S, inputs, pure_right=True))
 
 
 def _check_thm_betti_divisible_generators(S, inputs):
@@ -917,14 +909,14 @@ def _check_thm_betti_divisible_generators(S, inputs):
     return _entry([divisible], extra_ok=extra)
 
 
-def _check_thm_betti_divisible_free(S, inputs=None):
+def _check_thm_betti_divisible_free(S, inputs):
     """Betti divisible / every-partition gluing (left out for e > 5) /
     free for every arrangement."""
     if not S.numerical:
         return _skip()
     from .construct import is_gluing_partition
     e = len(S.gens)
-    c1 = (inputs or HarnessInputs(S)).betti_divisible
+    c1 = inputs.betti_divisible
     c3 = is_free_all_arrangements(S)
     c2 = None
     if e <= 5:
@@ -974,7 +966,7 @@ def check_equivalence_theorems(S, inputs=None):
         e = len(S.gens)
         report["prop_alpha"] = _verdict(
             all(_check_prop_alpha(S, inputs, j)["ok"] for j in range(e)))
-        free_checks = [_check_thm_alpha_free(S, j) for j in range(e)]
+        free_checks = [_check_thm_alpha_free(S, inputs, j) for j in range(e)]
         applicable = [v for v in free_checks if v is not None]
         report["thm_alpha_free"] = \
             _verdict(all(applicable)) if applicable else _skip()

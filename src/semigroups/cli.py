@@ -104,8 +104,7 @@ def _betti_report(S, degree_bound, fiber_cap):
 
 
 def _isolated_report(S, degree_bound):
-    prof = isolated.isolated_profile(S, degree_bound=degree_bound,
-                                     bound=degree_bound)
+    prof = isolated.isolated_profile(S, degree_bound)
     rep = {
         "i_b_set": [list(x) for x in prof.ib],
         "i_b": prof.i_b,

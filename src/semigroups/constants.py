@@ -50,7 +50,7 @@ def _required_group_multiple(S, prefix, idx):
     return c
 
 
-def c_value(S, idx, cap=None):
+def c_value(S, idx):
     """The constant c_i: smallest c >= 1 with c * n_i in the monoid generated
     by the other generators.  Returns None when no such c exists (i.e. the
     generator is not in the set C(M)); this is decided exactly via rational
@@ -59,14 +59,14 @@ def c_value(S, idx, cap=None):
         g = S.gens[idx]
         others = tuple(j for j in range(len(S.gens)) if j != idx)
         if S.numerical:
-            limit = cap if cap is not None else g * max(S.gens)
+            limit = g * max(S.gens)
         else:
             if not linalg.in_cone(g, [S.gens[j] for j in others]):
                 return None
-            limit = cap if cap is not None else _C_SEARCH_CAP
+            limit = _C_SEARCH_CAP
         return S._least_multiple(others, idx, limit)
 
-    return S._cached(("c_value", idx, cap), compute)
+    return S._cached(("c_value", idx), compute)
 
 
 def c_values(S):

@@ -55,13 +55,13 @@ class Corpus:
         return len(self.semigroups)
 
 
-def enumerate_numerical_by_genus(g_max, cap=GENUS_CAP):
+def enumerate_numerical_by_genus(g_max):
     """All numerical semigroups of genus <= g_max, via the semigroup tree."""
     if not isinstance(g_max, int) or isinstance(g_max, bool):
         raise ValueError(f"genus {g_max!r} is not an integer")
-    if g_max > cap:
+    if g_max > GENUS_CAP:
         raise SearchCapExceededError(
-            f"genus {g_max} exceeds the enumeration cap {cap}")
+            f"genus {g_max} exceeds the enumeration cap {GENUS_CAP}")
     if g_max < 0:
         raise ValueError(f"genus {g_max} is negative")
     out = [Semigroup((1,), 1, 1, (0,))]
@@ -119,10 +119,10 @@ def load_corpus(path):
 # -- minimum-Frobenius Betti-divisible search -----------------------------
 
 # Nodes (grow and f_chains calls) one search may visit.  The dearest
-# recorded minimum (523, two distinct Betti elements) takes 110 at f_max
+# recorded minimum (523, two distinct Betti elements) takes 59 at f_max
 # 1,200.  edim 10 with F <= 10**12 would try every f-chain of each of the
-# 10! arrangements of {2, 3, 5, ..., 29} and more, and stops here in
-# about 2 s.
+# 10!/2 arrangements of {2, 3, 5, ..., 29} with a_1 < a_2 and more, and
+# stops here in about 1.4 s.
 _SEARCH_NODE_CAP = 10 ** 6
 
 
@@ -176,6 +176,8 @@ class _Search:
         if partial_cost - n1 > self.limit:
             return
         if pos == len(a):
+            if f[-1] == 1 and list(a) != sorted(a):
+                return  # the all-ones chain: scored at the ascending order
             # n_i = f_i p / a_i is prime to a_i and every other generator
             # is a multiple of a_i, so none is redundant; gcd(n_1..n_i) =
             # p / (a_1...a_i) and a_i n_i = (f_i / f_{i-1}) a_{i-1} n_{i-1},
@@ -206,9 +208,10 @@ class _Search:
         s0 = sum p (v - 1) / v, so that s0 - p is F when every f_i = 1."""
         self.visit()
         if len(values) >= self.need:
-            for a in permutations(values):  # each with f_1 = f_2 = 1
-                self.f_chains(a, 2, [1, 1], (a[1] - 1) * (p // a[1]),
-                              p // a[0], p)
+            for a in permutations(values):  # each with f_1 = f_2 = 1,
+                if a[0] < a[1]:  # so a_1 > a_2 repeats an earlier twin
+                    self.f_chains(a, 2, [1, 1], (a[1] - 1) * (p // a[1]),
+                                  p // a[0], p)
         more = max(self.need - len(values), 1)
         a = start
         while _cheapest_completion(p, s0, a, more) <= self.limit:
@@ -274,24 +277,17 @@ _CHAIN = ["single_betti", "betti_divisible", "betti_sorted",
           "complete_intersection"]
 
 
-def _chain_memberships(S, inputs=None):
-    """Membership of S in each family of the chain.  inputs, when given,
-    is the HarnessInputs of S, whose Betti-order verdicts are read."""
-    e = len(S.gens)
-    if inputs is None:
-        divisible = classify.is_betti_divisible(S)
-        betti_sorted = classify.is_betti_sorted(S)
-    else:
-        divisible, betti_sorted = inputs.betti_divisible, inputs.betti_sorted
+def _chain_memberships(S, inputs):
+    """Membership of S in each family of the chain, reading inputs, the
+    HarnessInputs of S."""
     return {
-        "single_betti": classify.has_single_betti(S)[0],
-        "betti_divisible": divisible,
-        "betti_sorted": betti_sorted,
-        "ci_single_bm": (classify.has_single_betti_minimal(S)[0] and
+        "single_betti": len(inputs.profile.betti) == 1,
+        "betti_divisible": inputs.betti_divisible,
+        "betti_sorted": inputs.betti_sorted,
+        "ci_single_bm": (len(inputs.minimals) == 1 and
                          classify.is_complete_intersection(S)),
-        "alpha_rect_some": any(classify.is_alpha_rectangular(S, j)[0]
-                               for j in range(e)),
-        "free_some": classify.free_some_arrangement(S) is not None,
+        "alpha_rect_some": any(b.alpha_rect for b in inputs.bases.values()),
+        "free_some": inputs.free_some,
         "complete_intersection": classify.is_complete_intersection(S),
     }
 
@@ -336,7 +332,7 @@ def run_theorem_harness(corpus, chain_witnesses=DEFAULT_CHAIN_WITNESSES):
     if chain_witnesses:
         for (big, small), gens in chain_witnesses.items():
             S = make_semigroup(list(gens))
-            flags = _chain_memberships(S)
+            flags = _chain_memberships(S, classify.HarnessInputs(S))
             if flags[big] and not flags[small]:
                 witnesses.setdefault((big, small), S.gens)
             else:

@@ -195,9 +195,9 @@ def _fiber_from_below(S, m, built, cap):
     return Fiber(m, facts, r_classes(facts))
 
 
-def denumerant(S, m, cap=DEFAULT_FIBER_CAP):
+def denumerant(S, m):
     """Number of factorizations of m in S."""
-    return fiber(S, m, cap).denumerant
+    return fiber(S, m).denumerant
 
 
 def nc(S, m):
@@ -224,6 +224,6 @@ def nc(S, m):
     return count or 1  # only m == 0 has no node
 
 
-def isolated_factorizations(S, m, cap=DEFAULT_FIBER_CAP):
+def isolated_factorizations(S, m):
     """Factorizations of m that form a singleton R-class."""
-    return fiber(S, m, cap).isolated
+    return fiber(S, m).isolated

@@ -80,16 +80,16 @@ def is_set(S, bound=None):
         exhaustive
 
 
-def isolated_profile(S, degree_bound=None, bound=None):
-    if degree_bound is None and bound is None:
-        return S._cached("isolated", _isolated_profile, S, None, None)
-    return _isolated_profile(S, degree_bound, bound)
+def isolated_profile(S, degree_bound=None):
+    """I_b and I_s, kept on S per degree_bound, where affine sweeps stop."""
+    return S._cached(("isolated", degree_bound), _isolated_profile, S,
+                     degree_bound)
 
 
-def _isolated_profile(S, degree_bound, bound):
+def _isolated_profile(S, degree_bound):
     ib, complete = ib_set(S, degree_bound)
     try:
-        is_, exhaustive = is_set(S, bound)
+        is_, exhaustive = is_set(S, degree_bound)
     except InfiniteSetError:
         # no Betti element (numerical) or no enumeration bound (affine):
         # I_s is not finitely enumerable here, report the I_b part only

@@ -369,10 +369,11 @@ class Semigroup:
             vals = [ar.add(v, step) for v in vals for step in steps]
         return vals
 
-    def prefix_multiple(self, arrangement, pos, cap=_CSTAR_CAP):
+    def prefix_multiple(self, arrangement, pos):
         """Smallest c >= 1 with c * gens[arrangement[pos]] in the monoid
         generated by the earlier generators of the arrangement (c_i^*)."""
-        c = self._least_multiple(arrangement[:pos], arrangement[pos], cap)
+        c = self._least_multiple(arrangement[:pos], arrangement[pos],
+                                 _CSTAR_CAP)
         if c is None:
             raise SearchCapExceededError(
                 f"{format_element(self.gens[arrangement[pos]])} has no "

@@ -19,9 +19,10 @@ from semigroups import (IsolatedProfile, betti_divisible_from_params,
                         isolated_profile)
 from semigroups.isolated import betti_minimals, minimal_in_order
 from semigroups.betti import BettiProfile, _free_completion
-from semigroups.classify import (_check_thm_alpha_free, _check_walked,
-                                 _scan_bound, _sorted_cost_arrangements,
-                                 _walk, admits_shaped_presentation,
+from semigroups.classify import (HarnessInputs, _check_thm_alpha_free,
+                                 _check_walked, _scan_bound, _scan_fibers,
+                                 _sorted_cost_arrangements, _walk,
+                                 admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
 from semigroups.explore import (enumerate_numerical_by_genus,
@@ -94,7 +95,7 @@ def test_free_all_arrangements_is_checked_beyond_seven_generators():
     # member below finds no failing subset (0.7-1.1 s measured on a
     # 2-core x86_64 VM)
     S = make_semigroup(range(8, 16))
-    entry = classify._check_thm_betti_divisible_free(S)
+    entry = classify._check_thm_betti_divisible_free(S, HarnessInputs(S))
     assert entry["conditions"] == [False, None, False] and entry["ok"]
     T, _ = betti_divisible_from_params((2, 3, 5, 7, 11, 13, 17, 19),
                                        (1,) * 8)
@@ -244,6 +245,7 @@ def test_alpha_free_check_matches_permutation_scan():
     for S in _corpus_e_ge_2(8):
         brute = _BruteConstants(S.gens)
         e = len(S.gens)
+        inputs = HarnessInputs(S)
         for j in range(e):
             rest = [i for i in range(e) if i != j]
             first = next((p for p in permutations(rest)
@@ -251,7 +253,7 @@ def test_alpha_free_check_matches_permutation_scan():
             assert _free_completion(S, frozenset((j,)), alpha_base=j) == \
                 first, (S.gens, j)
             found[first is not None] += 1
-            got = _check_thm_alpha_free(S, j)
+            got = _check_thm_alpha_free(S, inputs, j)
             if is_alpha_rectangular(S, j)[0]:
                 assert got == (first is not None), (S.gens, j)
             else:
@@ -362,7 +364,7 @@ def test_order_walk_matches_pairwise_domination():
     for S in _harness_members():
         profile = betti_elements(S)
         ib = set(isolated_profile(S).ib)
-        walk = list(_walk(S, profile, ib))
+        walk = list(_walk(S, profile, ib, _scan_fibers(S)))
         betti_facts = [x for b in profile.betti
                        for x in profile.fibers[b].factorizations]
         # minimal multi-vectors by the sorted pairwise scan
@@ -387,7 +389,8 @@ def test_order_walk_matches_pairwise_domination():
 def test_strictly_above_matches_pairwise_order():
     for S in _harness_members():
         profile = betti_elements(S)
-        walk = list(_walk(S, profile, set(isolated_profile(S).ib)))
+        walk = list(_walk(S, profile, set(isolated_profile(S).ib),
+                          _scan_fibers(S)))
         assert [row[0] for row in walk] == \
             list(S.elements_upto(_scan_bound(S)))
         for k, targets in ((3, profile.betti), (4, profile.ibetti)):
@@ -418,7 +421,7 @@ def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
     for gens in ([3, 4, 5], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
         ib = real(S).ib
-        assert _check_walked(S)[0]["ok"]
+        assert _check_walked(S, HarnessInputs(S))[0]["ok"]
         for k in range(len(ib)):
             def dropped(T, *args, k=k):
                 prof = real(T, *args)
@@ -426,7 +429,7 @@ def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
                                        prof.is_, prof.i_total, prof.ibetti,
                                        prof.exhaustive)
             monkeypatch.setattr(classify, "isolated_profile", dropped)
-            assert not _check_walked(S)[0]["ok"], (gens, k)
+            assert not _check_walked(S, HarnessInputs(S))[0]["ok"], (gens, k)
         monkeypatch.setattr(classify, "isolated_profile", real)
 
 
@@ -443,9 +446,10 @@ def test_walked_checks_fail_without_the_least_betti_element(monkeypatch):
 
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
-        assert all(entry["ok"] for entry in _check_walked(S))
+        assert all(entry["ok"] for entry in _check_walked(S, HarnessInputs(S)))
         monkeypatch.setattr(classify, "betti_elements", dropped)
-        assert not any(entry["ok"] for entry in _check_walked(S)), gens
+        assert not any(entry["ok"]
+                       for entry in _check_walked(S, HarnessInputs(S))), gens
         monkeypatch.setattr(classify, "betti_elements", real)
 
 
@@ -464,7 +468,8 @@ def test_isolated_elements_fails_without_the_ibetti_elements(monkeypatch):
 
     monkeypatch.setattr(classify, "betti_elements", no_ibetti)
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
-        characterization, elements, _ = _check_walked(make_semigroup(gens))
+        S = make_semigroup(gens)
+        characterization, elements, _ = _check_walked(S, HarnessInputs(S))
         assert characterization["ok"] and not elements["ok"], gens
 
 
@@ -488,6 +493,26 @@ def test_harness_builds_the_scan_fibers_from_below(monkeypatch):
     report = run_theorem_harness(corpus, chain_witnesses=None)
     assert (report["checked"], report["violations"]) == (49, [])
     assert len(calls) == 42
+
+
+def test_harness_inputs_ask_for_each_alpha_once(monkeypatch):
+    # _Base reads its alpha-box verdict off the alpha_i it has just asked
+    # for, so the inputs ask once per (generator, base), not twice
+    calls = Counter()
+    real = constants.alpha
+
+    def counted(S, idx, base_idx=None):
+        calls[S.gens, idx, base_idx] += 1
+        return real(S, idx, base_idx)
+
+    monkeypatch.setattr(constants, "alpha", counted)
+    expected = Counter()
+    for S in _corpus_e_ge_2(8):
+        HarnessInputs(S)
+        e = len(S.gens)
+        expected.update((S.gens, i, j)
+                        for j in range(e) for i in range(e) if i != j)
+    assert calls == expected
 
 
 def test_harness_reports_are_pinned():

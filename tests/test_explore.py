@@ -10,8 +10,14 @@ import pytest
 
 from semigroups import (SearchCapExceededError, betti_divisible_from_params,
                         enumerate_numerical_by_genus, explore,
-                        is_betti_divisible, load_corpus, make_semigroup,
-                        min_frobenius_betti_divisible, run_theorem_harness)
+                        free_some_arrangement, has_single_betti,
+                        has_single_betti_minimal, is_alpha_rectangular,
+                        is_betti_divisible, is_betti_sorted,
+                        is_complete_intersection, load_corpus,
+                        make_semigroup, min_frobenius_betti_divisible,
+                        run_theorem_harness)
+from semigroups.classify import HarnessInputs
+from semigroups.explore import DEFAULT_CHAIN_WITNESSES, _chain_memberships
 
 # OEIS A007323: the number of numerical semigroups of genus 0, 1, ..., 20
 A007323 = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693,
@@ -293,6 +299,16 @@ def test_min_frobenius_matches_exhaustive_oracle():
                     (edim, distinct, f_max)
 
 
+def test_min_frobenius_scores_one_ordering_per_candidate():
+    # with f_1 = f_2 = 1, swapping a_1 and a_2 gives the same candidate, so
+    # only a_1 < a_2 is walked; the first-found winner is unchanged
+    search = explore._Search(4, 2, 1200)
+    search.grow([], 2, 1, 0)
+    assert search.nodes == 59
+    assert search.best == (523, (30, 42, 105, 140), (2, 5, 7, 3),
+                           [1, 1, 1, 2])
+
+
 def test_min_frobenius_proves_absence_within_few_nodes(monkeypatch):
     # 40 distinct Betti elements need 41 generators, whose cheapest
     # completion already exceeds F <= 10**6, so the search ends without
@@ -334,6 +350,27 @@ def test_dropped_semigroups_are_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_chain_memberships_match_the_public_predicates():
+    # the harness reads the Betti-order and alpha-rectangular verdicts off
+    # HarnessInputs; each family must still be the public predicate's
+    members = [S for S in enumerate_numerical_by_genus(8) if len(S.gens) > 1]
+    members += [make_semigroup(g) for g in DEFAULT_CHAIN_WITNESSES.values()]
+    for S in members:
+        ci = is_complete_intersection(S)
+        expected = {
+            "single_betti": has_single_betti(S)[0],
+            "betti_divisible": is_betti_divisible(S),
+            "betti_sorted": is_betti_sorted(S),
+            "ci_single_bm": has_single_betti_minimal(S)[0] and ci,
+            "alpha_rect_some": any(is_alpha_rectangular(S, j)[0]
+                                   for j in range(len(S.gens))),
+            "free_some": free_some_arrangement(S) is not None,
+            "complete_intersection": ci,
+        }
+        T = make_semigroup(S.gens)  # a fresh memo for the harness side
+        assert _chain_memberships(T, HarnessInputs(T)) == expected, S.gens
 
 
 def test_harness_leaves_the_corpus_untouched():

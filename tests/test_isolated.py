@@ -84,7 +84,7 @@ def test_affine_ib():
     ib, complete = ib_set(S)
     assert complete
     assert set(ib) == {(0, 3, 0), (0, 0, 2)}
-    prof = isolated_profile(S, bound=12)
+    prof = isolated_profile(S, 12)
     assert set(prof.ib) == {(0, 3, 0), (0, 0, 2)}
     assert not prof.exhaustive  # affine I_s is only a bounded enumeration
 
