@@ -290,26 +290,26 @@ def admits_shaped_presentation(S, arrangement, pure_right, fixed_c):
     """
     _require_numerical(S, "admits_shaped_presentation")
     e = len(S.gens)
-    profile = _complete_betti(S)
-    betti = list(profile.betti)
+    betti, need, fibers, class_of = S._cached("shape_data", _shape_data, S)
     if not betti:
         return e == 1
-    fibers = {b: factor.fiber(S, b) for b in betti}
-    need = {b: fibers[b].nc - 1 for b in betti}
     if sum(need.values()) != e - 1:
         return False
-
-    class_of = {}
-    for b in betti:
-        for ci, cls in enumerate(fibers[b].classes):
-            for x in cls:
-                class_of[b, x] = ci
-
-    cvals = constants.c_values(S)
     shape = (S, arrangement, pure_right, fixed_c, betti, need, fibers,
-             class_of, cvals)
+             class_of, constants.c_values(S))
     return _shaped_dfs(shape, 1, {b: 0 for b in betti},
                        {b: {} for b in betti}, {})
+
+
+def _shape_data(S):
+    """What every shaped-presentation search of S reads: the Betti
+    elements, their fibers, the number of relations each needs (nc - 1)
+    and the R-class of each (Betti element, factorization)."""
+    betti = _complete_betti(S).betti
+    fibers = {b: factor.fiber(S, b) for b in betti}
+    class_of = {(b, x): ci for b in betti
+                for ci, cls in enumerate(fibers[b].classes) for x in cls}
+    return betti, {b: fibers[b].nc - 1 for b in betti}, fibers, class_of
 
 
 def _shaped_dfs(shape, p, counts, forests, lefts):
@@ -463,7 +463,8 @@ class HarnessInputs:
     Betti-sorted, Betti-isolated-sorted, Betti-divisible and free (some
     arrangement) verdicts and the cost-sorted arrangements.  The memo of S
     keeps only what the library functions keep (the profiles, the minimals,
-    the c values, the Apery sets and alpha_i), no rectangularity verdict;
+    the c values, the Apery sets, alpha_i and the shaped-presentation
+    data), no rectangularity verdict;
     the rest lives for one harness call.  Only the public verify_bounds and
     check_equivalence_theorems build their own when given none;
     run_theorem_harness builds one for a twin of each corpus member, so

@@ -6,11 +6,15 @@ JSON output is canonical (sorted keys, fixed indentation) and therefore
 byte-stable; integers beyond 2**53 are serialized as strings so consumers
 with double-precision JSON readers do not lose digits.  The module writes
 it in one pass, byte-identical to json.dumps(sort_keys=True, indent=2).
+Rows of plain ints, such as the factorization sets, are written from one
+str() of the rows and a few str.replace calls; anything else goes
+through the recursive encoder.
 """
 
 import argparse
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import betti as betti_mod
@@ -50,6 +54,8 @@ def _json(obj, indent="\n"):
         parts, ends = [f"{_quote(k)}: {_json(v, inner)}"
                        for k, v in items], "{}"
     elif isinstance(obj, (list, tuple, set, frozenset)):
+        if _int_rows(obj):
+            return _rows_json(obj, indent, inner)
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         parts, ends = [_json(v, inner) for v in seq], "[]"
     else:
@@ -57,6 +63,29 @@ def _json(obj, indent="\n"):
     if not parts:
         return ends
     return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
+
+
+def _int_rows(obj):
+    """Whether obj is a non-empty list or tuple of non-empty lists or
+    tuples of plain ints within +-2**53 (factorizations, say)."""
+    if (type(obj) not in (list, tuple) or not obj or not all(obj)
+            or not set(map(type, obj)) <= {list, tuple}):
+        return False
+    flat = list(chain.from_iterable(obj))
+    return (set(map(type, flat)) == {int}
+            and -_JSON_INT_LIMIT <= min(flat)
+            and max(flat) <= _JSON_INT_LIMIT)
+
+
+def _rows_json(rows, indent, inner):
+    """_json of int rows from one str(): "[[1, 2], [3]]" (tuples and
+    1-tuples rewritten) is the same text with other separators."""
+    text = str(rows).replace(",)", ")")[1:-1].replace("(", "[") \
+        .replace(")", "]").replace("], [", "]\0[")
+    deeper = inner + "  "
+    text = text.replace(", ", "," + deeper).replace("[", "[" + deeper) \
+        .replace("]", inner + "]").replace("\0", "," + inner)
+    return "[" + inner + text + indent + "]"
 
 
 def _emit_json(report):
@@ -78,10 +107,10 @@ def _fiber_report(S, m, fiber_cap):
     fib = factor.fiber(S, m, cap=fiber_cap)
     return {
         "element": m,
-        "factorizations": [list(x) for x in fib.factorizations],
+        "factorizations": fib.factorizations,
         "denumerant": fib.denumerant,
         "nc": fib.nc,
-        "isolated": [list(x) for x in fib.isolated],
+        "isolated": fib.isolated,
     }
 
 
@@ -106,12 +135,12 @@ def _betti_report(S, degree_bound, fiber_cap):
 def _isolated_report(S, degree_bound):
     prof = isolated.isolated_profile(S, degree_bound)
     rep = {
-        "i_b_set": [list(x) for x in prof.ib],
+        "i_b_set": prof.ib,
         "i_b": prof.i_b,
         "exhaustive": prof.exhaustive,
     }
     if S.numerical:
-        rep["i_s_set"] = [list(x) for x in prof.is_]
+        rep["i_s_set"] = prof.is_
         rep["i_s"] = prof.i_s
         rep["i_total"] = prof.i_total
     return rep
@@ -194,9 +223,9 @@ def _print_analyze_text(rep):
           + ("" if b["complete"] else "  (bounded sweep, may be incomplete)"))
     for key, fib in b["fibers"].items():
         iso = fib["isolated"]
-        iso_str = (", ".join(str(tuple(x)) for x in iso) if iso
+        iso_str = (", ".join(map(str, iso)) if iso
                    else "no isolated factorizations")
-        print(f"    {key}: Z = {[tuple(x) for x in fib['factorizations']]}, "
+        print(f"    {key}: Z = {list(fib['factorizations'])}, "
               f"nc = {fib['nc']}; {key}: {iso_str}")
     print(f"  presentation cardinality = {b['presentation_cardinality']}, "
           f"complete intersection = {b['complete_intersection']}")
@@ -226,9 +255,9 @@ def cmd_factorize(args):
         _emit_json(rep)
     else:
         print(f"Z({format_element(m)}) in <{format_gens(S.gens)}>: "
-              f"{[tuple(x) for x in rep['factorizations']]}")
+              f"{list(rep['factorizations'])}")
         print(f"  denumerant = {rep['denumerant']}, nc = {rep['nc']}, "
-              f"isolated = {[tuple(x) for x in rep['isolated']]}")
+              f"isolated = {list(rep['isolated'])}")
     return 0
 
 

@@ -40,31 +40,35 @@ def ib_set(S, degree_bound=None):
 
 
 def is_set(S, bound=None):
-    """Factorizations of the single-factorization elements.
+    """Factorizations of the single-factorization elements, lex-sorted.
 
-    Numerical: exact (the set is finite once S has a Betti element, and it is
-    contained in Ap(S; min Betti)).  Raises InfiniteSetError when S has no
-    Betti element.  Affine: enumerated over elements of coordinate sum
-    <= bound, second return value False (not exhaustive).
+    Numerical: exact, and the set is finite once S has a Betti element;
+    raises InfiniteSetError when it has none.  Let b_1 be the least Betti
+    element and F the Frobenius number.  Every element with one
+    factorization lies in Ap(S; b_1), because b_1 + s has at least two
+    factorizations for every s in S, and Ap(S; b_1) lies in [0, F + b_1]:
+    w - b_1 is not in S, so it is at most F.  _unique_upto counts the
+    factorizations up to F + b_1 and walks the vectors with one, no Apery
+    table for b_1 is built.
 
-    Both scans are closed downward under <=_S, so m - n_i lies in S iff it
-    was scanned before m, and m factors uniquely iff every such m - n_i
-    factors uniquely, as x, and all the x + e_i agree.  O(e) per element.
+    Affine: enumerated over elements of coordinate sum <= bound, second
+    return value False (not exhaustive).  The scan is closed downward
+    under <=_S, so m - n_i lies in S iff it was scanned before m, and m
+    factors uniquely iff every such m - n_i factors uniquely, as x, and
+    all the x + e_i agree.  O(e) per element.
     """
     if S.numerical:
         profile = betti_mod.betti_elements(S)
         if not profile.betti:
             raise InfiniteSetError(
                 "every element factors uniquely; I_s is infinite")
-        elements, exhaustive = S.apery(profile.betti[0]), True
-    elif bound is None:
+        return _unique_upto(S.gens, S.frobenius() + profile.betti[0]), True
+    if bound is None:
         raise InfiniteSetError(
             "affine I_s needs an explicit enumeration bound")
-    else:
-        elements, exhaustive = S.elements_upto(bound), False
     minus, gens = S._arith.sub, S.gens
     only = {}  # scanned element -> its one factorization, or None
-    for m in elements:
+    for m in S.elements_upto(bound):
         options = set()
         for i, g in enumerate(gens):
             x = only.get(minus(m, g), ())
@@ -76,8 +80,48 @@ def is_set(S, bound=None):
         if not options:  # only 0, the least scanned element
             options.add((0,) * len(gens))
         only[m] = options.pop() if len(options) == 1 else None
-    return tuple(sorted(x for x in only.values() if x is not None)), \
-        exhaustive
+    return tuple(sorted(x for x in only.values() if x is not None)), False
+
+
+def _unique_upto(gens, top):
+    """The factorizations x, lex-sorted, of the elements m = sum x_i n_i
+    <= top that have exactly one, for positive integer generators.
+
+    Two bit planes over 0 <= m <= top count the factorizations saturated
+    at 2: bit m of one is set when m has exactly one, of many when it has
+    two or more.  min(., 2) respects + and *, so multiplying by the
+    generating function 1/(1 - x^n) = prod_k (1 + x^(2^k n)), truncated
+    above top, is exact on the planes, one doubling shift per factor.
+
+    If y <= x coordinatewise and x is the only factorization of its
+    element, so is y: a second one of phi(y), plus x - y, would be a
+    second one of phi(x).  So these x form a down-set of N^e, and the
+    walk raises the last coordinate it can, in lexicographic order; when
+    x + e_k fails, so does every vector with that prefix, and the walk
+    clears x_k and raises x_(k-1).  x is the walk's explicit stack."""
+    mask = (1 << (top + 1)) - 1
+    one, many = 1, 0  # the empty product: 0 has one factorization
+    for n in gens:
+        s = n
+        while s <= top:
+            many = (many | many << s | one & one << s) & mask
+            one = (one | one << s) & ~many & mask
+            s <<= 1
+    bits = bin(one)[:1:-1]  # bits[m] == "1" iff m <= top factors uniquely
+    size, last = len(bits), len(gens) - 1
+    x, m, k = [0] * len(gens), 0, last
+    rows = [tuple(x)]
+    while k >= 0:
+        up = m + gens[k]
+        if up < size and bits[up] == "1":
+            x[k] += 1
+            m, k = up, last
+            rows.append(tuple(x))
+        else:
+            m -= x[k] * gens[k]
+            x[k] = 0
+            k -= 1
+    return tuple(rows)
 
 
 def isolated_profile(S, degree_bound=None):

@@ -241,8 +241,22 @@ def _containers(children):
                      st.dictionaries(_KEYS, children))
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.recursive(_LEAVES, _containers, max_leaves=30))
+# rows for the int-row path and its guard: 1-element and empty rows,
+# empty outer lists, bools, the edges of +-2**53 and strings among rows
+_EDGE = st.sampled_from([1 << 53, -(1 << 53), (1 << 53) + 1,
+                         -(1 << 53) - 1, True, False, 0, -1])
+_ROW_INTS = st.one_of(st.integers(-10 ** 6, 10 ** 6), _EDGE)
+_ROW = st.one_of(st.lists(_ROW_INTS, max_size=5),
+                 st.lists(_ROW_INTS, max_size=5).map(tuple))
+_ROWS = st.one_of(st.lists(_ROW, max_size=6),
+                  st.lists(_ROW, max_size=6).map(tuple),
+                  st.lists(st.one_of(_ROW, _TEXT), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.recursive(_LEAVES, _containers, max_leaves=30), _ROWS,
+                 st.dictionaries(_KEYS, _ROWS, max_size=3),
+                 st.lists(_ROWS, max_size=3)))
 def test_json_matches_json_dumps(obj):
     want = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
     assert cli._json(obj) == want
@@ -255,6 +269,14 @@ def test_json_matches_json_dumps_by_hand():
            "e": set(), "t": (), "f": Fraction(1, 3)}
     want = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
     assert cli._json(obj) == want
+    # both sides of the int-row guard, at the top and nested
+    for rows in ([[1]], [(1,)], ((1,),), ([-2, 3], (4,)), [[1, 2], []],
+                 [[]], [[True, 1]], [(0, False)], [[1 << 53, -(1 << 53)]],
+                 [[big]], [(-big, 0)], [[1, 2], "x"], ["x", (1,)],
+                 [[1], [2.0]], [[1], {3}], [[1], [[2]]]):
+        for obj in (rows, {"k": rows}):
+            want = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+            assert cli._json(obj) == want, obj
 
 
 def test_analyze_json_matches_the_panel_digests(capsys):

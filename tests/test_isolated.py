@@ -1,14 +1,19 @@
+import json
+from functools import reduce
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semigroups import (InfiniteSetError, betti_elements, betti_minimals,
                         ib_set, isolated_profile, make_semigroup,
                         minimal_multi_elements)
 from semigroups.explore import enumerate_numerical_by_genus
 from semigroups.factor import fiber
-from semigroups.isolated import is_set
+from semigroups.isolated import _unique_upto, is_set
 from test_factor import AFFINE
 
 
@@ -96,12 +101,26 @@ def _unique_factorizations(S, elements):
                         if f.denumerant == 1))
 
 
+PANEL = Path(__file__).resolve().parents[1] / "bench" / "analyze_panel.json"
+
+
+def _is_set_by_definition(S):
+    scan = S.apery(min(betti_elements(S).betti))
+    return _unique_factorizations(S, scan), True
+
+
 def test_is_set_matches_the_fiber_definition():
-    for S in enumerate_numerical_by_genus(11):
+    # genus <= 11, and the analyze pool members with b_1 <= 1000, where
+    # F + b_1 runs up to 6,680
+    with open(PANEL, encoding="utf-8") as fh:
+        pool = [make_semigroup([int(g) for g in text.split(",")])
+                for text in json.load(fh)["pool"]]
+    pool = [S for S in pool if min(betti_elements(S).betti) <= 1000]
+    assert len(pool) >= 15
+    for S in list(enumerate_numerical_by_genus(11)) + pool:
         if len(S.gens) == 1:
             continue
-        scan = S.apery(min(betti_elements(S).betti))
-        assert is_set(S) == (_unique_factorizations(S, scan), True), S.gens
+        assert is_set(S) == _is_set_by_definition(S), S.gens
 
 
 def test_affine_is_set_matches_the_fiber_definition():
@@ -109,3 +128,31 @@ def test_affine_is_set_matches_the_fiber_definition():
         S = make_semigroup(gens)
         assert is_set(S, 14) == \
             (_unique_factorizations(S, S.elements_upto(14)), False), gens
+
+
+# multiplicity m <= 40, the other generators above it
+_NUMERICAL = st.builds(
+    lambda m, rest: [m] + sorted(rest), st.integers(2, 40),
+    st.sets(st.integers(41, 160), min_size=1, max_size=4)).filter(
+        lambda gens: reduce(gcd, gens) == 1)
+
+
+@given(_NUMERICAL)
+@settings(max_examples=150, deadline=None)
+def test_is_set_matches_the_fiber_definition_on_random_semigroups(gens):
+    S = make_semigroup(gens)
+    assert is_set(S) == _is_set_by_definition(S), S.gens
+
+
+def test_is_set_walk_is_not_recursive():
+    # <m, ..., 2m - 1>: F = m - 1 and b_1 = 2m + 2, and only 0, the
+    # generators, 2m and 2m + 1 factor uniquely
+    def expected(m):  # e = m generators
+        unit = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+        two, both = (2,) + (0,) * (m - 1), (1, 1) + (0,) * (m - 2)
+        return tuple(sorted([(0,) * m, two, both] + unit))
+    for m in (5, 8, 20):
+        assert is_set(make_semigroup(range(m, 2 * m))) == (expected(m), True)
+    m = 1100  # a walk recursing once per coordinate hits the limit here
+    assert _unique_upto(tuple(range(m, 2 * m)), (m - 1) + (2 * m + 2)) \
+        == expected(m)
