@@ -1,6 +1,6 @@
 """Betti elements, minimal presentations and complete intersections."""
 
-from itertools import combinations, product
+from itertools import product
 
 from . import constants, factor
 from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
@@ -58,12 +58,11 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     """
     if S.numerical:
         profile = S._cached("betti", _betti_numerical, S, fiber_cap)
-    elif degree_bound is not None and free_arrangement(S) is None:
-        # kept under its bound: every caller in one report shares the sweep
-        profile = S._cached(("betti", degree_bound), _betti_affine, S,
-                            degree_bound, fiber_cap)
     else:
-        profile = S._cached("betti", _betti_affine, S, degree_bound,
+        # kept under its bound, None when a free arrangement makes the set
+        # exact: every caller in one report shares the sweep
+        bound = None if free_arrangement(S) is not None else degree_bound
+        profile = S._cached(("betti", bound), _betti_affine, S, bound,
                             fiber_cap)
     # a kept profile may come from a larger cap; walk the fibers only to
     # name the first one over this cap, in the order they were built
@@ -106,7 +105,7 @@ def free_arrangement(S):
 def _free_completion(S, prefix, alpha_base=None):
     """The first ordering, in increasing index order, of the generators
     outside the index set prefix that completes it to a free arrangement
-    (c-bar_i = c_i^* at every later position), or None.
+    (c-bar_i = c_i^* at every later position from S.rank on), or None.
 
     With alpha_base = j (numerical only), every later position must also
     have c_i^* = alpha_i + 1, alpha taken with respect to gens[j].  Each
@@ -126,12 +125,11 @@ def _free_completion(S, prefix, alpha_base=None):
         if not rest:
             return ()
         for idx in rest:
-            c = _free_multiple(S, base + (idx,), pos)
-            if c is None:
-                continue
-            if alpha_base is not None and \
-                    c != constants.alpha(S, idx, alpha_base) + 1:
-                continue
+            if pos >= S.rank:
+                c = _free_multiple(S, base + (idx,), pos)
+                if c is None or alpha_base is not None and \
+                        c != constants.alpha(S, idx, alpha_base) + 1:
+                    continue
             tail = _free_completion(S, prefix | {idx}, alpha_base)
             if tail is not None:
                 return (idx,) + tail
@@ -201,13 +199,14 @@ def _betti_affine(S, degree_bound, fiber_cap):
 
 
 def require_exact_betti(S):
-    """Raise IncompleteBettiError unless the Betti set of S is exact: S is
-    numerical or has a free arrangement.  Then no degree bound changes the
-    set, and otherwise no bound completes it, so the functions that need
-    the exact set take no bound and call this before any sweep."""
+    """The exact Betti profile of S; raise IncompleteBettiError before any
+    sweep unless S is numerical or has a free arrangement.  Then no degree
+    bound changes the set, and otherwise no bound completes it, so the
+    functions that need the exact set take no bound and read it here."""
     if not S.numerical and free_arrangement(S) is None:
         raise IncompleteBettiError(
             "the Betti profile is a bounded sweep; completeness is required")
+    return betti_elements(S)
 
 
 def minimal_presentation(S):
@@ -217,8 +216,7 @@ def minimal_presentation(S):
 
     Returns a tuple of (x, y) factorization pairs with x < y lexicographically.
     """
-    require_exact_betti(S)
-    profile = betti_elements(S)
+    profile = require_exact_betti(S)
     relations = []
     for b in profile.betti:
         classes = profile.fibers[b].classes
@@ -230,8 +228,7 @@ def minimal_presentation(S):
 
 
 def presentation_cardinality(S):
-    require_exact_betti(S)
-    return betti_elements(S).presentation_cardinality()
+    return require_exact_betti(S).presentation_cardinality()
 
 
 def is_complete_intersection(S):
@@ -252,8 +249,7 @@ def all_minimal_presentations(S):
     trees than the cap (Cayley: k^(k-2)) the call raises before it lists
     any tree.
     """
-    require_exact_betti(S)
-    profile = betti_elements(S)
+    profile = require_exact_betti(S)
     all_classes = [profile.fibers[b].classes for b in profile.betti]
     if any(len(c) > 2 and len(c) ** (len(c) - 2) > _PRESENTATION_CAP
            for c in all_classes):
@@ -273,30 +269,23 @@ def all_minimal_presentations(S):
 
 
 def _spanning_trees(k):
-    """All spanning trees of the complete graph on k nodes, as edge tuples."""
+    """All spanning trees of the complete graph on k nodes, as sorted edge
+    tuples, sorted: one per Pruefer sequence, k^(k-2) in all (Cayley)."""
     if k == 1:
         return [()]
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     trees = []
-    for combo in combinations(edges, k - 1):
-        parent = list(range(k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        ok = True
-        for a, b in combo:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[rb] = ra
-        if ok:
-            trees.append(combo)
-    return trees
+    for seq in product(range(k), repeat=k - 2):
+        degree = [1] * k
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:  # join the least leaf to v, then the last two nodes
+            leaf = degree.index(1)
+            edges.append((min(leaf, v), max(leaf, v)))
+            degree[leaf], degree[v] = 0, degree[v] - 1
+        edges.append(tuple(i for i in range(k) if degree[i] == 1))
+        trees.append(tuple(sorted(edges)))
+    return sorted(trees)
 
 
 def _edge_reps(tree, classes):

@@ -15,7 +15,7 @@ from . import constants, factor
 from .betti import (_free_completion, _free_multiple, betti_elements,
                     free_arrangement, is_complete_intersection, is_free,
                     require_exact_betti)
-from .errors import NotNumericalError
+from .errors import NotNumericalError, SearchCapExceededError
 from .isolated import (betti_minimals, isolated_profile, minimal_in_order,
                        minimal_multi_elements)
 
@@ -50,27 +50,26 @@ def _apery_for(S, base_idx):
     return S.apery()
 
 
+# The largest numerical scan bound the harness walks.  The scan keeps a
+# fiber per element, about 1.4 KB each on <20020, ..., 4620> (157,337
+# elements, 230 MB), so this cap holds it near 1.4 GB and refuses at once
+# <4849845, ..., 510510>, which would scan to 63,479,837.
+_SCAN_CAP = 10 ** 6
+
+
 def _scan_bound(S):
     """Scan horizon covering every Betti element and every minimal
     multi-element.  Numerical: max(gens) + max Ap(S; n_1) (anything above
-    dominates a smaller multi-element).  Affine (complete Betti profile):
-    a coordinate-sum horizon past every Betti element and Apery element by
+    dominates a smaller multi-element), which is max(gens) + F + n_1, so
+    no table of Ap(S; n_1) is built.  Affine (complete Betti profile): a
+    coordinate-sum horizon past every Betti element and Apery element by
     one generator, which bounds the minimal multi-elements the same way."""
     if S.numerical:
-        return max(S.gens) + max(S.apery(S.gens[0]))
+        return max(S.gens) + S.frobenius() + S.gens[0]
     profile = _complete_betti(S)
     betti_sum = max((sum(b) for b in profile.betti), default=0)
     ap_sum = max(sum(w) for w in S.apery())
     return max(betti_sum, ap_sum) + max(sum(g) for g in S.gens)
-
-
-def _scan_fibers(S):
-    """The fiber of every element up to _scan_bound(S), in scan order, by
-    factor.fibers_upto; each carries its element, so the list keeps no
-    pairs.  The harness builds it before its first Betti sweep: every
-    numerical candidate w + n_j is at most the scan bound, so the sweep
-    reads these fibers."""
-    return [fib for _, fib in factor.fibers_upto(S, _scan_bound(S))]
 
 
 def _divides_value(S, a, b):
@@ -93,16 +92,12 @@ def free_arrangement_starting_at(S, first):
 def free_some_arrangement(S):
     """An arrangement for which S is free, or None.
 
-    Numerical semigroups try every generator in the leading position;
-    affine semigroups keep the rays first.
+    Numerical semigroups search every ordering, the first free one in
+    increasing index order; affine semigroups keep the rays first.
     """
     if not S.numerical:
         return free_arrangement(S)
-    for first in range(len(S.gens)):
-        arr = free_arrangement_starting_at(S, first)
-        if arr is not None:
-            return arr
-    return None
+    return _free_completion(S, frozenset())
 
 
 def is_free_all_arrangements(S):
@@ -457,11 +452,12 @@ def classification_report(S):
 
 class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
-    passed down, their one source: the scan fibers and their denumerants,
-    the Betti profile, the isolated profile, the Betti minimals, the c
-    values (one tuple), one _Base per Apery base and, for numerical S, the
-    Betti-sorted, Betti-isolated-sorted, Betti-divisible and free (some
-    arrangement) verdicts and the cost-sorted arrangements.  The memo of S
+    passed down, their one source: the scan fibers (kept on S, where
+    factor.denumerant reads them), the Betti profile, the isolated
+    profile, the Betti minimals, the c values (one tuple), one _Base per
+    Apery base and, for numerical S, the Betti-sorted,
+    Betti-isolated-sorted, Betti-divisible and free (some arrangement)
+    verdicts and the cost-sorted arrangements.  The memo of S
     keeps only what the library functions keep (the profiles, the minimals,
     the c values, the Apery sets, alpha_i and the shaped-presentation
     data), no rectangularity verdict;
@@ -470,36 +466,33 @@ class HarnessInputs:
     run_theorem_harness builds one for a twin of each corpus member, so
     nothing is kept on the caller's semigroups.  Sharing an input never
     reads one condition off another: each check still evaluates its own
-    conditions from these inputs."""
+    conditions from these inputs.  A numerical scan past _SCAN_CAP raises
+    SearchCapExceededError before any fiber is built."""
 
-    __slots__ = ("S", "fibers", "profile", "prof", "minimals", "cs",
-                 "_denumerants", "bases", "betti_sorted",
-                 "betti_isolated_sorted", "betti_divisible", "free_some",
-                 "cost_sorted")
+    __slots__ = ("fibers", "profile", "prof", "minimals", "cs", "bases",
+                 "betti_sorted", "betti_isolated_sorted", "betti_divisible",
+                 "free_some", "cost_sorted")
 
     def __init__(self, S):
-        self.S = S
-        self.fibers = _scan_fibers(S)  # first: the Betti sweep reads them
+        bound = _scan_bound(S)
+        if S.numerical and bound > _SCAN_CAP:
+            raise SearchCapExceededError(
+                f"{S}: harness scan bound {bound} exceeds {_SCAN_CAP}")
+        # first: every numerical Betti candidate w + n_j is at most the
+        # scan bound, so the Betti sweep reads these fibers
+        self.fibers = factor.fibers_upto(S, bound)
         self.profile = _complete_betti(S)
         self.prof = isolated_profile(S)
         self.minimals = betti_minimals(S)
         self.cs = constants.c_values(S)
-        self._denumerants = {fib.element: fib.denumerant
-                             for fib in self.fibers}
         bases = range(len(S.gens)) if S.numerical else (None,)
-        self.bases = {j: _Base(self, j) for j in bases}
+        self.bases = {j: _Base(S, j) for j in bases}
         numerical = S.numerical  # the checks that read these skip affine S
         self.betti_sorted = numerical and is_betti_sorted(S)
         self.betti_isolated_sorted = numerical and is_betti_isolated_sorted(S)
         self.betti_divisible = numerical and is_betti_divisible(S)
         self.free_some = numerical and free_some_arrangement(S) is not None
         self.cost_sorted = numerical and _sorted_cost_arrangements(S)
-
-    def denumerant(self, m):
-        """The number of factorizations of m, read off the scan when m
-        lies in it."""
-        d = self._denumerants.get(m)
-        return factor.denumerant(self.S, m) if d is None else d
 
 
 class _Base:
@@ -509,15 +502,14 @@ class _Base:
 
     __slots__ = ("ap", "others", "alphas", "alpha_rect", "c_rect", "unique")
 
-    def __init__(self, inputs, j):
-        S = inputs.S
+    def __init__(self, S, j):
         self.ap = _apery_for(S, j)
         self.others = _others(S, j)
         self.alphas = [constants.alpha(S, i, _base_key(S, j))
                        for i in self.others]
         self.alpha_rect = _box_witness(S, j, self.others, self.alphas)[0]
         self.c_rect = is_c_rectangular(S, j)[0]
-        self.unique = all(inputs.denumerant(w) == 1 for w in self.ap)
+        self.unique = all(factor.denumerant(S, w) == 1 for w in self.ap)
 
 
 # -- verified inequality chains ------------------------------------------
@@ -714,7 +706,7 @@ def _check_ap_b1(S, inputs):
         return _skip()
     single = len(inputs.minimals) == 1
     b1 = min(inputs.profile.betti)
-    ap_unique = all(inputs.denumerant(w) == 1 for w in S.apery(b1))
+    ap_unique = all(factor.denumerant(S, w) == 1 for w in S.apery(b1))
     i_s_eq = inputs.prof.i_s == b1
     return _entry([single, ap_unique, i_s_eq])
 
@@ -751,7 +743,7 @@ def _check_prop_alpha(S, inputs, j=None):
     maxima = S.apery_maxima(S.gens[j or 0] if S.numerical else None)
     unique_max = len(maxima) == 1
     c1 = base.alpha_rect
-    c2 = unique_max and inputs.denumerant(maxima[0]) == 1
+    c2 = unique_max and factor.denumerant(S, maxima[0]) == 1
     c3 = unique_max and base.unique
     c4 = len(base.ap) == prod(a + 1 for a in base.alphas)
     return _entry([c1, c2, c3, c4])

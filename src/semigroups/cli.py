@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (for `verify`: zero violations), 1 verification
-violations, 2 parse errors, 3 infeasible computations, 4 internal errors.
+violations, 2 parse errors (InvalidGeneratorsError, ValueError), 3 any
+other SemigroupError (infeasible), 4 any other exception (internal).
 JSON output is canonical (sorted keys, fixed indentation) and therefore
 byte-stable; integers beyond 2**53 are serialized as strings so consumers
 with double-precision JSON readers do not lose digits.  The module writes
@@ -19,20 +20,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import betti as betti_mod
 from . import classify, constants, construct, explore, factor, isolated
-from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
-                     IncompleteBettiError, InfiniteAperyError,
-                     InfiniteSetError, InvalidGeneratorsError,
-                     InvalidGluingError, InvalidParametersError,
-                     NotNumericalError, NotSimplicialError,
-                     SearchCapExceededError, SemigroupError)
+from .errors import (IncompleteBettiError, InvalidGeneratorsError,
+                     InvalidParametersError, SemigroupError)
 from .semigroup import format_element, format_gens, make_semigroup, parse_gens
-
-_PARSE_ERRORS = (InvalidGeneratorsError, ValueError)
-_INFEASIBLE_ERRORS = (DegreeBoundRequiredError, FiberCapExceededError,
-                      IncompleteBettiError, InfiniteAperyError,
-                      InfiniteSetError, InvalidGluingError,
-                      InvalidParametersError, NotNumericalError,
-                      NotSimplicialError, SearchCapExceededError)
 
 _JSON_INT_LIMIT = 1 << 53
 
@@ -336,8 +326,6 @@ def cmd_glue(args):
 
 
 def cmd_search(args):
-    if args.problem != "min-frobenius-betti-divisible":
-        raise ValueError(f"unknown search problem: {args.problem!r}")
     frob, S = explore.min_frobenius_betti_divisible(
         args.edim, args.max_frobenius,
         distinct_betti_min=args.distinct_betti)
@@ -479,16 +467,13 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
+    except (InvalidGeneratorsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _INFEASIBLE_ERRORS as exc:
+    except SemigroupError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except SemigroupError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -50,12 +50,7 @@ def is_gluing_partition(S, part_a, part_b, require_divisible=False):
     must additionally be Betti divisible."""
     if not part_a or not part_b:
         return False
-    da = 0
-    for g in part_a:
-        da = gcd(da, g)
-    db = 0
-    for g in part_b:
-        db = gcd(db, g)
+    da, db = gcd(*part_a), gcd(*part_b)
     if gcd(da, db) != 1:
         return False
     S1 = make_semigroup([g // da for g in part_a])

@@ -1,4 +1,5 @@
-"""Typed errors raised by the semigroups package."""
+"""Typed errors raised by the semigroups package.  The command line exits
+2 on InvalidGeneratorsError and 3 on every other SemigroupError."""
 
 
 class SemigroupError(Exception):

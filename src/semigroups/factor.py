@@ -159,11 +159,11 @@ def _new_fiber(S, m, cap):
 
 
 def fibers_upto(S, bound, cap=DEFAULT_FIBER_CAP):
-    """[(m, fiber of m) for every m in S.elements_upto(bound)], in that
-    order, each fiber built from the fibers below it and kept on S under
-    the key fiber() uses; a fiber already kept is reused.  Raises
-    FiberCapExceededError at the first m with more than cap
-    factorizations."""
+    """The fiber of every m in S.elements_upto(bound), in that order,
+    each built from the fibers below it and kept on S under the key
+    fiber() uses; a fiber already kept is reused.  Each fiber carries its
+    element.  Raises FiberCapExceededError at the first m with more than
+    cap factorizations."""
     built = {}  # scanned element -> its factorizations
     out = []
     # Z(m) is the union of Z(m - n_i) + e_i.  The scan is closed downward
@@ -178,7 +178,7 @@ def fibers_upto(S, bound, cap=DEFAULT_FIBER_CAP):
         if cap is not None and fib.denumerant > cap:
             raise FiberCapExceededError(m, cap)  # also one kept earlier
         built[m] = fib.factorizations
-        out.append((m, fib))
+        out.append(fib)
     return out
 
 

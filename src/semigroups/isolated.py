@@ -14,11 +14,9 @@ from .errors import InfiniteSetError
 class IsolatedProfile:
     """Summary of the isolated factorizations of a semigroup."""
 
-    def __init__(self, ib, is_, i_total, ibetti, exhaustive):
+    def __init__(self, ib, is_, exhaustive):
         self.ib = ib                # tuple of factorizations
         self.is_ = is_              # tuple of factorizations
-        self.i_total = i_total     # i(S) = i_s + i_b (None when not exact)
-        self.ibetti = ibetti        # Betti elements with isolated factorizations
         self.exhaustive = exhaustive
 
     @property
@@ -28,6 +26,11 @@ class IsolatedProfile:
     @property
     def i_s(self):
         return len(self.is_)
+
+    @property
+    def i_total(self):
+        """i(S) = i_b + i_s, None when the sets are not exact."""
+        return self.i_b + self.i_s if self.exhaustive else None
 
 
 def ib_set(S, degree_bound=None):
@@ -138,17 +141,13 @@ def _isolated_profile(S, degree_bound):
         # no Betti element (numerical) or no enumeration bound (affine):
         # I_s is not finitely enumerable here, report the I_b part only
         is_, exhaustive = (), False
-    profile = betti_mod.betti_elements(S, degree_bound)
-    total = len(ib) + len(is_) if (complete and exhaustive) else None
-    return IsolatedProfile(ib, is_, total, profile.ibetti,
-                           complete and exhaustive)
+    return IsolatedProfile(ib, is_, complete and exhaustive)
 
 
 def betti_minimals(S):
     """Minimal Betti elements with respect to the semigroup order."""
-    betti_mod.require_exact_betti(S)
-    return S._cached("betti_minimals", lambda: minimal_in_order(
-        S, betti_mod.betti_elements(S).betti))
+    betti = betti_mod.require_exact_betti(S).betti
+    return S._cached("betti_minimals", minimal_in_order, S, betti)
 
 
 def minimal_in_order(S, elems):

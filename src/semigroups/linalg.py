@@ -6,7 +6,7 @@ exact for arbitrarily large entries.  Vectors are tuples (or lists) of ints.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 class Lattice:
@@ -74,7 +74,7 @@ class Lattice:
                 continue
             row = self.basis[j]
             q = v[j] / row[j]
-            denom = denom * q.denominator // gcd(denom, q.denominator)
+            denom = lcm(denom, q.denominator)
             v = [x - q * y for x, y in zip(v, row)]
         if any(v):
             return None

@@ -120,9 +120,7 @@ class SubMonoid:
     def _table(self):
         """The Apery table Ap of a numerical engine, built on first use."""
         if self._apery is None:
-            d = 0
-            for g in self.gens:
-                d = gcd(d, g)
+            d = gcd(*self.gens)
             reduced = [g // d for g in self.gens]
             self._d = d
             self._n = min(reduced)
@@ -402,9 +400,7 @@ class Semigroup:
         """Smallest c with c * gens[idx] in the group of the prefix gens."""
         g = self.gens[idx]
         if self.numerical:
-            d = 0
-            for i in prefix:
-                d = gcd(d, self.gens[i])
+            d = gcd(*(self.gens[i] for i in prefix))
             if d == 0:
                 return None
             return d // gcd(d, g)
@@ -504,9 +500,7 @@ def make_semigroup(raw_gens):
     gens = _normalize(raw_gens)
     numerical = isinstance(gens[0], int)
     if numerical:
-        d = 0
-        for g in gens:
-            d = gcd(d, g)
+        d = gcd(*gens)
         if d != 1:
             raise NotNumericalError(
                 f"gcd of generators is {d}; not a numerical semigroup")

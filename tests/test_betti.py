@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,7 @@ from semigroups import (FiberCapExceededError, IncompleteBettiError,
                         free_arrangement, is_complete_intersection, is_free,
                         make_semigroup, minimal_presentation,
                         presentation_cardinality)
-from semigroups.betti import all_minimal_presentations
+from semigroups.betti import _spanning_trees, all_minimal_presentations
 from semigroups.explore import enumerate_numerical_by_genus
 from semigroups.factor import r_classes
 
@@ -107,12 +108,47 @@ def test_all_minimal_presentations_listed_in_order():
 def test_all_minimal_presentations_cap_raises_before_listing_trees():
     # a Betti element of <14, ..., 27> has 8 R-classes, so 8^6 = 262,144
     # spanning trees (Cayley), each giving at least one choice: over the
-    # cap before the C(28, 7) edge sets are filtered
+    # cap before any Pruefer sequence is decoded
     S = make_semigroup(range(14, 28))
     start = time.perf_counter()
     with pytest.raises(IncompleteBettiError):
         all_minimal_presentations(S)
     assert time.perf_counter() - start < 1.0
+
+
+def _filtered_spanning_trees(k):
+    """Oracle: every set of k - 1 edges of K_k, in lexicographic order,
+    kept when a union-find joins no two nodes already connected."""
+    if k == 1:
+        return [()]
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    trees = []
+    for combo in combinations(edges, k - 1):
+        parent = list(range(k))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        ok = True
+        for a, b in combo:
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                ok = False
+                break
+            parent[rb] = ra
+        if ok:
+            trees.append(combo)
+    return trees
+
+
+def test_spanning_trees_match_the_filtered_edge_sets():
+    for k in range(1, 8):
+        trees = _spanning_trees(k)
+        assert trees == _filtered_spanning_trees(k), k
+        assert len(trees) == max(1, k ** (k - 2))
+        assert all(len(t) == k - 1 for t in trees)
 
 
 def test_affine_free_arrangement():

@@ -20,13 +20,14 @@ from semigroups import (IsolatedProfile, betti_divisible_from_params,
 from semigroups.isolated import betti_minimals, minimal_in_order
 from semigroups.betti import BettiProfile, _free_completion
 from semigroups.classify import (HarnessInputs, _check_thm_alpha_free,
-                                 _check_walked, _scan_bound, _scan_fibers,
+                                 _check_walked, _scan_bound,
                                  _sorted_cost_arrangements, _walk,
                                  admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
 from semigroups.explore import (enumerate_numerical_by_genus,
                                 run_theorem_harness)
+from semigroups.factor import fibers_upto
 from semigroups.semigroup import Semigroup
 
 
@@ -364,7 +365,8 @@ def test_order_walk_matches_pairwise_domination():
     for S in _harness_members():
         profile = betti_elements(S)
         ib = set(isolated_profile(S).ib)
-        walk = list(_walk(S, profile, ib, _scan_fibers(S)))
+        scan = fibers_upto(S, _scan_bound(S))
+        walk = list(_walk(S, profile, ib, scan))
         betti_facts = [x for b in profile.betti
                        for x in profile.fibers[b].factorizations]
         # minimal multi-vectors by the sorted pairwise scan
@@ -390,7 +392,7 @@ def test_strictly_above_matches_pairwise_order():
     for S in _harness_members():
         profile = betti_elements(S)
         walk = list(_walk(S, profile, set(isolated_profile(S).ib),
-                          _scan_fibers(S)))
+                          fibers_upto(S, _scan_bound(S))))
         assert [row[0] for row in walk] == \
             list(S.elements_upto(_scan_bound(S)))
         for k, targets in ((3, profile.betti), (4, profile.ibetti)):
@@ -426,8 +428,7 @@ def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
             def dropped(T, *args, k=k):
                 prof = real(T, *args)
                 return IsolatedProfile(prof.ib[:k] + prof.ib[k + 1:],
-                                       prof.is_, prof.i_total, prof.ibetti,
-                                       prof.exhaustive)
+                                       prof.is_, prof.exhaustive)
             monkeypatch.setattr(classify, "isolated_profile", dropped)
             assert not _check_walked(S, HarnessInputs(S))[0]["ok"], (gens, k)
         monkeypatch.setattr(classify, "isolated_profile", real)
@@ -586,7 +587,7 @@ def test_minimal_elements_match_pairwise_leq():
         assert betti_minimals(S) == _pairwise_minimal(S, profile.betti)
         # the elements with two or more factorizations: an up-set whose
         # minimal members are the minimal multi-elements
-        multi = tuple(fib.element for fib in classify._scan_fibers(S)
+        multi = tuple(fib.element for fib in fibers_upto(S, _scan_bound(S))
                       if fib.denumerant >= 2)
         for elems in (profile.ibetti, multi):
             got = minimal_in_order(S, elems)

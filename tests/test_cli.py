@@ -387,11 +387,37 @@ _FUZZ = [
     (["verify", "--corpus", "."], 2),
     # work, not shape: a C(M) box of 3 * 2^25 members, counted, not built
     (["verify", "--corpus", "corpora/ordinary_genus_25.txt"], 0),
+    # work, not shape: a scan bound of 63,479,837 is refused before the
+    # scan, and no Apery table for the largest generator is built
+    (["verify", "--corpus", "corpora/betti_divisible_e8.txt"], 3),
     # work, not shape: a box with some mu_i = 0 is never an Apery set, so
     # the is_rectangular search on <26, ..., 51> tries no factor of 1
     (["classify", "--gens", ",".join(map(str, range(26, 52)))], 0),
     (["analyze", "--gens", ",".join(map(str, range(26, 52)))], 0),
 ]
+
+
+def _subclasses(cls):
+    return [cls] + [d for c in cls.__subclasses__() for d in _subclasses(c)]
+
+
+def test_exit_code_follows_the_error_hierarchy(monkeypatch, capsys):
+    # parse errors exit 2, every other package error 3, anything else 4
+    from semigroups.errors import (FiberCapExceededError,
+                                   InvalidGeneratorsError, SemigroupError)
+    cases = [(RuntimeError("boom"), 4)]
+    for cls in _subclasses(SemigroupError):
+        exc = cls(7, 3) if issubclass(cls, FiberCapExceededError) \
+            else cls("boom")
+        code = 2 if issubclass(cls, InvalidGeneratorsError) else 3
+        cases.append((exc, code))
+    assert len(cases) >= 13  # the base class and its 11 subclasses
+    for exc, code in cases:
+        def handler(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_classify", handler)
+        assert main(["classify", "--gens", "3,5"]) == code, type(exc)
+        capsys.readouterr()
 
 
 def _limit_address_space():

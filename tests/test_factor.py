@@ -107,8 +107,10 @@ def test_fibers_upto_matches_raw_fiber_over_every_scan():
         bound = _scan_bound(S)  # affine: keeps the Betti fibers on S
         fresh = make_semigroup(list(S.gens))
         scan = fibers_upto(S, bound)
-        assert [m for m, _ in scan] == list(fresh.elements_upto(bound))
-        for m, fib in scan:
+        assert [fib.element for fib in scan] == \
+            list(fresh.elements_upto(bound))
+        for fib in scan:
+            m = fib.element
             facts = raw_fiber(fresh.gens, m)
             assert (fib.factorizations, fib.classes) == \
                 (facts, r_classes(facts)), (S.gens, m)
@@ -118,7 +120,7 @@ def test_fibers_upto_matches_raw_fiber_over_every_scan():
 def test_fibers_upto_reuses_kept_fibers():
     S = make_semigroup([3, 4, 5])
     kept = fiber(S, 8)
-    assert dict(fibers_upto(S, 12))[8] is kept
+    assert {f.element: f for f in fibers_upto(S, 12)}[8] is kept
 
 
 def test_fibers_upto_raises_where_raw_fiber_does():
