@@ -1,10 +1,17 @@
-"""Betti elements, minimal presentations and complete intersections."""
+"""Betti elements, minimal presentations and complete intersections.
+
+A Betti element is an element b whose graph G_b has two or more
+components (factor.nc(S, b) >= 2; Rosales and Garcia-Sanchez, Finitely
+Generated Commutative Monoids, 1999).  betti_elements answers that for a
+whole range at once on big-int bit planes (_split), and only the Betti
+elements get a fiber.
+"""
 
 from itertools import product
 
 from . import constants, factor
 from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
-                     IncompleteBettiError)
+                     IncompleteBettiError, SearchCapExceededError)
 
 # choices per Betti element that all_minimal_presentations may list
 _PRESENTATION_CAP = 200000
@@ -49,15 +56,18 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     factorizations raises FiberCapExceededError, also when the profile
     was kept from an earlier call with a larger cap.
 
-    Numerical semigroups: exact, via the candidate set
-    {w + n_j : w in Ap(S; n_1) \\ {0}, j != 1}, n_1 = gens[0].
+    Numerical semigroups: exact, from the planes over [0, F + n + max(gens)],
+    n the multiplicity, which holds every Betti element.
 
     Affine semigroups: exact when some arrangement is free (then
-    Betti = {c_i^* n_i}); otherwise a bounded sweep over elements of
-    coordinate sum <= degree_bound, flagged incomplete.
+    Betti = {c_i^* n_i}); otherwise the planes over the box
+    [0, degree_bound]^r, kept to coordinate sum <= degree_bound and
+    flagged incomplete; a box of more than _BOX_CAP bits raises
+    SearchCapExceededError before any plane is built.
     """
     if S.numerical:
-        profile = S._cached("betti", _betti_numerical, S, fiber_cap)
+        profile = S._cached("betti", lambda: _profile(
+            S, _split_numerical(S), fiber_cap, True))
     else:
         # kept under its bound, None when a free arrangement makes the set
         # exact: every caller in one report shares the sweep
@@ -73,23 +83,145 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     return profile
 
 
-def _betti_numerical(S, fiber_cap):
-    # Every Betti element b is w + n_j with w in Ap(S; n_1) \ {0} and
-    # j != 1.  G_b has two or more components, so one of them misses node
-    # 1; take a node j in it.  If b - n_j - n_1 were in S, then b - n_1
-    # would be in S and the edge 1--j would exist.  So b - n_j lies in
-    # Ap(S; n_1), j != 1, and w = b - n_j != 0 because a generator has a
-    # one-node graph.
-    n1 = S.gens[0]
-    candidates = {w + g for w in S.apery(n1) if w for g in S.gens[1:]}
-    return _sweep(S, sorted(candidates), fiber_cap, True)
+def _profile(S, betti, fiber_cap, complete):
+    """The profile of the ascending elements betti, each with its fiber."""
+    fibers = {b: factor.fiber(S, b, fiber_cap) for b in betti}
+    return BettiProfile(betti, fibers, complete)
 
 
-def _sweep(S, elements, fiber_cap, complete):
-    """The profile of the elements with two or more R-classes."""
-    fibers = {m: factor.fiber(S, m, fiber_cap) for m in elements
-              if factor.nc(S, m) >= 2}
-    return BettiProfile(sorted(fibers), fibers, complete)
+def _split_numerical(S):
+    """The elements b of S, ascending, whose graph G_b has two or more
+    components: every Betti element of the numerical semigroup S."""
+    # Every Betti element b is at most top = F + n + max(gens), for n any
+    # generator: G_b has two or more components, so one of them misses
+    # node n; take a node n_j in it.  No edge joins n_j and n, so
+    # b - n_j - n is not in S (when n is no node, b - n is not in S, and
+    # neither is b - n_j - n).  So b - n_j lies in Ap(S; n), whose largest
+    # element is F + n, and b <= F + n + n_j.  The multiplicity gives the
+    # least top, and its Apery table is the membership table S has.
+    #
+    # Bit m of the membership plane is set when m is in S: m is in S iff
+    # m - k n lies in Ap(S; n) for some k >= 0, so the bits of Ap(S; n),
+    # spread by doubling shifts of n, are the members up to top.
+    n = S.multiplicity
+    top = S.frobenius() + n + max(S.gens)
+    buf = bytearray(top // 8 + 1)
+    for w in S.apery(n):
+        buf[w >> 3] |= 1 << (w & 7)
+    member, mask = int.from_bytes(buf, "little"), (1 << top + 1) - 1
+    step = n
+    while step <= top:
+        member |= (member << step) & mask
+        step <<= 1
+    return _split(member, S.gens, top)
+
+
+def _split_affine(S, bound):
+    """The elements b of S of coordinate sum <= bound, sorted, whose graph
+    G_b has two or more components."""
+    # A vector v of the box [0, bound]^r sits at bit sum_k v_k * radix^k.
+    # A field of radix = 2 (bound + 1) holds the sum of two box vectors,
+    # so a shift by a box vector never carries into the next field, and
+    # the box mask after every shift clears what left the box.  Whether b
+    # is in S, and nc(S, b), depend only on the vectors below b, which
+    # lie in the box with b; a generator of coordinate sum > bound is no
+    # node of any b kept.  The members come from coin-change doubling
+    # shifts of each generator.
+    gens = [g for g in S.gens if sum(g) <= bound]
+    r, radix = S.ambient_dim, 2 * (bound + 1)
+    if radix ** r > _BOX_CAP:
+        raise SearchCapExceededError(
+            f"the box [0, {bound}]^{r} is too large for the Betti planes")
+    units = [radix ** k for k in range(r)]
+
+    def at(v):
+        return sum(c * u for c, u in zip(v, units))
+
+    box = 1  # the box mask, one coordinate at a time by doubling shifts
+    for u in units:
+        span = 1
+        while span <= bound:
+            box |= box << span * u
+            span *= 2
+        box &= (1 << (bound + 1) * u) - 1  # coordinate at u <= bound
+    member = 1  # the bit of 0
+    for g in gens:
+        step = g
+        while sum(step) <= bound:
+            member |= (member << at(step)) & box
+            step = S._arith.scale(2, step)
+    found = (tuple(b // u % radix for u in units)
+             for b in _split(member, [at(g) for g in gens], radix ** r - 1,
+                             box))
+    return sorted(b for b in found if sum(b) <= bound)
+
+
+# Bits per window of _split, at least: a longer range is walked in windows
+_WINDOW = 1 << 20
+# Bits per affine plane, at most: 8 MiB each, and a window of the affine
+# planes spans nearly the whole box
+_BOX_CAP = 1 << 26
+
+
+def _split(member, shifts, top, box=None):
+    """The positions b <= top, ascending, at which the graph G_b has two
+    or more components, from the membership plane member over [0, top]
+    and the positions of the generators (shifts).  box, when given, is the
+    mask of the valid positions, applied after every shift.
+
+    Bit b reads member no lower than b - 2 max(shifts), so [0, top] is
+    walked in windows of max(_WINDOW, 2 max(shifts)) bits, each reading
+    the planes from that far below its start: the planes of a window take
+    O(e^2 * window) bits, and are dropped before the next window's.
+    """
+    reach = 2 * max(shifts, default=0)
+    width = max(_WINDOW, reach)
+    out = []
+    for lo in range(0, top + 1, width):
+        base = max(0, lo - reach)
+        mask = (1 << min(top + 1, lo + width) - base) - 1
+        split = _split_plane(member >> base & mask, shifts,
+                             mask if box is None else box >> base & mask)
+        bits = bin(split >> lo - base)[:1:-1]  # bits[t] is bit lo + t
+        t = bits.find("1")
+        while t >= 0:
+            out.append(lo + t)
+            t = bits.find("1", t + 1)
+    return out
+
+
+def _split_plane(member, shifts, valid):
+    """The plane of the positions b at which G_b has two or more
+    components, exact where member is known from b - 2 max(shifts) on.
+
+    Bit b of node_i = member << n_i is set when n_i is a node of G_b, and
+    bit b of link_ij = node_i << n_j (i < j) when the edge i--j is in G_b:
+    one plane answers for every b at once.  The nodes are then eliminated
+    in index order.  Eliminating k links every two later nodes that k
+    links, link_ij |= link_ki & link_kj, so two later nodes are joined in
+    what is left exactly when they are joined in G_b.  So k links to no
+    later node exactly when it is the largest node of its component, and
+    G_b has as many components as such nodes.  Two planes count them,
+    saturated at 2 (once, split).  O(e^3) operations on planes.
+    """
+    e = len(shifts)
+    node = [(member << s) & valid for s in shifts]
+    link = [[(node[i] << shifts[j]) & valid if j > i else 0
+             for j in range(e)] for i in range(e)]
+    once = split = 0
+    for k in range(e):
+        joined = 0
+        for j in range(k + 1, e):
+            joined |= link[k][j]
+        last = node[k] & ~joined  # k is the largest node of its component
+        split |= once & last
+        once |= last
+        for i in range(k + 1, e):
+            ki = link[k][i]
+            if ki:
+                for j in range(i + 1, e):
+                    link[i][j] |= ki & link[k][j]
+    return split
 
 
 def free_arrangement(S):
@@ -184,8 +316,7 @@ def _betti_affine(S, degree_bound, fiber_cap):
         betti = {S._arith.scale(constants.c_star(S, arr, pos),
                                 S.gens[arr[pos]])
                  for pos in range(S.rank, len(arr))}
-        fibers = {b: factor.fiber(S, b, fiber_cap) for b in betti}
-        return BettiProfile(sorted(betti), fibers, True)
+        return _profile(S, sorted(betti), fiber_cap, True)
     bound = degree_bound
     if bound is None:
         if S.simplicial_rays is None:
@@ -195,7 +326,7 @@ def _betti_affine(S, degree_bound, fiber_cap):
         bound = 2 * sum(constants.c_star(S, arr0, pos) *
                         sum(S.gens[arr0[pos]])
                         for pos in range(S.rank, len(arr0)))
-    return _sweep(S, S.elements_upto(bound), fiber_cap, False)
+    return _profile(S, _split_affine(S, bound), fiber_cap, False)
 
 
 def require_exact_betti(S):

@@ -1,10 +1,10 @@
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from semigroups import (FiberCapExceededError, IncompleteBettiError,
-                        betti_elements, fiber,
+                        betti, betti_elements, factor, fiber,
                         free_arrangement, is_complete_intersection, is_free,
                         make_semigroup, minimal_presentation,
                         presentation_cardinality)
@@ -278,3 +278,87 @@ def test_betti_elements_match_a_sweep_over_every_apery_candidate():
         assert profile.betti == tuple(expected), S.gens
         assert {b: f.classes for b, f in profile.fibers.items()} == \
             expected, S.gens
+
+
+def test_numerical_betti_builds_no_apery_table_for_the_first_generator():
+    # the planes reach F + n + max(gens) with n the multiplicity, from the
+    # membership table: gens[0] = 9 is no Apery base here
+    S = make_semigroup([9, 7, 5])
+    assert S.multiplicity != S.gens[0]
+    assert betti_elements(S).betti == brute_betti_numerical(S)
+    assert ("apery", (S.gens[0],)) not in S._memo
+
+
+def _nc_oracle_numerical(S):
+    top = S.frobenius() + S.multiplicity + max(S.gens)
+    return [m for m in range(top + 1) if factor.nc(S, m) >= 2]
+
+
+def _nc_oracle_affine(S, bound):
+    """Every vector of coordinate sum <= bound with nc >= 2, sorted: a
+    vector outside S has nc 0."""
+    box = product(range(bound + 1), repeat=S.ambient_dim)
+    return sorted(v for v in box
+                  if sum(v) <= bound and factor.nc(S, v) >= 2)
+
+
+def _affine_default_sweeps(monkeypatch, corpus):
+    """(S, bound, found) for each non-free member, as betti_elements
+    sweeps it at its default bound."""
+    sweeps = []
+    real = betti._split_affine
+
+    def recorded(S, bound):
+        sweeps.append((S, bound, real(S, bound)))
+        return sweeps[-1][2]
+
+    monkeypatch.setattr(betti, "_split_affine", recorded)
+    for S in corpus:
+        betti_elements(S)
+    monkeypatch.undo()
+    return sweeps
+
+
+def test_split_planes_match_nc_at_every_position(monkeypatch):
+    from test_classify import _affine_probe_corpus
+    corpus = list(enumerate_numerical_by_genus(12))
+    assert len(corpus) == 1413
+    for S in corpus:
+        assert betti._split_numerical(S) == _nc_oracle_numerical(S), S.gens
+    probe = [S for S in _affine_probe_corpus() if free_arrangement(S) is None]
+    assert len(probe) == 68
+    sweeps = _affine_default_sweeps(monkeypatch, probe)
+    assert [S for S, _, _ in sweeps] == probe
+    for S, bound, found in sweeps:
+        assert found == _nc_oracle_affine(S, bound), (S.gens, bound)
+    # in N^3, with an explicit degree bound
+    S = make_semigroup([(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    for bound in (8, 11):
+        assert betti._split_affine(S, bound) == _nc_oracle_affine(S, bound)
+
+
+def test_split_planes_match_nc_across_window_seams(monkeypatch):
+    from test_classify import _affine_probe_corpus
+    # windows of 2 max(gens) bits, each reading the one below it
+    monkeypatch.setattr(betti, "_WINDOW", 1)
+    seams = 0
+    for S in enumerate_numerical_by_genus(12):
+        seams += S.frobenius() + S.multiplicity >= max(S.gens)
+        assert betti._split_numerical(S) == _nc_oracle_numerical(S), S.gens
+    assert seams > 1000
+    for S in _affine_probe_corpus()[::10]:
+        assert betti._split_affine(S, 24) == _nc_oracle_affine(S, 24), \
+            S.gens
+    S = make_semigroup([(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    assert betti._split_affine(S, 11) == _nc_oracle_affine(S, 11)
+
+
+def test_affine_betti_planes_leave_the_membership_memo_small():
+    # the bounded planes read no membership per element: only the Betti
+    # fibers touch the engine's memo, which an nc call on every element of
+    # coordinate sum <= 108 (the default bound here) left at 1,042 entries
+    S = make_semigroup([(6, 0), (0, 6), (1, 5), (4, 2)])
+    profile = betti_elements(S)
+    assert profile.betti == ((4, 20), (6, 12), (8, 10), (12, 6))
+    assert not profile.complete
+    assert len(S._engine()._memo) == 13

@@ -311,13 +311,13 @@ _BOUNDED = [
 def test_analyze_sweeps_an_explicit_degree_bound_once(monkeypatch, capsys,
                                                       gens, bound, digest):
     sweeps = []
-    real = betti._sweep
+    real = betti._split_affine
 
     def counted(*args):
         sweeps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(betti, "_sweep", counted)
+    monkeypatch.setattr(betti, "_split_affine", counted)
     code, out, _ = run(capsys, "analyze", "--gens", gens, "--degree-bound",
                        bound, "--json")
     assert code == 0
@@ -341,6 +341,9 @@ def test_json_byte_stable(capsys):
 # address-space limit, so a hang or a memory blow-up fails the case instead
 # of the suite.
 _AFFINE = "(2,0);(0,2);(1,1)"
+# the e = 8 Betti-divisible member, the last line of its corpus file
+_E8 = (Path(__file__).parent / "corpora" / "betti_divisible_e8.txt") \
+    .read_text().split()[-1]
 _FUZZ = [
     (["factorize", "--gens", _AFFINE, "--element", "(1,1,5)"], 2),
     (["factorize", "--gens", _AFFINE, "--element", "(1)"], 2),
@@ -390,6 +393,13 @@ _FUZZ = [
     # work, not shape: a scan bound of 63,479,837 is refused before the
     # scan, and no Apery table for the largest generator is built
     (["verify", "--corpus", "corpora/betti_divisible_e8.txt"], 3),
+    # work, not shape: the Betti planes reach F + n + max(gens) = 59,140,502
+    # in windows, and only the one Betti element, 9,699,690, gets a fiber
+    (["betti", "--gens", _E8], 0),
+    # work, not shape: the affine Betti planes of (2 * 3001)^3 bits each
+    # are refused before any is built
+    (["betti", "--gens", "(1,0,1);(0,1,0);(1,1,0);(0,0,1)",
+      "--degree-bound", "3000"], 3),
     # work, not shape: a box with some mu_i = 0 is never an Apery set, so
     # the is_rectangular search on <26, ..., 51> tries no factor of 1
     (["classify", "--gens", ",".join(map(str, range(26, 52)))], 0),
