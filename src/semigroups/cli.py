@@ -13,6 +13,7 @@ through the recursive encoder.
 """
 
 import argparse
+import functools
 import sys
 import time
 from itertools import chain
@@ -397,7 +398,10 @@ def _add_common(p, degree_bound=False, fiber_cap=False):
                        help="maximum factorizations per fiber")
 
 
+@functools.cache
 def build_parser():
+    """Every subcommand's parser, built once per process; main looks each
+    handler up by name when called, so a rebound cmd_* is the one run."""
     top = argparse.ArgumentParser(
         prog="semigroups",
         description="Factorization invariants of numerical and simplicial "
@@ -406,20 +410,16 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="full invariant report")
     _add_common(p, degree_bound=True, fiber_cap=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("factorize", help="fiber of one element")
     _add_common(p, fiber_cap=True)
     p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("betti", help="Betti elements and presentation")
     _add_common(p, degree_bound=True, fiber_cap=True)
-    p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("classify", help="structural classification flags")
     _add_common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("construct",
                        help="Betti-divisible semigroup from (a, f) params")
@@ -429,7 +429,6 @@ def build_parser():
                    help="recover (a, f) from --gens instead")
     p.add_argument("--gens", help="generators (with --recover)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("glue", help="gluing of two numerical semigroups")
     p.add_argument("--gens1", required=True)
@@ -437,7 +436,6 @@ def build_parser():
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--a2", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("search", help="parametrized family searches")
     p.add_argument("problem", choices=["min-frobenius-betti-divisible"])
@@ -446,7 +444,6 @@ def build_parser():
     p.add_argument("--distinct-betti", type=_positive, default=1,
                    help="require at least this many distinct Betti elements")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run the theorem harness")
     p.add_argument("--genus", type=int, default=None)
@@ -454,7 +451,6 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("--threads", type=_positive, default=1, metavar="N",
                    help="accepted; the harness runs in one process")
-    p.set_defaults(func=cmd_verify)
 
     return top
 
@@ -466,7 +462,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (InvalidGeneratorsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

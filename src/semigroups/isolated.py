@@ -163,14 +163,14 @@ def minimal_in_order(S, elems):
 def minimal_multi_elements(S, bound=None):
     """Elements with several factorizations all of whose atom-predecessors
     factor uniquely.  Computed by a direct scan, independent of the Betti
-    machinery (every such element lies below max(gens) + max Ap(S; n_1) for
-    numerical semigroups).
+    machinery (every such element lies below max(gens) + F + n_1 for
+    numerical semigroups, since max Ap(S; n_1) = F + n_1).
 
     The scan is closed downward, so m - n_i lies in S iff it was scanned.
     Two factorizations of m - n_i give two of m, so m has several as soon
     as some m - n_i has; only the other elements are counted."""
     if S.numerical:
-        limit = max(S.gens) + max(S.apery(S.gens[0]))
+        limit = max(S.gens) + S.frobenius() + S.gens[0]
     else:
         if bound is None:
             raise InfiniteSetError(

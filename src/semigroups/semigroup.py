@@ -504,12 +504,15 @@ def make_semigroup(raw_gens):
         if d != 1:
             raise NotNumericalError(
                 f"gcd of generators is {d}; not a numerical semigroup")
-    gens = _strip_redundant(gens)
+    engine = SubMonoid(gens)
+    gens = _strip_redundant(gens, engine.contains)
     if numerical:
-        return Semigroup(gens, 1, 1, (0,))
-    r = linalg.group_rank(gens)
-    rays = _find_rays(gens, r)
-    return Semigroup(gens, len(gens[0]), r, rays)
+        S = Semigroup(gens, 1, 1, (0,))
+    else:
+        r = linalg.group_rank(gens)
+        S = Semigroup(gens, len(gens[0]), r, _find_rays(gens, r))
+    S._monoid = engine  # dropping redundant gens keeps the monoid and table
+    return S
 
 
 def _normalize(raw_gens):
@@ -543,14 +546,13 @@ def _normalize(raw_gens):
     return gens
 
 
-def _strip_redundant(gens):
-    """The minimal generators among distinct gens, in order.  A generator
-    is redundant iff it is the sum of two nonzero elements, that is iff
-    g - h lies in the monoid for some other generator h."""
-    sm = SubMonoid(gens)
+def _strip_redundant(gens, contains):
+    """The minimal generators among distinct gens, in order: g is redundant
+    iff g - h lies in their monoid (by `contains`) for some other
+    generator h, that is iff g is the sum of two nonzero elements."""
     minus = _arithmetic(gens[0]).sub
     return tuple(g for i, g in enumerate(gens)
-                 if not any(j != i and sm.contains(minus(g, h))
+                 if not any(j != i and contains(minus(g, h))
                             for j, h in enumerate(gens)))
 
 

@@ -182,10 +182,11 @@ def test_every_declared_option_is_read(capsys):
                       if isinstance(a, argparse._SubParsersAction))
     assert set(subparsers.choices) == set(_HANDLER_ARGVS)
     for name, sub in subparsers.choices.items():
+        assert callable(getattr(cli, "cmd_" + name, None)), name
         reads = set()
         for argv in _HANDLER_ARGVS[name]:
             recorder = _ReadRecorder(parser.parse_args([name, *argv]))
-            assert recorder._args.func(recorder) == 0, (name, argv)
+            assert getattr(cli, "cmd_" + name)(recorder) == 0, (name, argv)
             reads |= recorder.reads
         capsys.readouterr()
         declared = {a.dest for a in sub._actions
@@ -193,6 +194,53 @@ def test_every_declared_option_is_read(capsys):
         unread = {d for d in declared - reads
                   if (name, d) not in _UNREAD_OPTIONS}
         assert not unread, (name, unread)
+
+
+def _fresh_process(argv):
+    return subprocess.run([sys.executable, "-m", "semigroups.cli", *argv],
+                          capture_output=True, timeout=60)
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "classify", "--gens", "3,5")[0] == 0
+    assert run(capsys, "betti", "--gens", "3,5", "--json")[0] == 0
+    assert built == []
+    build_parser.__wrapped__()  # an uncached build: the top parser and 8
+    assert len(built) == 9
+
+
+def test_a_parse_error_leaves_the_shared_parser_as_fresh(capsys):
+    # errors inside a subcommand's arguments, then a report that must
+    # match the one from a process whose parser never saw them
+    for argv in (["analyze", "--gens", "3,5", "--fiber-cap", "-1"],
+                 ["analyze", "--degree-bound", "4"]):
+        assert run(capsys, *argv)[0] == 2
+    argv = ["analyze", "--gens", "24,26,36,39", "--json"]
+    code, out, _ = run(capsys, *argv)
+    fresh = _fresh_process(argv)
+    assert code == fresh.returncode == 0
+    assert out.encode() == fresh.stdout
+
+
+def test_help_from_the_shared_parser_matches_a_fresh_process(monkeypatch,
+                                                             capsys):
+    # the help width follows COLUMNS in both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "classify", "--gens", "3,5")[0] == 0
+    assert run(capsys, "verify", "--genus", "x")[0] == 2
+    for argv in ([], *([name] for name in _HANDLER_ARGVS)):
+        code, out, _ = run(capsys, *argv, "--help")
+        fresh = _fresh_process([*argv, "--help"])
+        assert code == fresh.returncode == 0, argv
+        assert out.encode() == fresh.stdout, argv
 
 
 def test_json_big_integers_as_strings():

@@ -77,6 +77,14 @@ def test_minimal_multi_elements_equal_betti_minimals():
         assert set(minimal_multi_elements(S)) == set(betti_minimals(S)), gens
 
 
+def test_minimal_multi_elements_build_no_apery_table_of_the_first_generator():
+    # the scan limit is max(gens) + F + n_1, read off the Frobenius number,
+    # and 9 is not the multiplicity of <9, 7, 5>
+    S = make_semigroup([9, 7, 5])
+    assert minimal_multi_elements(S) == (14, 25, 27)
+    assert ("apery", (9,)) not in S._memo
+
+
 def test_i_total_counts():
     S = make_semigroup([2, 3])
     prof = isolated_profile(S)

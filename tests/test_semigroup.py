@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigroups import (InfiniteAperyError, InvalidGeneratorsError,
-                        NotNumericalError, make_semigroup, parse_gens)
+                        NotNumericalError, make_semigroup, parse_gens,
+                        semigroup)
 from semigroups.classify import _divides_value
 from semigroups.semigroup import (SubMonoid, _IntArithmetic,
                                   _TupleArithmetic, format_element,
@@ -15,6 +16,22 @@ def test_make_numerical_preserves_order_and_strips_redundant():
     assert S.gens == (24, 26, 36, 39)
     S2 = make_semigroup([4, 6, 10, 9])  # 10 = 4 + 6 is redundant
     assert S2.gens == (4, 6, 9)
+
+
+@pytest.mark.parametrize("gens", [[24, 26, 36, 39], [4, 6, 10, 9]])
+def test_make_semigroup_builds_the_membership_table_once(monkeypatch, gens):
+    # the engine that strips redundant generators answers S's queries
+    built, apery_table = [], semigroup._apery_table
+
+    def counted(gens, modulus):
+        built.append(modulus)
+        return apery_table(gens, modulus)
+    monkeypatch.setattr(semigroup, "_apery_table", counted)
+    S = make_semigroup(gens)
+    members = [S.contains(x) for x in range(60)]
+    assert built == [min(gens)]
+    fresh = SubMonoid(S.gens)
+    assert members == [fresh.contains(x) for x in range(60)]
 
 
 def test_make_numerical_rejects_bad_input():
