@@ -9,7 +9,7 @@ false), which would falsify the theorem on that semigroup.
 """
 
 from itertools import combinations, groupby, permutations
-from math import prod
+from math import factorial, prod
 
 from . import constants, factor
 from .betti import (_free_completion, _free_multiple, betti_elements,
@@ -132,17 +132,11 @@ def is_free_all_arrangements(S):
 
 # -- rectangularity -------------------------------------------------------
 
-def _base_key(S, base_idx):
-    """The base a base_idx names: a generator index (numerical), or None
-    for the rays (affine, where alpha_i ignores base_idx)."""
-    return (base_idx or 0) if S.numerical else None
-
-
 def is_alpha_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds alpha_i.
     Returns (flag, bounds) where bounds maps generator index -> alpha_i."""
     others = _others(S, base_idx)
-    alphas = [constants.alpha(S, i, _base_key(S, base_idx)) for i in others]
+    alphas = [constants.alpha(S, i, base_idx) for i in others]
     return _box_witness(S, base_idx, others, alphas)
 
 
@@ -174,7 +168,7 @@ def is_rectangular(S, base_idx=None):
     """
     others = _others(S, base_idx)
     ap = _apery_for(S, base_idx)
-    alphas = [constants.alpha(S, i, _base_key(S, base_idx)) for i in others]
+    alphas = [constants.alpha(S, i, base_idx) for i in others]
     mu = _box_bounds(S, others, alphas, list(ap), 0, len(ap), [])
     if mu is None:
         return False, None
@@ -257,16 +251,29 @@ def has_single_betti_minimal(S):
 
 # -- shaped presentations -------------------------------------------------
 
+# 7! cost-sorted arrangements, a tie of seven costs: the shape checks
+# search each one, 0.3-0.4 ms apiece on the all-tied e = 5 and e = 6
+# members, so about 2 s.  No member of genus <= 15 has more than 6.
+_ARRANGEMENT_CAP = 5040
+
+
 def _sorted_cost_arrangements(S):
     """Arrangements (index tuples) with c_1 n_1 <= ... <= c_e n_e: every
-    ordering of each run of tied costs."""
+    ordering of each run of tied costs, counted against the cap first."""
     e = len(S.gens)
+    if e == 1:  # S = N: one arrangement, and 1 has no c_1
+        return [(0,)]
     cs = constants.c_values(S)
     cost = [cs[i] * S.gens[i] for i in range(e)]
     order = sorted(range(e), key=lambda i: (cost[i], S.gens[i]))
+    runs = [tuple(run) for _, run in groupby(order, key=cost.__getitem__)]
+    count = prod(factorial(len(run)) for run in runs)
+    if count > _ARRANGEMENT_CAP:
+        raise SearchCapExceededError(
+            f"{S}: {count} cost-sorted arrangements exceed {_ARRANGEMENT_CAP}")
     out = [()]
-    for _, group in groupby(order, key=cost.__getitem__):
-        perms = list(permutations(group))
+    for run in runs:
+        perms = list(permutations(run))
         out = [pre + perm for pre in out for perm in perms]
     return out
 
@@ -461,10 +468,9 @@ class HarnessInputs:
     keeps only what the library functions keep (the profiles, the minimals,
     the c values, the Apery sets, alpha_i and the shaped-presentation
     data), no rectangularity verdict;
-    the rest lives for one harness call.  Only the public verify_bounds and
-    check_equivalence_theorems build their own when given none;
-    run_theorem_harness builds one for a twin of each corpus member, so
-    nothing is kept on the caller's semigroups.  Sharing an input never
+    the rest lives for one harness call.  run_theorem_harness builds one
+    for a twin of each corpus member, so nothing is kept on the caller's
+    semigroups.  Sharing an input never
     reads one condition off another: each check still evaluates its own
     conditions from these inputs.  A numerical scan past _SCAN_CAP raises
     SearchCapExceededError before any fiber is built."""
@@ -505,8 +511,7 @@ class _Base:
     def __init__(self, S, j):
         self.ap = _apery_for(S, j)
         self.others = _others(S, j)
-        self.alphas = [constants.alpha(S, i, _base_key(S, j))
-                       for i in self.others]
+        self.alphas = [constants.alpha(S, i, j) for i in self.others]
         self.alpha_rect = _box_witness(S, j, self.others, self.alphas)[0]
         self.c_rect = is_c_rectangular(S, j)[0]
         self.unique = all(factor.denumerant(S, w) == 1 for w in self.ap)
@@ -519,12 +524,11 @@ def _chain(name, *values):
     return {"name": name, "ok": ok, "values": list(values)}
 
 
-def verify_bounds(S, inputs=None):
+def verify_bounds(S, inputs):
     """Evaluate every applicable inequality chain of the bound results.
-    inputs, when given, is the HarnessInputs of S."""
+    inputs is the HarnessInputs of S."""
     if S.numerical and len(S.gens) == 1:
         return []
-    inputs = inputs or HarnessInputs(S)
     out = []
     profile, prof = inputs.profile, inputs.prof
     e = len(S.gens)
@@ -934,18 +938,17 @@ def _check_thm_single_betti_alpha(S, inputs):
     return _entry([c1, c2, c3])
 
 
-def check_equivalence_theorems(S, inputs=None):
+def check_equivalence_theorems(S, inputs):
     """Evaluate the multi-way characterization theorems independently.
 
     Returns a mapping from theorem id to {applicable, conditions, ok}.
     Each vector must be constant (all true or all false); a mixed vector
-    is a counterexample to the corresponding theorem.  inputs, when
-    given, is the HarnessInputs of S.
+    is a counterexample to the corresponding theorem.  inputs is the
+    HarnessInputs of S.
     """
     report = {}
     if S.numerical and len(S.gens) == 1:
         return report
-    inputs = inputs or HarnessInputs(S)
     characterization, elements, b1_smallest = _check_walked(S, inputs)
     report["isolated_characterization"] = characterization
     report["isolated_elements"] = elements

@@ -12,10 +12,13 @@ generators first, and a position i > r:
 All functions take arrangements as tuples of generator indices.
 """
 
+from math import gcd
+
 from . import linalg
 from .errors import NotSimplicialError, SearchCapExceededError
 
-_C_SEARCH_CAP = 10 ** 6
+# the largest c the least-multiple search tries where no proof bounds c
+_SEARCH_CAP = 10 ** 6
 
 
 def default_arrangement(S):
@@ -28,25 +31,48 @@ def default_arrangement(S):
 def c_star(S, arrangement, pos):
     """The constant c_i^* at position pos (0-based) of the arrangement."""
     # the value depends on the prefix only as a set
-    return S._cached(("c_star", tuple(sorted(arrangement[:pos])),
-                      arrangement[pos]),
-                     S.prefix_multiple, tuple(arrangement), pos)
+    prefix = tuple(sorted(arrangement[:pos]))
+    idx = arrangement[pos]
+    return S._cached(("c_star", prefix, idx), _least_multiple, S, prefix, idx)
 
 
 def c_bar(S, arrangement, pos):
     """The constant c-bar_i: group membership instead of monoid membership."""
     prefix = tuple(sorted(arrangement[:pos]))
     idx = arrangement[pos]
-    return S._cached(("c_bar", prefix, idx), _required_group_multiple, S,
-                     prefix, idx)
+    return S._cached(("c_bar", prefix, idx), _group_multiple, S, prefix, idx)
 
 
-def _required_group_multiple(S, prefix, idx):
-    c = S._group_multiple(prefix, idx)
+def _least_multiple(S, indices, idx, cap=_SEARCH_CAP):
+    """Least c >= 1 with c * gens[idx] in the monoid generated by the gens
+    at indices.  Only multiples of the least group multiple can lie in the
+    monoid, so the search steps by it.  This one search serves c_i^*, c_i
+    and, through c_star, Ap(S; rays)."""
+    step = _group_multiple(S, indices, idx)
+    g = S.gens[idx]
+    inside = S.submonoid(indices).contains
+    scale = S._arith.scale
+    for c in range(step, cap + 1, step):
+        if inside(scale(c, g)):
+            return c
+    raise SearchCapExceededError(
+        f"no multiple of {g} lies in the monoid of the generators "
+        f"{[S.gens[i] for i in indices]} below {cap}")
+
+
+def _group_multiple(S, indices, idx):
+    """Smallest c >= 1 with c * gens[idx] in the group of the gens at
+    indices; SearchCapExceededError when there is none."""
+    g = S.gens[idx]
+    if S.numerical:
+        d = gcd(*(S.gens[i] for i in indices))  # 0: no indices, group {0}
+        c = d // gcd(d, g) or None
+    else:
+        c = linalg.Lattice([S.gens[i] for i in indices]).multiple_in_lattice(g)
     if c is None:
         raise SearchCapExceededError(
-            f"generator {S.gens[idx]} has no multiple in the group "
-            f"generated by the prefix")
+            f"no multiple of {g} lies in the group of the generators "
+            f"{[S.gens[i] for i in indices]}")
     return c
 
 
@@ -58,13 +84,12 @@ def c_value(S, idx):
     def compute():
         g = S.gens[idx]
         others = tuple(j for j in range(len(S.gens)) if j != idx)
-        if S.numerical:
-            limit = g * max(S.gens)
-        else:
-            if not linalg.in_cone(g, [S.gens[j] for j in others]):
-                return None
-            limit = _C_SEARCH_CAP
-        return S._least_multiple(others, idx, limit)
+        if S.numerical:  # only S = N, generated by 1 alone, has no c_i
+            return (_least_multiple(S, others, idx, g * max(S.gens))
+                    if others else None)
+        if not linalg.in_cone(g, [S.gens[j] for j in others]):
+            return None
+        return _least_multiple(S, others, idx)
 
     return S._cached(("c_value", idx), compute)
 

@@ -12,6 +12,7 @@ f_e with gcd(f_i, a_i) = 1; the generators are n_i = f_i * prod(a) / a_i.
 
 from math import gcd, prod
 
+from . import constants
 from .betti import betti_elements
 from .errors import InvalidGluingError, InvalidParametersError
 from .semigroup import make_semigroup
@@ -113,7 +114,6 @@ def recover_params(S):
     """Recover the (a, f) parameters of a Betti-divisible numerical
     semigroup, in the arrangement with c_1 n_1 <= ... <= c_e n_e.
     Returns None when S is not in the family."""
-    from . import constants
     if not S.numerical:
         return None
     e = len(S.gens)

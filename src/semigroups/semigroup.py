@@ -10,16 +10,13 @@ import operator
 from itertools import combinations
 from math import gcd
 
-from . import linalg
+from . import constants, linalg
 from .errors import (
     InfiniteAperyError,
     InvalidGeneratorsError,
     NotNumericalError,
     NotSimplicialError,
-    SearchCapExceededError,
 )
-
-_CSTAR_CAP = 10 ** 6
 
 
 class _IntArithmetic:
@@ -348,13 +345,12 @@ class Semigroup:
                 "generators only")
         # every element of Ap(S; rays) is a combination of the non-rays,
         # the i-th with a coefficient below its c_i^* after the rays
-        nonrays = self.nonray_indices()
-        arrangement = tuple(self.simplicial_rays) + nonrays
-        bounds = [self.prefix_multiple(arrangement, pos) - 1
+        arrangement = constants.default_arrangement(self)
+        bounds = [constants.c_star(self, arrangement, pos) - 1
                   for pos in range(self.rank, len(arrangement))]
         minus = self._arith.sub
         return tuple(sorted(
-            w for w in set(self._box_values(nonrays, bounds))
+            w for w in set(self._box_values(arrangement[self.rank:], bounds))
             if all(not self.contains(minus(w, r)) for r in rays)))
 
     def _box_values(self, indices, bounds):
@@ -366,46 +362,6 @@ class Semigroup:
             steps = [ar.scale(k, self.gens[idx]) for k in range(bound + 1)]
             vals = [ar.add(v, step) for v in vals for step in steps]
         return vals
-
-    def prefix_multiple(self, arrangement, pos):
-        """Smallest c >= 1 with c * gens[arrangement[pos]] in the monoid
-        generated by the earlier generators of the arrangement (c_i^*)."""
-        c = self._least_multiple(arrangement[:pos], arrangement[pos],
-                                 _CSTAR_CAP)
-        if c is None:
-            raise SearchCapExceededError(
-                f"{format_element(self.gens[arrangement[pos]])} has no "
-                f"multiple in the group of the prefix")
-        return c
-
-    def _least_multiple(self, indices, idx, cap):
-        """Least c >= 1 with c * gens[idx] in the monoid generated by the
-        gens at indices, or None when no multiple of gens[idx] lies in
-        their group.  Only multiples of the least group multiple can lie in
-        the monoid, so the search steps by it."""
-        step = self._group_multiple(indices, idx)
-        if step is None:
-            return None
-        g = self.gens[idx]
-        inside = self.submonoid(indices).contains
-        scale = self._arith.scale
-        for c in range(step, cap + 1, step):
-            if inside(scale(c, g)):
-                return c
-        raise SearchCapExceededError(
-            f"no multiple of {format_element(g)} lies in the monoid of the "
-            f"generators {[self.gens[i] for i in indices]} below {cap}")
-
-    def _group_multiple(self, prefix, idx):
-        """Smallest c with c * gens[idx] in the group of the prefix gens."""
-        g = self.gens[idx]
-        if self.numerical:
-            d = gcd(*(self.gens[i] for i in prefix))
-            if d == 0:
-                return None
-            return d // gcd(d, g)
-        lat = linalg.Lattice([self.gens[i] for i in prefix])
-        return lat.multiple_in_lattice(g)
 
     # -- numerical invariants --------------------------------------------
 

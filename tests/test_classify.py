@@ -7,6 +7,8 @@ from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 
+import pytest
+
 from semigroups import (check_equivalence_theorems, classification_report,
                         free_some_arrangement, has_single_betti,
                         has_single_betti_minimal, is_alpha_rectangular,
@@ -25,6 +27,7 @@ from semigroups.classify import (HarnessInputs, _check_thm_alpha_free,
                                  admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
+from semigroups.errors import SearchCapExceededError
 from semigroups.explore import (enumerate_numerical_by_genus,
                                 run_theorem_harness)
 from semigroups.factor import fibers_upto
@@ -133,18 +136,20 @@ def test_alpha_rectangular_every_generator():
 
 
 def test_verify_bounds_all_ok_on_witnesses():
-    for gens in ([2, 3], [3, 4, 5], [4, 5, 6], [4, 6, 9], [6, 15, 20],
+    for gens in ([1], [2, 3], [3, 4, 5], [4, 5, 6], [4, 6, 9], [6, 15, 20],
                  [16, 20, 30, 45], [24, 26, 36, 39], [10, 14, 15, 21],
                  [30, 42, 105, 140]):
-        for entry in verify_bounds(make_semigroup(gens)):
+        S = make_semigroup(gens)
+        for entry in verify_bounds(S, HarnessInputs(S)):
             assert entry["ok"], (gens, entry)
 
 
 def test_equivalence_theorems_all_ok_on_witnesses():
-    for gens in ([2, 3], [3, 4, 5], [4, 5, 6], [4, 6, 9], [6, 15, 20],
+    for gens in ([1], [2, 3], [3, 4, 5], [4, 5, 6], [4, 6, 9], [6, 15, 20],
                  [16, 20, 30, 45], [24, 26, 36, 39], [10, 14, 15, 21]):
+        S = make_semigroup(gens)
         for name, entry in check_equivalence_theorems(
-                make_semigroup(gens)).items():
+                S, HarnessInputs(S)).items():
             assert entry["ok"], (gens, name, entry)
 
 
@@ -152,7 +157,8 @@ def test_equivalence_theorems_affine():
     # in the second semigroup the lexicographic and the degree order of
     # Ap(S; rays) and of the Betti elements {(2,6), (4,2)} differ
     for gens in ([(1, 0), (0, 2), (0, 3)], [(2, 0), (0, 2), (1, 3), (2, 1)]):
-        report = check_equivalence_theorems(make_semigroup(gens))
+        S = make_semigroup(gens)
+        report = check_equivalence_theorems(S, HarnessInputs(S))
         assert report
         for name, entry in report.items():
             assert entry["ok"], (gens, name, entry)
@@ -315,8 +321,8 @@ def test_peel_gate_rules_out_without_building_c_star(monkeypatch):
                         counted("c_bar", constants.c_bar))
     monkeypatch.setattr(constants, "c_star",
                         counted("c_star", constants.c_star))
-    monkeypatch.setattr(Semigroup, "_least_multiple",
-                        counted("_least_multiple", Semigroup._least_multiple))
+    monkeypatch.setattr(constants, "_least_multiple",
+                        counted("_least_multiple", constants._least_multiple))
     assert free_some_arrangement(S) is None
     assert set(calls) == {"c_bar"} and len(calls) <= len(S.gens), calls
 
@@ -339,6 +345,18 @@ def test_sorted_cost_arrangements_enumerates_every_tie():
     assert len(arrangements) == 120
     assert len(set(arrangements)) == 120
     assert arrangements[0] == (4, 3, 2, 1, 0)  # ties broken by generator
+
+
+def test_sorted_cost_arrangements_are_counted_before_listing(monkeypatch):
+    # 5! = 120 tied orderings, listed above at the real cap: refused one
+    # below it, before any is listed
+    S = make_semigroup([1155, 770, 462, 330, 210])
+    assert classify._ARRANGEMENT_CAP >= 120
+    monkeypatch.setattr(classify, "_ARRANGEMENT_CAP", 119)
+    with pytest.raises(SearchCapExceededError, match="120 cost-sorted"):
+        _sorted_cost_arrangements(S)
+    with pytest.raises(SearchCapExceededError):
+        HarnessInputs(make_semigroup([1155, 770, 462, 330, 210]))
 
 
 # -- order recurrences against the pairwise definitions ----------------------
@@ -520,8 +538,8 @@ def test_harness_reports_are_pinned():
     members = _corpus_e_ge_2(9) + [
         make_semigroup(g) for g in ([(1, 0), (0, 2), (0, 3)],
                                     [(2, 0), (0, 2), (1, 3), (2, 1)])]
-    reports = [[check_equivalence_theorems(S), verify_bounds(S)]
-               for S in members]
+    reports = [[check_equivalence_theorems(S, HarnessInputs(S)),
+                verify_bounds(S, HarnessInputs(S))] for S in members]
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _HARNESS_REPORTS_SHA256
 

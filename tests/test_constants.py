@@ -1,5 +1,6 @@
 from functools import lru_cache
 
+from semigroups import constants
 from semigroups import (alpha, c_atoms, c_bar, c_star, c_value,
                         make_semigroup, parse_gens)
 from semigroups.constants import default_arrangement
@@ -102,3 +103,19 @@ def test_affine_constants_match_a_direct_search():
                 member(tuple(a - b for a, b in zip(w, r))) for r in rays)
                 for w in (tuple(h * x for x in g) for h in range(61))]
             assert alpha(S, arr[pos]) == in_apery.index(False) - 1, text
+
+
+def test_affine_apery_and_c_star_run_one_search_per_position(monkeypatch):
+    # Ap(S; rays) reads c_i^* from the memo that c_star fills, so asking
+    # for c_star after the Apery set starts no second search
+    S = make_semigroup([(3, 0), (0, 3), (1, 2), (2, 1)])
+    real = constants._least_multiple
+    calls = []
+    monkeypatch.setattr(constants, "_least_multiple",
+                        lambda *a: calls.append(a[1:3]) or real(*a))
+    S.apery()
+    arr = default_arrangement(S)
+    stars = [c_star(S, arr, pos) for pos in range(S.rank, len(arr))]
+    assert stars == [3, 2]  # 3 * (1,2) = (3,6); 2 * (2,1) = (3,0) + (1,2)
+    assert sorted(calls) == sorted((tuple(sorted(arr[:pos])), arr[pos])
+                                   for pos in range(S.rank, len(arr)))
