@@ -11,7 +11,8 @@ from itertools import product
 
 from . import constants, factor
 from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
-                     IncompleteBettiError, SearchCapExceededError)
+                     IncompleteBettiError)
+from .semigroup import _bits, _count_planes
 
 # choices per Betti element that all_minimal_presentations may list
 _PRESENTATION_CAP = 200000
@@ -60,9 +61,8 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     n the multiplicity, which holds every Betti element.
 
     Affine semigroups: exact when some arrangement is free (then
-    Betti = {c_i^* n_i}); otherwise the planes over the box
-    [0, degree_bound]^r, kept to coordinate sum <= degree_bound and
-    flagged incomplete; a box of more than _BOX_CAP bits raises
+    Betti = {c_i^* n_i}); otherwise the planes over the range of
+    S._box(degree_bound), flagged incomplete; a box past its cap raises
     SearchCapExceededError before any plane is built.
     """
     if S.numerical:
@@ -76,7 +76,7 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
                             fiber_cap)
     # a kept profile may come from a larger cap; walk the fibers only to
     # name the first one over this cap, in the order they were built
-    if fiber_cap is not None and profile.widest > fiber_cap:
+    if profile.widest > fiber_cap:
         fib = next(f for f in profile.fibers.values()
                    if f.denumerant > fiber_cap)
         raise FiberCapExceededError(fib.element, fiber_cap)
@@ -108,68 +108,35 @@ def _split_numerical(S):
     buf = bytearray(top // 8 + 1)
     for w in S.apery(n):
         buf[w >> 3] |= 1 << (w & 7)
-    member, mask = int.from_bytes(buf, "little"), (1 << top + 1) - 1
+    member, valid = int.from_bytes(buf, "little"), (1 << top + 1) - 1
     step = n
     while step <= top:
-        member |= (member << step) & mask
+        member |= (member << step) & valid
         step <<= 1
-    return _split(member, S.gens, top)
+    return _split(member, S.gens, valid)
 
 
 def _split_affine(S, bound):
     """The elements b of S of coordinate sum <= bound, sorted, whose graph
     G_b has two or more components."""
-    # A vector v of the box [0, bound]^r sits at bit sum_k v_k * radix^k.
-    # A field of radix = 2 (bound + 1) holds the sum of two box vectors,
-    # so a shift by a box vector never carries into the next field, and
-    # the box mask after every shift clears what left the box.  Whether b
-    # is in S, and nc(S, b), depend only on the vectors below b, which
-    # lie in the box with b; a generator of coordinate sum > bound is no
-    # node of any b kept.  The members come from coin-change doubling
-    # shifts of each generator.
-    gens = [g for g in S.gens if sum(g) <= bound]
-    r, radix = S.ambient_dim, 2 * (bound + 1)
-    if radix ** r > _BOX_CAP:
-        raise SearchCapExceededError(
-            f"the box [0, {bound}]^{r} is too large for the Betti planes")
-    units = [radix ** k for k in range(r)]
-
-    def at(v):
-        return sum(c * u for c, u in zip(v, units))
-
-    box = 1  # the box mask, one coordinate at a time by doubling shifts
-    for u in units:
-        span = 1
-        while span <= bound:
-            box |= box << span * u
-            span *= 2
-        box &= (1 << (bound + 1) * u) - 1  # coordinate at u <= bound
-    member = 1  # the bit of 0
-    for g in gens:
-        step = g
-        while sum(step) <= bound:
-            member |= (member << at(step)) & box
-            step = S._arith.scale(2, step)
-    found = (tuple(b // u % radix for u in units)
-             for b in _split(member, [at(g) for g in gens], radix ** r - 1,
-                             box))
-    return sorted(b for b in found if sum(b) <= bound)
+    # whether b is in S, and nc(S, b), depend only on the vectors below b,
+    # where the planes of S._box are exact
+    positions, valid, decode = S._box(bound)
+    one, many = _count_planes(positions, valid)
+    shifts = [p for p in positions if valid >> p & 1]
+    return list(decode(_split(one | many, shifts, valid)))
 
 
 # Bits per window of _split, at least: a longer range is walked in windows
 _WINDOW = 1 << 20
-# Bits per affine plane, at most: 8 MiB each, and a window of the affine
-# planes spans nearly the whole box
-_BOX_CAP = 1 << 26
 
 
-def _split(member, shifts, top, box=None):
-    """The positions b <= top, ascending, at which the graph G_b has two
-    or more components, from the membership plane member over [0, top]
-    and the positions of the generators (shifts).  box, when given, is the
-    mask of the valid positions, applied after every shift.
+def _split(member, shifts, valid):
+    """The positions b in the mask valid, applied after every shift,
+    ascending, at which G_b has two or more components, from the
+    membership plane member and the generators' positions (shifts).
 
-    Bit b reads member no lower than b - 2 max(shifts), so [0, top] is
+    Bit b reads member no lower than b - 2 max(shifts), so valid is
     walked in windows of max(_WINDOW, 2 max(shifts)) bits, each reading
     the planes from that far below its start: the planes of a window take
     O(e^2 * window) bits, and are dropped before the next window's.
@@ -177,16 +144,13 @@ def _split(member, shifts, top, box=None):
     reach = 2 * max(shifts, default=0)
     width = max(_WINDOW, reach)
     out = []
-    for lo in range(0, top + 1, width):
+    size = valid.bit_length()
+    for lo in range(0, size, width):
         base = max(0, lo - reach)
-        mask = (1 << min(top + 1, lo + width) - base) - 1
+        mask = (1 << min(size, lo + width) - base) - 1
         split = _split_plane(member >> base & mask, shifts,
-                             mask if box is None else box >> base & mask)
-        bits = bin(split >> lo - base)[:1:-1]  # bits[t] is bit lo + t
-        t = bits.find("1")
-        while t >= 0:
-            out.append(lo + t)
-            t = bits.find("1", t + 1)
+                             valid >> base & mask)
+        out.extend(lo + t for t in _bits(split >> lo - base))
     return out
 
 

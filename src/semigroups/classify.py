@@ -15,7 +15,8 @@ from . import constants, factor
 from .betti import (_free_completion, _free_multiple, betti_elements,
                     free_arrangement, is_complete_intersection, is_free,
                     require_exact_betti)
-from .errors import NotNumericalError, SearchCapExceededError
+from .errors import (NotNumericalError, NotSimplicialError,
+                     SearchCapExceededError)
 from .isolated import (betti_minimals, isolated_profile, minimal_in_order,
                        minimal_multi_elements)
 
@@ -37,17 +38,16 @@ def _require_numerical(S, what):
         raise NotNumericalError(f"{what} requires a numerical semigroup")
 
 
-def _others(S, base_idx):
-    """Indices of the generators outside the Apery base."""
+def _apery_base(S, base_idx):
+    """The indices of the generators outside the base, and Ap(S; base):
+    gens[base_idx or 0] for numerical S, the rays for affine S."""
     if S.numerical:
-        return tuple(i for i in range(len(S.gens)) if i != (base_idx or 0))
-    return S.nonray_indices()
-
-
-def _apery_for(S, base_idx):
-    if S.numerical:
-        return S.apery(S.gens[base_idx or 0])
-    return S.apery()
+        j = base_idx or 0
+        return (tuple(i for i in range(len(S.gens)) if i != j),
+                S.apery(S.gens[j]))
+    if base_idx is not None:
+        raise NotSimplicialError("an affine Apery base is the rays")
+    return S.nonray_indices(), S.apery()
 
 
 # The largest numerical scan bound the harness walks.  The scan keeps a
@@ -135,14 +135,14 @@ def is_free_all_arrangements(S):
 def is_alpha_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds alpha_i.
     Returns (flag, bounds) where bounds maps generator index -> alpha_i."""
-    others = _others(S, base_idx)
+    others, _ = _apery_base(S, base_idx)
     alphas = [constants.alpha(S, i, base_idx) for i in others]
     return _box_witness(S, base_idx, others, alphas)
 
 
 def is_c_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds c_i - 1."""
-    others = _others(S, base_idx)
+    others, _ = _apery_base(S, base_idx)
     cs = constants.c_values(S)
     if any(cs[i] is None for i in others):
         return False, None
@@ -152,7 +152,7 @@ def is_c_rectangular(S, base_idx=None):
 def _box_witness(S, base_idx, others, bounds):
     """(True, {index: bound}) if Ap(S; base) is the exponent box of the
     generators others with these bounds, else (False, None)."""
-    ap = _apery_for(S, base_idx)  # sorted in the natural order
+    _, ap = _apery_base(S, base_idx)  # sorted in the natural order
     if len(ap) == prod(b + 1 for b in bounds) and \
             sorted(S._box_values(others, bounds)) == list(ap):
         return True, dict(zip(others, bounds))
@@ -166,8 +166,7 @@ def is_rectangular(S, base_idx=None):
     the search enumerates ordered factorizations of #Ap into factors >= 2
     before comparing boxes.
     """
-    others = _others(S, base_idx)
-    ap = _apery_for(S, base_idx)
+    others, ap = _apery_base(S, base_idx)
     alphas = [constants.alpha(S, i, base_idx) for i in others]
     mu = _box_bounds(S, others, alphas, list(ap), 0, len(ap), [])
     if mu is None:
@@ -509,8 +508,7 @@ class _Base:
     __slots__ = ("ap", "others", "alphas", "alpha_rect", "c_rect", "unique")
 
     def __init__(self, S, j):
-        self.ap = _apery_for(S, j)
-        self.others = _others(S, j)
+        self.others, self.ap = _apery_base(S, j)
         self.alphas = [constants.alpha(S, i, j) for i in self.others]
         self.alpha_rect = _box_witness(S, j, self.others, self.alphas)[0]
         self.c_rect = is_c_rectangular(S, j)[0]

@@ -55,7 +55,7 @@ def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP, prefix_tests=None):
     def rec(i, rem, suffix):
         if i == 0:
             # rem lies in the monoid of gens[0] alone: an exact multiple
-            if cap is not None and len(out) >= cap:
+            if len(out) >= cap:
                 raise FiberCapExceededError(m, cap)
             out.append((quotient(rem, gens[0]),) + suffix)
             return
@@ -139,7 +139,7 @@ class Fiber:
 def fiber(S, m, cap=DEFAULT_FIBER_CAP):
     """Fiber of m in the semigroup S, with R-classes.  Cached on S."""
     fib = S._cached(("fiber", m), _new_fiber, S, m, cap)
-    if cap is not None and fib.denumerant > cap:
+    if fib.denumerant > cap:
         raise FiberCapExceededError(m, cap)  # cached under a larger cap
     return fib
 
@@ -175,7 +175,7 @@ def fibers_upto(S, bound, cap=DEFAULT_FIBER_CAP):
     # has an empty fiber.
     for m in S.elements_upto(bound):
         fib = S._cached(("fiber", m), _fiber_from_below, S, m, built, cap)
-        if cap is not None and fib.denumerant > cap:
+        if fib.denumerant > cap:
             raise FiberCapExceededError(m, cap)  # also one kept earlier
         built[m] = fib.factorizations
         out.append(fib)
@@ -189,7 +189,7 @@ def _fiber_from_below(S, m, built, cap):
     facts = {x[:i] + (x[i] + 1,) + x[i + 1:]
              for i, g in enumerate(S.gens)
              for x in built.get(minus(m, g), ())}
-    if cap is not None and len(facts) > cap:
+    if len(facts) > cap:
         raise FiberCapExceededError(m, cap)
     facts = tuple(sorted(facts)) if facts else ((0,) * len(S.gens),)
     return Fiber(m, facts, r_classes(facts))

@@ -7,8 +7,8 @@ exact; for affine semigroups I_s is computed up to a bound and flagged.
 """
 
 from . import betti as betti_mod
-from . import factor
 from .errors import InfiniteSetError
+from .semigroup import _bits, _count_planes
 
 
 class IsolatedProfile:
@@ -55,46 +55,25 @@ def is_set(S, bound=None):
     table for b_1 is built.
 
     Affine: enumerated over elements of coordinate sum <= bound, second
-    return value False (not exhaustive).  The scan is closed downward
-    under <=_S, so m - n_i lies in S iff it was scanned before m, and m
-    factors uniquely iff every such m - n_i factors uniquely, as x, and
-    all the x + e_i agree.  O(e) per element.
+    return value False (not exhaustive), by the same walk.
     """
     if S.numerical:
         profile = betti_mod.betti_elements(S)
         if not profile.betti:
             raise InfiniteSetError(
                 "every element factors uniquely; I_s is infinite")
-        return _unique_upto(S.gens, S.frobenius() + profile.betti[0]), True
-    if bound is None:
+        bound = S.frobenius() + profile.betti[0]
+    elif bound is None:
         raise InfiniteSetError(
             "affine I_s needs an explicit enumeration bound")
-    minus, gens = S._arith.sub, S.gens
-    only = {}  # scanned element -> its one factorization, or None
-    for m in S.elements_upto(bound):
-        options = set()
-        for i, g in enumerate(gens):
-            x = only.get(minus(m, g), ())
-            if x is None:  # m - n_i, hence m, factors in several ways
-                options.add(None)
-                break
-            if x:
-                options.add(x[:i] + (x[i] + 1,) + x[i + 1:])
-        if not options:  # only 0, the least scanned element
-            options.add((0,) * len(gens))
-        only[m] = options.pop() if len(options) == 1 else None
-    return tuple(sorted(x for x in only.values() if x is not None)), False
+    positions, valid, _ = S._box(bound)
+    return _unique_upto(positions, valid), S.numerical
 
 
-def _unique_upto(gens, top):
+def _unique_upto(positions, valid):
     """The factorizations x, lex-sorted, of the elements m = sum x_i n_i
-    <= top that have exactly one, for positive integer generators.
-
-    Two bit planes over 0 <= m <= top count the factorizations saturated
-    at 2: bit m of one is set when m has exactly one, of many when it has
-    two or more.  min(., 2) respects + and *, so multiplying by the
-    generating function 1/(1 - x^n) = prod_k (1 + x^(2^k n)), truncated
-    above top, is exact on the planes, one doubling shift per factor.
+    in valid that have exactly one, on the one plane of the generators at
+    these bit positions (Semigroup._box).
 
     If y <= x coordinatewise and x is the only factorization of its
     element, so is y: a second one of phi(y), plus x - y, would be a
@@ -102,26 +81,19 @@ def _unique_upto(gens, top):
     walk raises the last coordinate it can, in lexicographic order; when
     x + e_k fails, so does every vector with that prefix, and the walk
     clears x_k and raises x_(k-1).  x is the walk's explicit stack."""
-    mask = (1 << (top + 1)) - 1
-    one, many = 1, 0  # the empty product: 0 has one factorization
-    for n in gens:
-        s = n
-        while s <= top:
-            many = (many | many << s | one & one << s) & mask
-            one = (one | one << s) & ~many & mask
-            s <<= 1
-    bits = bin(one)[:1:-1]  # bits[m] == "1" iff m <= top factors uniquely
-    size, last = len(bits), len(gens) - 1
-    x, m, k = [0] * len(gens), 0, last
+    one, _ = _count_planes(positions, valid)
+    bits = bin(one)[:1:-1]  # bits[m] == "1" iff m factors uniquely
+    size, last = len(bits), len(positions) - 1
+    x, m, k = [0] * len(positions), 0, last
     rows = [tuple(x)]
     while k >= 0:
-        up = m + gens[k]
+        up = m + positions[k]
         if up < size and bits[up] == "1":
             x[k] += 1
             m, k = up, last
             rows.append(tuple(x))
         else:
-            m -= x[k] * gens[k]
+            m -= x[k] * positions[k]
             x[k] = 0
             k -= 1
     return tuple(rows)
@@ -162,28 +134,18 @@ def minimal_in_order(S, elems):
 
 def minimal_multi_elements(S, bound=None):
     """Elements with several factorizations all of whose atom-predecessors
-    factor uniquely.  Computed by a direct scan, independent of the Betti
-    machinery (every such element lies below max(gens) + F + n_1 for
-    numerical semigroups, since max Ap(S; n_1) = F + n_1).
-
-    The scan is closed downward, so m - n_i lies in S iff it was scanned.
-    Two factorizations of m - n_i give two of m, so m has several as soon
-    as some m - n_i has; only the other elements are counted."""
+    factor uniquely, independent of the Betti machinery (every such
+    element lies below max(gens) + F + n_1 for numerical semigroups, since
+    max Ap(S; n_1) = F + n_1): the bits of the many plane of S._box at no
+    shift of it by a generator."""
     if S.numerical:
-        limit = max(S.gens) + S.frobenius() + S.gens[0]
-    else:
-        if bound is None:
-            raise InfiniteSetError(
-                "affine minimal multi-element scan needs a bound")
-        limit = bound
-    minus = S._arith.sub
-    multi = {}  # scanned element -> whether it factors in several ways
-    out = []
-    for m in S.elements_upto(limit):
-        if any(multi.get(minus(m, g)) for g in S.gens):
-            multi[m] = True
-        else:
-            multi[m] = factor.denumerant(S, m) >= 2
-            if multi[m]:
-                out.append(m)
-    return tuple(out)
+        bound = max(S.gens) + S.frobenius() + S.gens[0]
+    elif bound is None:
+        raise InfiniteSetError(
+            "affine minimal multi-element scan needs a bound")
+    positions, valid, decode = S._box(bound)
+    _, many = _count_planes(positions, valid)
+    below = 0
+    for p in positions:
+        below |= many << p
+    return decode(_bits(many & ~below))

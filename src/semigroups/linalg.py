@@ -65,20 +65,11 @@ class Lattice:
         """Smallest c >= 1 with c*vec in the lattice, or None if no such c.
 
         Exists iff vec lies in the rational span of the lattice; then the
-        answer is the lcm of the denominators of the rational coordinates.
+        answer is the lcm of the denominators of its rational coordinates
+        over the echelon rows, a basis of the lattice.
         """
-        v = [Fraction(x) for x in vec]
-        denom = 1
-        for j in sorted(self.basis):
-            if v[j] == 0:
-                continue
-            row = self.basis[j]
-            q = v[j] / row[j]
-            denom = lcm(denom, q.denominator)
-            v = [x - q * y for x, y in zip(v, row)]
-        if any(v):
-            return None
-        return denom
+        sol = rational_solve(vec, self.basis.values())
+        return None if sol is None else lcm(*(q.denominator for q in sol))
 
 
 def _bezout(a, b):

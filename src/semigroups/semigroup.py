@@ -16,6 +16,7 @@ from .errors import (
     InvalidGeneratorsError,
     NotNumericalError,
     NotSimplicialError,
+    SearchCapExceededError,
 )
 
 
@@ -93,6 +94,39 @@ def _apery_table(gens, modulus):
                 else:
                     table[r] = x
     return table
+
+
+# Bits per affine box of Semigroup._box, at most: 8 MiB per plane
+_BOX_CAP = 1 << 26
+
+
+def _count_planes(shifts, valid):
+    """The planes one and many over the mask valid, for generators at the
+    bit positions shifts: bit m of one is set when m has exactly one
+    factorization, of many when it has two or more.
+
+    min(., 2) respects + and *, so multiplying by the generating function
+    1/(1 - x^n) = prod_k (1 + x^(2^k n)), truncated to valid, is exact on
+    the planes, one doubling shift per factor, up to the first shift
+    outside valid: every later one lies outside too."""
+    one, many = 1, 0  # the empty product: 0 has one factorization
+    for s in shifts:
+        while valid >> s & 1:
+            many = (many | many << s | one & one << s) & valid
+            one = (one | one << s) & ~many & valid
+            s <<= 1
+    return one, many
+
+
+def _bits(plane):
+    """The positions of the set bits of plane, ascending."""
+    bits = bin(plane)[:1:-1]  # bits[t] is bit t
+    out = []
+    t = bits.find("1")
+    while t >= 0:
+        out.append(t)
+        t = bits.find("1", t + 1)
+    return out
 
 
 class SubMonoid:
@@ -418,19 +452,47 @@ class Semigroup:
         if self.numerical:
             inside = self._member_test()
             return tuple(s for s in range(bound + 1) if inside(s))
-        plus = self._arith.add
-        frontier = [self._arith.scale(0, self.gens[0])]
-        seen = set(frontier)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in self.gens:
-                    w = plus(v, g)
-                    if sum(w) <= bound and w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(sorted(seen))
+        positions, valid, decode = self._box(bound)
+        one, many = _count_planes(positions, valid)
+        return decode(_bits(one | many))
+
+    def _box(self, bound):
+        """The bit encoding of the range of elements_upto(bound): each
+        generator's bit position (outside valid when its degree passes the
+        bound), the mask valid of the positions in the range, and a map
+        from ascending positions to the tuple of their elements, in order.
+
+        Numerical: bit m is m.  Affine: v in the box [0, bound]^r sits at
+        bit sum_k v_k * radix^(r - 1 - k), so ascending positions are
+        lexicographic.  A field of radix = 2 (bound + 1) holds the sum of
+        two box vectors, so a shift by one never carries into the next
+        field, and masking by valid clears what left the range; a
+        generator of coordinate sum > bound, which may leave the box,
+        sits past it.  SearchCapExceededError past _BOX_CAP bits.
+        """
+        if self.numerical:
+            return self.gens, (1 << bound + 1) - 1, tuple
+        r, radix = self.ambient_dim, 2 * (bound + 1)
+        if radix ** r > _BOX_CAP:
+            raise SearchCapExceededError(
+                f"the box [0, {bound}]^{r} is too large for the planes")
+        units = [radix ** k for k in reversed(range(r))]
+        # From (bound, 0, ..., 0), move t <= bound from the first coordinate
+        # to the one at u, or away (u = 0): a shift down by t (units[0] - u).
+        # A vector whose first coordinate would go negative falls below 0.
+        valid = 1 << bound * units[0]
+        for u in units[1:] + [0]:
+            span = 1
+            while span <= bound:
+                valid |= valid >> span * (units[0] - u)
+                span *= 2
+        positions = tuple(radix ** r if sum(g) > bound else
+                          sum(map(operator.mul, g, units)) for g in self.gens)
+
+        def decode(bits):
+            return tuple(tuple(b // u % radix for u in units) for b in bits)
+
+        return positions, valid, decode
 
     # -- misc ------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from semigroups.classify import (HarnessInputs, _check_thm_alpha_free,
                                  admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
-from semigroups.errors import SearchCapExceededError
+from semigroups.errors import NotSimplicialError, SearchCapExceededError
 from semigroups.explore import (enumerate_numerical_by_genus,
                                 run_theorem_harness)
 from semigroups.factor import fibers_upto
@@ -171,6 +171,16 @@ def test_affine_boxes_compare_in_apery_order():
     assert is_alpha_rectangular(S) == (True, {2: 1, 3: 1})
     assert is_c_rectangular(S) == (True, {2: 1, 3: 1})
     assert is_rectangular(S) == (True, {2: 1, 3: 1})
+
+
+def test_affine_base_index_is_refused_by_every_box_predicate():
+    # the Apery base of affine S is the rays; a base index names nothing
+    S = make_semigroup([(1, 0), (0, 2), (0, 3)])
+    for predicate in (is_alpha_rectangular, is_c_rectangular,
+                      is_rectangular):
+        with pytest.raises(NotSimplicialError):
+            predicate(S, 0)
+        assert predicate(S)[0] == predicate(S, None)[0]
 
 
 # -- free-arrangement search against brute force ---------------------------

@@ -448,6 +448,10 @@ _FUZZ = [
     # are refused before any is built
     (["betti", "--gens", "(1,0,1);(0,1,0);(1,1,0);(0,0,1)",
       "--degree-bound", "3000"], 3),
+    # work, not shape: the affine I_s and element planes of (2 * 3001)^3
+    # bits each are refused before any is built
+    (["analyze", "--gens", "(2,0,0);(0,2,0);(0,0,2);(1,1,1)",
+      "--degree-bound", "3000"], 3),
     # work, not shape: a box with some mu_i = 0 is never an Apery set, so
     # the is_rectangular search on <26, ..., 51> tries no factor of 1
     (["classify", "--gens", ",".join(map(str, range(26, 52)))], 0),

@@ -1,6 +1,7 @@
 import json
 from functools import reduce
 from math import gcd
+from operator import sub
 from pathlib import Path
 from random import Random
 
@@ -85,6 +86,20 @@ def test_minimal_multi_elements_build_no_apery_table_of_the_first_generator():
     assert ("apery", (9,)) not in S._memo
 
 
+def test_affine_minimal_multi_elements_match_the_fiber_definition():
+    # several factorizations, and none at any m - n_i, read off the fibers
+    for gens in AFFINE + ([(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)],):
+        S = make_semigroup(gens)
+        for bound in (0, 4, 9, 14):
+            expected = tuple(
+                m for m in S.elements_upto(bound)
+                if fiber(S, m).denumerant >= 2
+                and all(fiber(S, tuple(map(sub, m, g))).denumerant <= 1
+                        for g in S.gens))
+            assert minimal_multi_elements(S, bound) == expected, \
+                (gens, bound)
+
+
 def test_i_total_counts():
     S = make_semigroup([2, 3])
     prof = isolated_profile(S)
@@ -162,5 +177,5 @@ def test_is_set_walk_is_not_recursive():
     for m in (5, 8, 20):
         assert is_set(make_semigroup(range(m, 2 * m))) == (expected(m), True)
     m = 1100  # a walk recursing once per coordinate hits the limit here
-    assert _unique_upto(tuple(range(m, 2 * m)), (m - 1) + (2 * m + 2)) \
-        == expected(m)
+    assert _unique_upto(tuple(range(m, 2 * m)),
+                        (1 << (m - 1) + (2 * m + 2) + 1) - 1) == expected(m)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,24 @@ def test_elements_upto():
     A = make_semigroup([(1, 0), (0, 2), (0, 3)])
     els = A.elements_upto(3)
     assert (0, 0) in els and (1, 2) in els and (0, 1) not in els
+
+
+def test_affine_elements_upto_match_a_box_scan_by_contains():
+    # the six affine panel members and the non-simplicial member of
+    # acceptance 07; the box scan reads the stack search, not the planes
+    panel = ([(1, 0), (0, 2), (0, 3)], [(3, 0), (0, 3), (1, 2), (2, 1)],
+             [(4, 0), (0, 4), (1, 3), (3, 1)],
+             [(6, 0), (0, 6), (1, 5), (4, 2)],
+             [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)],
+             [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (1, 2, 0)],
+             [(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    for gens in panel:
+        S = make_semigroup(gens)
+        box = product(range(15), repeat=S.ambient_dim)
+        scan = [v for v in box if sum(v) <= 14 and S.contains(v)]
+        for bound in range(15):
+            assert S.elements_upto(bound) == \
+                tuple(v for v in scan if sum(v) <= bound), (gens, bound)
 
 
 def test_parse_and_format_round_trip():
