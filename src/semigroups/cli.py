@@ -7,9 +7,10 @@ JSON output is canonical (sorted keys, fixed indentation) and therefore
 byte-stable; integers beyond 2**53 are serialized as strings so consumers
 with double-precision JSON readers do not lose digits.  The module writes
 it in one pass, byte-identical to json.dumps(sort_keys=True, indent=2).
-Rows of plain ints, such as the factorization sets, are written from one
-str() of the rows and a few str.replace calls; anything else goes
-through the recursive encoder.
+Rows of plain ints, such as the factorization sets, are written from
+one "%d" row template per row width, joined in row order and filled by
+one % with the flattened ints; anything else goes through the recursive
+encoder.
 """
 
 import argparse
@@ -45,8 +46,9 @@ def _json(obj, indent="\n"):
         parts, ends = [f"{_quote(k)}: {_json(v, inner)}"
                        for k, v in items], "{}"
     elif isinstance(obj, (list, tuple, set, frozenset)):
-        if _int_rows(obj):
-            return _rows_json(obj, indent, inner)
+        flat = _int_rows(obj)
+        if flat is not None:
+            return _rows_json(obj, flat, indent, inner)
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         parts, ends = [_json(v, inner) for v in seq], "[]"
     else:
@@ -57,26 +59,26 @@ def _json(obj, indent="\n"):
 
 
 def _int_rows(obj):
-    """Whether obj is a non-empty list or tuple of non-empty lists or
-    tuples of plain ints within +-2**53 (factorizations, say)."""
+    """The ints of obj, row after row, if obj is a non-empty list or tuple
+    of non-empty lists or tuples of plain ints within +-2**53
+    (factorizations, say); None otherwise."""
     if (type(obj) not in (list, tuple) or not obj or not all(obj)
             or not set(map(type, obj)) <= {list, tuple}):
-        return False
-    flat = list(chain.from_iterable(obj))
-    return (set(map(type, flat)) == {int}
-            and -_JSON_INT_LIMIT <= min(flat)
-            and max(flat) <= _JSON_INT_LIMIT)
+        return None
+    flat = tuple(chain.from_iterable(obj))
+    return flat if (set(map(type, flat)) == {int}
+                    and -_JSON_INT_LIMIT <= min(flat)
+                    and max(flat) <= _JSON_INT_LIMIT) else None
 
 
-def _rows_json(rows, indent, inner):
-    """_json of int rows from one str(): "[[1, 2], [3]]" (tuples and
-    1-tuples rewritten) is the same text with other separators."""
-    text = str(rows).replace(",)", ")")[1:-1].replace("(", "[") \
-        .replace(")", "]").replace("], [", "]\0[")
+def _rows_json(rows, flat, indent, inner):
+    """_json of int rows: one "%d" template per row width, joined in row
+    order and filled by one % with flat, the ints of the rows in order."""
     deeper = inner + "  "
-    text = text.replace(", ", "," + deeper).replace("[", "[" + deeper) \
-        .replace("]", inner + "]").replace("\0", "," + inner)
-    return "[" + inner + text + indent + "]"
+    row = {w: "[" + deeper + ("," + deeper).join(["%d"] * w) + inner + "]"
+           for w in set(map(len, rows))}
+    text = ("," + inner).join(map(row.__getitem__, map(len, rows)))
+    return ("[" + inner + text + indent + "]") % flat
 
 
 def _emit_json(report):

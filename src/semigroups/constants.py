@@ -126,15 +126,16 @@ def alpha(S, idx, base_idx=None):
 
     # h * n is in the Apery set iff h * n - b lies outside S for every base
     # b, and the valid h form an interval starting at 1 (n is a minimal
-    # generator)
+    # generator).  The unchecked read is sound: every candidate is shaped
+    # like the generators, and the numerical table read is False for a
+    # negative value because Ap >= 0.
     def compute():
         n = S.gens[idx]
         bases = S.ray_values() if base is None else (S.gens[base],)
-        ar = S._arith
-        h = 1
-        while not any(S.contains(ar.sub(ar.scale(h + 1, n), b))
-                      for b in bases):
-            h += 1
+        add, sub, inside = S._arith.add, S._arith.sub, S._member_test()
+        h, m = 1, add(n, n)
+        while not any(inside(sub(m, b)) for b in bases):
+            h, m = h + 1, add(m, n)
         return h
 
     return S._cached(("alpha", idx, base), compute)

@@ -2,6 +2,7 @@
 
 Everything here works with Python ints and fractions.Fraction, so results are
 exact for arbitrarily large entries.  Vectors are tuples (or lists) of ints.
+Rational solving is integer elimination; Fractions only in the result.
 """
 
 from fractions import Fraction
@@ -90,39 +91,35 @@ def group_rank(vectors):
 def rational_solve(vec, basis_vectors):
     """Solve vec = sum q_i * b_i over Q for linearly independent b_i.
 
-    Returns a tuple of Fractions, or None if vec is outside the span.
-    Raises ValueError if the given vectors are dependent.
+    Integer elimination; Fractions only in the result.  Each other row
+    becomes p*row - f*pivot_row (p the nonzero pivot) over its gcd, a step
+    invertible over Q, so the solution set is kept; q_i is rhs_i /
+    diagonal_i.  Returns a tuple of Fractions, or None if vec is outside
+    the span.  Raises ValueError if the given vectors are dependent.
     """
     rows = [list(b) for b in basis_vectors]
     k = len(rows)
     if k == 0:
         return () if not any(vec) else None
-    n = len(rows[0])
     # Transposed system: columns are the basis vectors, augmented with vec.
-    aug = [[Fraction(rows[i][c]) for i in range(k)] + [Fraction(vec[c])]
-           for c in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
+    aug = [[row[c] for row in rows] + [vec[c]] for c in range(len(rows[0]))]
+    for r in range(k):
+        piv = next((i for i in range(r, len(aug)) if aug[i][r]), None)
         if piv is None:
             raise ValueError("basis vectors are linearly dependent")
         aug[r], aug[piv] = aug[piv], aug[r]
         pr = aug[r]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col] / pr[col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], pr)]
-        pivots.append(col)
-        r += 1
+        p = pr[r]
+        for i, row in enumerate(aug):
+            f = row[r]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, pr)]
+                g = gcd(*row)
+                aug[i] = [x // g for x in row] if g > 1 else row
     # Consistency: rows beyond the pivots must have zero rhs.
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][k] / aug[i][col]
-    return tuple(sol)
+    if any(row[k] for row in aug[k:]):
+        return None
+    return tuple(Fraction(row[k], row[r]) for r, row in enumerate(aug[:k]))
 
 
 def in_rational_cone(vec, rays):

@@ -321,7 +321,12 @@ def test_json_matches_json_dumps_by_hand():
     for rows in ([[1]], [(1,)], ((1,),), ([-2, 3], (4,)), [[1, 2], []],
                  [[]], [[True, 1]], [(0, False)], [[1 << 53, -(1 << 53)]],
                  [[big]], [(-big, 0)], [[1, 2], "x"], ["x", (1,)],
-                 [[1], [2.0]], [[1], {3}], [[1], [[2]]]):
+                 [[1], [2.0]], [[1], {3}], [[1], [[2]]],
+                 # widths 10-12, as genus-10 members have e up to 11
+                 [list(range(-5, 5))], [tuple(range(11))] * 2,
+                 [list(range(12)), list(range(12, 0, -1))],
+                 # three widths mixed in one list
+                 [[1, 2], (3,), list(range(11)), [4, 5], (-6,)]):
         for obj in (rows, {"k": rows}):
             want = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
             assert cli._json(obj) == want, obj

@@ -4,6 +4,7 @@ from semigroups import constants
 from semigroups import (alpha, c_atoms, c_bar, c_star, c_value,
                         make_semigroup, parse_gens)
 from semigroups.constants import default_arrangement
+from semigroups.explore import enumerate_numerical_by_genus
 
 
 def test_c_values_numerical():
@@ -52,6 +53,23 @@ def test_alpha_values():
     # alpha-rectangular for that generator
     from math import prod
     assert prod(a + 1 for a in alphas) == len(S.apery(20))
+
+
+def test_numerical_alpha_matches_the_apery_oracle():
+    # alpha(S, i, j) is the largest h with h * n_i in Ap(S; n_j)
+    checked = 0
+    for genus in range(1, 9):
+        for S in enumerate_numerical_by_genus(genus):
+            for j, nj in enumerate(S.gens):
+                apery = set(S.apery(nj))
+                for i, ni in enumerate(S.gens):
+                    if i == j:
+                        continue
+                    h = max(h for h in range(1, max(apery) // ni + 1)
+                            if h * ni in apery)
+                    assert alpha(S, i, j) == h, (S.gens, i, j)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_alpha_affine_rays_base():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,3 +60,28 @@ def test_lattice_closed_under_combinations(vecs, coeffs):
         combo[0] += c * v[0]
         combo[1] += c * v[1]
     assert tuple(combo) in lat
+
+
+def _solve_case(n):
+    """A basis of up to n + 1 vectors of dimension n, zero vectors
+    included, and a target vector of the same dimension."""
+    vector = st.one_of(st.just((0,) * n),
+                       st.tuples(*[st.integers(-9, 9)] * n))
+    return st.tuples(st.lists(vector, max_size=n + 1), vector)
+
+
+@given(st.integers(1, 4).flatmap(_solve_case))
+@settings(max_examples=300, deadline=None)
+def test_rational_solve_matches_the_rank_oracle(case):
+    basis, vec = case
+    if group_rank(basis) < len(basis):
+        with pytest.raises(ValueError):
+            rational_solve(vec, iter(basis))
+        return
+    sol = rational_solve(vec, iter(basis))
+    assert (sol is None) == (group_rank(basis + [vec]) > group_rank(basis))
+    if sol is not None:
+        assert len(sol) == len(basis)
+        assert all(type(q) is Fraction for q in sol)
+        assert tuple(sum(q * b[c] for q, b in zip(sol, basis))
+                     for c in range(len(vec))) == vec

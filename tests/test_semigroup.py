@@ -303,7 +303,7 @@ def test_divides_value_matches_definition(a, b, av, bv):
                 .filter(any), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_affine_membership_matches_bounded_search(gens):
-    # oracle: the breadth-first closure of elements_upto, which adds
+    # oracle: the member plane that elements_upto decodes, which adds
     # generators and never tests membership
     S = make_semigroup(gens)
     bound = 14
