@@ -18,7 +18,7 @@ _CRITERIA = {
           "4-generator example, certified by brute force to degree 8",
     "08": "theorem harness over the genus <= 15 corpus: zero violations, "
           "strictness witness for all 6 chain inclusions",
-    "09": "oracle equivalence: Betti via Apery candidates vs brute sweep "
+    "09": "oracle equivalence: Betti via bit planes vs brute sweep "
           "(F <= 60); R-classes vs O(n^2) closure on fibers <= 50",
     "10": "determinism: two `verify --genus 12 --threads 8` runs are "
           "byte-identical JSON",

@@ -198,7 +198,7 @@ def _closure_classes(facts):
 
 
 def test_criterion_09_oracle_equivalence():
-    # Betti via Apery candidates vs brute-force sweep, F(S) <= 60.
+    # Betti via bit planes vs brute-force sweep, F(S) <= 60.
     checked = 0
     for S in enumerate_numerical_by_genus(10):
         if len(S.gens) == 1 or S.frobenius() > 60:

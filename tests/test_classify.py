@@ -16,13 +16,13 @@ from semigroups import (check_equivalence_theorems, classification_report,
                         is_c_rectangular, is_free_all_arrangements,
                         is_rectangular, make_semigroup, verify_bounds)
 from semigroups import (IsolatedProfile, betti_divisible_from_params,
-                        betti_elements, classify, constants, construct,
-                        factor, free_arrangement, is_free,
-                        isolated_profile)
+                        betti_elements, classify, constants, factor,
+                        free_arrangement, is_free, isolated_profile)
 from semigroups.isolated import betti_minimals, minimal_in_order
 from semigroups.betti import BettiProfile, _free_completion
-from semigroups.classify import (HarnessInputs, _check_thm_alpha_free,
-                                 _check_walked, _scan_bound,
+from semigroups.classify import (HarnessInputs, _check_b1_smallest,
+                                 _check_thm_alpha_free, _check_walked,
+                                 _per_base, _scan_bound,
                                  _sorted_cost_arrangements, _walk,
                                  admits_shaped_presentation,
                                  free_arrangement_starting_at,
@@ -272,7 +272,7 @@ def test_alpha_free_check_matches_permutation_scan():
             found[first is not None] += 1
             got = _check_thm_alpha_free(S, inputs, j)
             if is_alpha_rectangular(S, j)[0]:
-                assert got == (first is not None), (S.gens, j)
+                assert got["ok"] == (first is not None), (S.gens, j)
             else:
                 assert got is None
     assert found[True] >= 40 and found[False] >= 400, found
@@ -462,8 +462,13 @@ def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
         monkeypatch.setattr(classify, "isolated_profile", real)
 
 
+def _walked_and_b1_smallest(S):
+    inputs = HarnessInputs(S)
+    return list(_check_walked(S, inputs)) + [_check_b1_smallest(S, inputs)]
+
+
 def test_walked_checks_fail_without_the_least_betti_element(monkeypatch):
-    # all three entries of the walk must be able to fail
+    # both entries of the walk and b1_smallest must be able to fail
     real = classify.betti_elements
 
     def dropped(T, *args, **kwargs):
@@ -475,10 +480,10 @@ def test_walked_checks_fail_without_the_least_betti_element(monkeypatch):
 
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
-        assert all(entry["ok"] for entry in _check_walked(S, HarnessInputs(S)))
+        assert all(entry["ok"] for entry in _walked_and_b1_smallest(S))
         monkeypatch.setattr(classify, "betti_elements", dropped)
         assert not any(entry["ok"]
-                       for entry in _check_walked(S, HarnessInputs(S))), gens
+                       for entry in _walked_and_b1_smallest(S)), gens
         monkeypatch.setattr(classify, "betti_elements", real)
 
 
@@ -498,7 +503,7 @@ def test_isolated_elements_fails_without_the_ibetti_elements(monkeypatch):
     monkeypatch.setattr(classify, "betti_elements", no_ibetti)
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
-        characterization, elements, _ = _check_walked(S, HarnessInputs(S))
+        characterization, elements = _check_walked(S, HarnessInputs(S))
         assert characterization["ok"] and not elements["ok"], gens
 
 
@@ -552,6 +557,67 @@ def test_harness_reports_are_pinned():
                 verify_bounds(S, HarnessInputs(S))] for S in members]
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _HARNESS_REPORTS_SHA256
+
+
+# the report order, which the hash above (sort_keys) does not see but
+# `verify` lists a member's violations in
+_NUMERICAL_THEOREMS = [
+    "isolated_characterization", "isolated_elements",
+    "betti_minimal_characterizations", "disjoint_betti", "ap_b1",
+    "b1_smallest", "isolated_inclusions", "prop_alpha", "thm_alpha_free",
+    "thm_alpha_c", "thm_ci_b1", "cor_ci_b1", "thm_betti_sorted_alpha",
+    "cor_betti_sorted", "cor_betti_divisible_presen",
+    "thm_betti_divisible_generators", "thm_betti_divisible_free",
+    "thm_single_betti_alpha"]
+
+
+def test_harness_report_order_and_applicability_are_pinned():
+    S = make_semigroup([4, 6, 9])
+    report = check_equivalence_theorems(S, HarnessInputs(S))
+    assert list(report) == _NUMERICAL_THEOREMS
+    assert all(entry["applicable"] for entry in report.values())
+    # an affine report has no thm_alpha_free key at all
+    T = make_semigroup([(1, 0), (0, 2), (0, 3)])
+    report = check_equivalence_theorems(T, HarnessInputs(T))
+    assert list(report) == [name for name in _NUMERICAL_THEOREMS
+                            if name != "thm_alpha_free"]
+    assert [name for name, entry in report.items()
+            if not entry["applicable"]] == [
+        "ap_b1", "b1_smallest", "cor_ci_b1", "thm_betti_sorted_alpha",
+        "cor_betti_sorted", "cor_betti_divisible_presen",
+        "thm_betti_divisible_generators", "thm_betti_divisible_free",
+        "thm_single_betti_alpha"]
+
+
+def test_per_base_fold():
+    def mixed_at_first_base(S, inputs, j):
+        return classify._entry([True, j not in (0, None)])
+
+    def never(S, inputs, j):
+        return None
+
+    S = make_semigroup([3, 4, 5])
+    entry = _per_base(mixed_at_first_base)(S, HarnessInputs(S))
+    assert not entry["ok"] and entry["conditions"] == [False]
+    T = make_semigroup([(1, 0), (0, 2), (0, 3)])
+    inputs = HarnessInputs(T)
+    assert _per_base(mixed_at_first_base)(T, inputs) == \
+        mixed_at_first_base(T, inputs, None)
+    for U in (S, T):
+        assert _per_base(never)(U, HarnessInputs(U)) == classify._skip()
+
+
+def test_harness_walks_once_per_report(monkeypatch):
+    walks = []
+    real = classify._walk
+    monkeypatch.setattr(classify, "_walk",
+                        lambda *a: walks.append(a[0]) or real(*a))
+    for gens in ([4, 6, 9], [(1, 0), (0, 2), (0, 3)]):
+        S = make_semigroup(gens)
+        inputs = HarnessInputs(S)
+        walks.clear()
+        check_equivalence_theorems(S, inputs)
+        assert walks == [S], gens
 
 
 # -- shared harness inputs against the pairwise scans they replace ----------
@@ -667,7 +733,7 @@ def test_harness_evaluates_each_betti_order_predicate_once(monkeypatch):
     # predicate runs once on each, besides the parts of the gluing check
     calls = Counter()
     gluing = [0]
-    real_gluing = construct.is_gluing_partition
+    real_gluing = classify.is_gluing_partition
 
     def in_gluing(*args, **kwargs):
         gluing[0] += 1
@@ -683,7 +749,7 @@ def test_harness_evaluates_each_betti_order_predicate_once(monkeypatch):
             return fn(S)
         return wrapped
 
-    monkeypatch.setattr(construct, "is_gluing_partition", in_gluing)
+    monkeypatch.setattr(classify, "is_gluing_partition", in_gluing)
     names = ("is_betti_sorted", "is_betti_isolated_sorted",
              "is_betti_divisible")
     for name in names:
