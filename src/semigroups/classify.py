@@ -52,8 +52,8 @@ def _apery_base(S, base_idx):
 
 
 # The largest numerical scan bound the harness walks.  The scan keeps a
-# fiber per element, about 1.4 KB each on <20020, ..., 4620> (157,337
-# elements, 230 MB), so this cap holds it near 1.4 GB and refuses at once
+# fiber per element, about 1.3 KB each on <20020, ..., 4620> (157,337
+# elements, 207 MB), so this cap holds it near 1.3 GB and refuses at once
 # <4849845, ..., 510510>, which would scan to 63,479,837.
 _SCAN_CAP = 10 ** 6
 
@@ -460,7 +460,8 @@ def classification_report(S):
 class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
     passed down, their one source: the scan fibers (kept on S, where
-    factor.denumerant reads them), the Betti profile, the isolated
+    factor.denumerant reads them; the checks partition only the Betti
+    fibers into R-classes), the Betti profile, the isolated
     profile, the Betti minimals, the c values (one tuple), one _Base per
     Apery base and, for numerical S, the Betti-sorted,
     Betti-isolated-sorted, Betti-divisible and free (some arrangement)
@@ -655,19 +656,23 @@ def _check_walked(S, inputs):
     factorization iff a Betti, iff an IBetti, element lies strictly below
     it in <=_S), from one walk."""
     profile = inputs.profile
+    betti = set(profile.betti)
     ib = set(inputs.prof.ib)
     characterized = elements_ok = True
     minimals = set()
     for m, fib, rows, below_betti, below_ibetti in _walk(S, profile, ib,
                                                           inputs.fibers):
-        singletons = set(fib.isolated)
+        # m is Betti iff nc(m) >= 2 (betti's definition; the profile is
+        # complete): any other Z(m) is one R-class, a singleton iff d(m) = 1
+        singletons = set(fib.isolated if m in betti else
+                         fib.factorizations if fib.denumerant == 1 else ())
         for x, over_betti, over_ib, minimal in rows:
             oracle = x in singletons
             if oracle == over_betti or not (oracle or over_ib):
                 characterized = False  # strengthened: I_b dominates too
             if minimal:
                 minimals.add(x)
-        has_non_isolated = len(fib.isolated) < fib.denumerant
+        has_non_isolated = len(singletons) < fib.denumerant
         if not has_non_isolated == below_betti == below_ibetti:
             elements_ok = False
     return (_verdict(characterized and minimals == ib),
@@ -932,9 +937,7 @@ def _check_thm_single_betti_alpha(S, inputs):
 
 # The harness theorems in report order: (id, check, numerical S only).
 # A check maps (S, inputs) to its entry, the walk's to one entry per id.
-# On affine S a numerical-only theorem is reported as skipped, except
-# thm_alpha_free, which has no key there at all: a wart kept from the
-# hand-written sequence this table replaced.
+# On affine S a numerical-only theorem is reported as skipped.
 _THEOREMS = (
     (("isolated_characterization", "isolated_elements"), _check_walked,
      False),
@@ -978,6 +981,6 @@ def check_equivalence_theorems(S, inputs):
                 report.update(zip(name, entry))
             else:
                 report[name] = entry
-        elif name != "thm_alpha_free":
+        else:
             report[name] = _skip()
     return report

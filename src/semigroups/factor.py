@@ -11,7 +11,7 @@ m - n_i in S, with an edge i--j when m - n_i - n_j lies in S (Rosales and
 Garcia-Sanchez, Finitely Generated Commutative Monoids, 1999, and
 Numerical Semigroups, 2009, the chapters on presentations).  nc counts
 them; fiber enumerates Z(m) where the factorizations themselves are
-needed.
+needed.  A Fiber partitions Z(m) into R-classes on first read.
 
 A scan of every element up to a bound builds each fiber from the fibers
 below it instead (Barron, O'Neill and Pelayo, "On dynamic algorithms for
@@ -109,19 +109,25 @@ def r_classes(factorizations):
 
 
 class Fiber:
-    """The fiber Z(m) together with its R-class decomposition."""
+    """The fiber Z(m), partitioned into R-classes on first read."""
 
-    __slots__ = ("element", "factorizations", "classes", "isolated")
+    __slots__ = ("element", "factorizations", "_classes")
 
-    def __init__(self, element, factorizations, classes):
+    def __init__(self, element, factorizations, classes=None):
         self.element = element
         self.factorizations = factorizations
-        self.classes = classes
-        # factorizations forming a singleton R-class, lex-sorted; when
-        # every class is one, that is all of them, in the same order
-        self.isolated = factorizations \
-            if len(classes) == len(factorizations) \
-            else tuple(c[0] for c in classes if len(c) == 1)
+        self._classes = classes
+
+    @property
+    def classes(self):
+        if self._classes is None:
+            self._classes = r_classes(self.factorizations)
+        return self._classes
+
+    @property
+    def isolated(self):
+        """The factorizations forming a singleton R-class, lex-sorted."""
+        return tuple([c[0] for c in self.classes if len(c) == 1])
 
     @property
     def nc(self):
@@ -137,7 +143,7 @@ class Fiber:
 
 
 def fiber(S, m, cap=DEFAULT_FIBER_CAP):
-    """Fiber of m in the semigroup S, with R-classes.  Cached on S."""
+    """Fiber of m in the semigroup S.  Cached on S."""
     fib = S._cached(("fiber", m), _new_fiber, S, m, cap)
     if fib.denumerant > cap:
         raise FiberCapExceededError(m, cap)  # cached under a larger cap
@@ -153,9 +159,8 @@ def _prefix_tests(S):
 
 def _new_fiber(S, m, cap):
     if not S.contains(m):  # the shape check that the prefix tests skip
-        return Fiber(m, (), ())
-    facts = raw_fiber(S.gens, m, cap, _prefix_tests(S))
-    return Fiber(m, facts, r_classes(facts))
+        return Fiber(m, ())
+    return Fiber(m, raw_fiber(S.gens, m, cap, _prefix_tests(S)))
 
 
 def fibers_upto(S, bound, cap=DEFAULT_FIBER_CAP):
@@ -191,8 +196,7 @@ def _fiber_from_below(S, m, built, cap):
              for x in built.get(minus(m, g), ())}
     if len(facts) > cap:
         raise FiberCapExceededError(m, cap)
-    facts = tuple(sorted(facts)) if facts else ((0,) * len(S.gens),)
-    return Fiber(m, facts, r_classes(facts))
+    return Fiber(m, tuple(sorted(facts)) if facts else ((0,) * len(S.gens),))
 
 
 def denumerant(S, m):

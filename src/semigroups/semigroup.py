@@ -449,9 +449,8 @@ class Semigroup:
     def elements_upto(self, bound):
         """Numerical: sorted elements s <= bound.  Affine: sorted elements
         with coordinate sum <= bound."""
-        if self.numerical:
-            inside = self._member_test()
-            return tuple(s for s in range(bound + 1) if inside(s))
+        if bound < 0:
+            return ()
         positions, valid, decode = self._box(bound)
         one, many = _count_planes(positions, valid)
         return decode(_bits(one | many))

@@ -507,11 +507,31 @@ def test_isolated_elements_fails_without_the_ibetti_elements(monkeypatch):
         assert characterization["ok"] and not elements["ok"], gens
 
 
+def test_characterization_fails_without_any_one_betti_element():
+    # the walk reads R-classes only at Betti elements and takes any other
+    # fiber as one class, so a profile missing one Betti element misreads
+    # that element's classes as well as what it dominates: every such
+    # profile fails.  Reading every fiber's classes, the check caught 95
+    # of these 213 cases.
+    cases = 0
+    for S in _corpus_e_ge_2(6):
+        inputs = HarnessInputs(S)
+        full = inputs.profile
+        for b in full.betti:
+            inputs.profile = BettiProfile(
+                [a for a in full.betti if a != b], full.fibers,
+                full.complete)
+            characterization, _ = _check_walked(S, inputs)
+            assert not characterization["ok"], (S.gens, b)
+            cases += 1
+    assert cases == 213
+
+
 # SHA-256 of every harness report on the members below: the condition
 # vectors, applicability and chain values, which `verify --json` hides on
 # a clean corpus because it lists only violations
 _HARNESS_REPORTS_SHA256 = \
-    "7bc22876bd80b1a59107754dbc1a7d630d6e441e403098078ff771cd250f4cb2"
+    "e2e3d3cfae004f679b1fa79050d994c26e6ad8a46d49a9dd4b902861f4337d9a"
 
 
 def test_harness_builds_the_scan_fibers_from_below(monkeypatch):
@@ -527,6 +547,21 @@ def test_harness_builds_the_scan_fibers_from_below(monkeypatch):
     report = run_theorem_harness(corpus, chain_witnesses=None)
     assert (report["checked"], report["violations"]) == (49, [])
     assert len(calls) == 42
+
+
+def test_harness_partitions_only_the_betti_fibers(monkeypatch):
+    # a fiber finds its R-classes when they are first read, and the harness
+    # reads them only at Betti elements.  Before, every fiber was
+    # partitioned when it was built: this pass made 866 calls, one per
+    # scanned fiber.
+    calls = []
+    real = factor.r_classes
+    monkeypatch.setattr(factor, "r_classes",
+                        lambda facts: calls.append(facts) or real(facts))
+    corpus = _corpus_e_ge_2(6)
+    report = run_theorem_harness(corpus, chain_witnesses=None)
+    assert (report["checked"], report["violations"]) == (49, [])
+    assert len(calls) == 213
 
 
 def test_harness_inputs_ask_for_each_alpha_once(monkeypatch):
@@ -561,7 +596,7 @@ def test_harness_reports_are_pinned():
 
 # the report order, which the hash above (sort_keys) does not see but
 # `verify` lists a member's violations in
-_NUMERICAL_THEOREMS = [
+_THEOREM_IDS = [
     "isolated_characterization", "isolated_elements",
     "betti_minimal_characterizations", "disjoint_betti", "ap_b1",
     "b1_smallest", "isolated_inclusions", "prop_alpha", "thm_alpha_free",
@@ -574,19 +609,17 @@ _NUMERICAL_THEOREMS = [
 def test_harness_report_order_and_applicability_are_pinned():
     S = make_semigroup([4, 6, 9])
     report = check_equivalence_theorems(S, HarnessInputs(S))
-    assert list(report) == _NUMERICAL_THEOREMS
+    assert list(report) == _THEOREM_IDS
     assert all(entry["applicable"] for entry in report.values())
-    # an affine report has no thm_alpha_free key at all
     T = make_semigroup([(1, 0), (0, 2), (0, 3)])
     report = check_equivalence_theorems(T, HarnessInputs(T))
-    assert list(report) == [name for name in _NUMERICAL_THEOREMS
-                            if name != "thm_alpha_free"]
+    assert list(report) == _THEOREM_IDS
     assert [name for name, entry in report.items()
             if not entry["applicable"]] == [
-        "ap_b1", "b1_smallest", "cor_ci_b1", "thm_betti_sorted_alpha",
-        "cor_betti_sorted", "cor_betti_divisible_presen",
-        "thm_betti_divisible_generators", "thm_betti_divisible_free",
-        "thm_single_betti_alpha"]
+        "ap_b1", "b1_smallest", "thm_alpha_free", "cor_ci_b1",
+        "thm_betti_sorted_alpha", "cor_betti_sorted",
+        "cor_betti_divisible_presen", "thm_betti_divisible_generators",
+        "thm_betti_divisible_free", "thm_single_betti_alpha"]
 
 
 def test_per_base_fold():

@@ -112,8 +112,10 @@ def test_fibers_upto_matches_raw_fiber_over_every_scan():
         for fib in scan:
             m = fib.element
             facts = raw_fiber(fresh.gens, m)
-            assert (fib.factorizations, fib.classes) == \
-                (facts, r_classes(facts)), (S.gens, m)
+            classes = r_classes(facts)
+            assert (fib.factorizations, fib.classes, fib.isolated) == \
+                (facts, classes,
+                 tuple(c[0] for c in classes if len(c) == 1)), (S.gens, m)
             assert fiber(S, m) is fib
 
 

@@ -125,6 +125,11 @@ def test_elements_upto():
     A = make_semigroup([(1, 0), (0, 2), (0, 3)])
     els = A.elements_upto(3)
     assert (0, 0) in els and (1, 2) in els and (0, 1) not in els
+    # below 0 the range is empty for both kinds; an affine box of bound -1
+    # has radix 0, so every generator would sit at shift 0, which the
+    # doubling shifts of the count planes never leave
+    for T in (S, A):
+        assert T.elements_upto(-1) == T.elements_upto(-5) == ()
 
 
 def test_affine_elements_upto_match_a_box_scan_by_contains():
