@@ -7,6 +7,7 @@ whole range at once on big-int bit planes (_split), and only the Betti
 elements get a fiber.
 """
 
+from functools import cached_property
 from itertools import product
 
 from . import constants, factor
@@ -38,7 +39,7 @@ class BettiProfile:
         self.complete = complete
         self.widest = max((f.denumerant for f in fibers.values()), default=0)
 
-    @property
+    @cached_property
     def ibetti(self):
         """Betti elements with at least one isolated factorization."""
         return tuple(b for b in self.betti if self.fibers[b].isolated)
@@ -67,7 +68,7 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     """
     if S.numerical:
         profile = S._cached("betti", lambda: _profile(
-            S, _split_numerical(S), fiber_cap, True))
+            S, _numerical_betti(S), fiber_cap, True))
     else:
         # kept under its bound, None when a free arrangement makes the set
         # exact: every caller in one report shares the sweep
@@ -87,6 +88,12 @@ def _profile(S, betti, fiber_cap, complete):
     """The profile of the ascending elements betti, each with its fiber."""
     fibers = {b: factor.fiber(S, b, fiber_cap) for b in betti}
     return BettiProfile(betti, fibers, complete)
+
+
+def _numerical_betti(S):
+    """The Betti elements of numerical S, ascending: one sweep, kept on S
+    for the profile and for the harness walk, which precedes any fiber."""
+    return S._cached("betti_sweep", _split_numerical, S)
 
 
 def _split_numerical(S):
@@ -141,12 +148,12 @@ def _split(member, shifts, valid):
     the planes from that far below its start: the planes of a window take
     O(e^2 * window) bits, and are dropped before the next window's.
     """
-    reach = 2 * max(shifts, default=0)
-    width = max(_WINDOW, reach)
+    lookback = 2 * max(shifts, default=0)
+    width = max(_WINDOW, lookback)
     out = []
     size = valid.bit_length()
     for lo in range(0, size, width):
-        base = max(0, lo - reach)
+        base = max(0, lo - lookback)
         mask = (1 << min(size, lo + width) - base) - 1
         split = _split_plane(member >> base & mask, shifts,
                              valid >> base & mask)

@@ -12,12 +12,12 @@ from itertools import combinations, groupby, permutations
 from math import factorial, prod
 
 from . import constants, factor
-from .betti import (_free_completion, _free_multiple, betti_elements,
-                    free_arrangement, is_complete_intersection, is_free,
-                    require_exact_betti)
+from .betti import (_free_completion, _free_multiple, _numerical_betti,
+                    betti_elements, free_arrangement,
+                    is_complete_intersection, is_free, require_exact_betti)
 from .construct import is_gluing_partition, recover_params
-from .errors import (NotNumericalError, NotSimplicialError,
-                     SearchCapExceededError)
+from .errors import (FiberCapExceededError, NotNumericalError,
+                     NotSimplicialError, SearchCapExceededError)
 from .isolated import (betti_minimals, isolated_profile, minimal_in_order,
                        minimal_multi_elements)
 
@@ -51,9 +51,9 @@ def _apery_base(S, base_idx):
     return S.nonray_indices(), S.apery()
 
 
-# The largest numerical scan bound the harness walks.  The scan keeps a
+# The largest numerical scan bound the harness walks.  The walk keeps a
 # fiber per element, about 1.3 KB each on <20020, ..., 4620> (157,337
-# elements, 207 MB), so this cap holds it near 1.3 GB and refuses at once
+# elements, 198 MB), so this cap holds it near 1.3 GB and refuses at once
 # <4849845, ..., 510510>, which would scan to 63,479,837.
 _SCAN_CAP = 10 ** 6
 
@@ -459,24 +459,21 @@ def classification_report(S):
 
 class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
-    passed down, their one source: the scan fibers (kept on S, where
-    factor.denumerant reads them; the checks partition only the Betti
-    fibers into R-classes), the Betti profile, the isolated
-    profile, the Betti minimals, the c values (one tuple), one _Base per
-    Apery base and, for numerical S, the Betti-sorted,
-    Betti-isolated-sorted, Betti-divisible and free (some arrangement)
-    verdicts and the cost-sorted arrangements.  The memo of S
-    keeps only what the library functions keep (the profiles, the minimals,
-    the c values, the Apery sets, alpha_i and the shaped-presentation
-    data), no rectangularity verdict;
-    the rest lives for one harness call.  run_theorem_harness builds one
-    for a twin of each corpus member, so nothing is kept on the caller's
-    semigroups.  Sharing an input never
-    reads one condition off another: each check still evaluates its own
+    passed down as their one source: four verdicts of the walk (whether
+    the scan's factorizations are characterized, the minimal
+    multi-vectors, whether its elements are, the least multi-element),
+    the Betti and isolated profiles, the Betti minimals, the c values,
+    one _Base per Apery base and the numerical verdicts below.  The memo
+    of S keeps the walk's fibers and what the library functions keep, no
+    rectangularity verdict; the rest lives for one harness call.
+    run_theorem_harness builds one for a twin of each corpus member, so
+    nothing is kept on the caller's semigroups.  Sharing an input never
+    reads one condition off another: each check evaluates its own
     conditions from these inputs.  A numerical scan past _SCAN_CAP raises
     SearchCapExceededError before any fiber is built."""
 
-    __slots__ = ("fibers", "profile", "prof", "minimals", "cs", "bases",
+    __slots__ = ("characterized", "minimal_multi", "elements_ok",
+                 "least_multi", "profile", "prof", "minimals", "cs", "bases",
                  "betti_sorted", "betti_isolated_sorted", "betti_divisible",
                  "free_some", "cost_sorted")
 
@@ -485,9 +482,10 @@ class HarnessInputs:
         if S.numerical and bound > _SCAN_CAP:
             raise SearchCapExceededError(
                 f"{S}: harness scan bound {bound} exceeds {_SCAN_CAP}")
-        # first: every numerical Betti candidate w + n_j is at most the
-        # scan bound, so the Betti sweep reads these fibers
-        self.fibers = factor.fibers_upto(S, bound)
+        # first: the walk keeps every fiber up to the scan bound on S, where
+        # the Betti profile and the Apery bases (factor.denumerant) read them
+        (self.characterized, self.minimal_multi, self.elements_ok,
+         self.least_multi) = _walked(S, bound)
         self.profile = _complete_betti(S)
         self.prof = isolated_profile(S)
         self.minimals = betti_minimals(S)
@@ -606,87 +604,114 @@ def _per_base(check):
     return fold
 
 
-def _walk(S, profile, ib, fibers):
-    """Yield (m, fiber, rows, below_betti, below_ibetti) for every m up to
-    _scan_bound(S), in scan order, reading fibers, the scan fibers of S.
-    rows has one row (x, over_betti, over_ib, minimal) per factorization
-    x: whether some Betti factorization, or some vector of ib, lies
-    strictly below x, and whether x is minimal among the multi-vectors
-    (the factorizations of elements with two or more).  below_betti and
-    below_ibetti: whether some Betti, or IBetti, element lies strictly
-    below m in <=_S.
+# Bits of what lies below a factorization (an element): a Betti one, one
+# of I_b (an IBetti element), a multi-vector.
+_BETTI, _IBETTI, _MULTI = 1, 2, 4
 
-    Some z in a set Z lies strictly below x iff, for some i with x_i > 0,
-    x - e_i is in Z or some z in Z lies strictly below x - e_i; x - e_i
-    factors m - n_i, which the scan meets before m.  The multi-vectors form
-    an up-set, so x is a minimal one iff d(m - n_i) = 1 for every i with
-    x_i > 0.  Likewise b <_S m iff b = m - n_i or b <_S m - n_i for some i.
+
+def _walk(S, bound):
+    """Yield (fib, singletons, below, under) for each m of
+    S.elements_upto(bound), in order: the fiber of m, kept on S under the
+    key factor.fiber reads (or the one kept there), its singleton
+    R-classes, the bits below each factorization and those below m in <=_S.
+
+    Z(m) is the union over i of {y + e_i : y in Z(m - n_i)} (Barron,
+    O'Neill and Pelayo, Math. Comp. 86, 2017), and z < y + e_i iff z = y
+    or z < y, so each y carries its bits and what y and m - n_i add; and
+    b <_S m iff b = m - n_i or b <_S m - n_i.  The scan is closed downward
+    and meets m - n_i before m (affine: lexicographically).  The Betti set
+    comes first (numerical: the kept sweep; affine: the profile
+    _scan_bound built).  m is Betti iff nc(m) >= 2, so only Betti fibers
+    are partitioned, and I_b and the IBetti elements are read off them;
+    any other fiber is one R-class.  The maps of m are dropped after
+    m + max(gens) (lexicographic max, affine), the last element to read
+    them.  Raises FiberCapExceededError at the first m with more than
+    factor.DEFAULT_FIBER_CAP factorizations.
     """
-    betti, ibetti = set(profile.betti), set(profile.ibetti)
-    minus = S._arith.sub
-    reach = {}  # x -> (Betti vector <= x, ib vector <= x, multi-vector)
-    above = {}  # m -> (Betti element <=_S m, IBetti element <=_S m)
-    for fib in fibers:
-        m = fib.element
-        multi = fib.denumerant >= 2
-        rows = []
-        for x in fib.factorizations:
-            over_betti = over_ib = False
-            minimal = multi
-            for i, xi in enumerate(x):
-                if xi:
-                    at_betti, at_ib, below_multi = \
-                        reach[x[:i] + (xi - 1,) + x[i + 1:]]
-                    over_betti = over_betti or at_betti
-                    over_ib = over_ib or at_ib
-                    minimal = minimal and not below_multi
-            reach[x] = (over_betti or m in betti, over_ib or x in ib, multi)
-            rows.append((x, over_betti, over_ib, minimal))
-        lower = [above.get(minus(m, g), (False, False)) for g in S.gens]
-        below_betti = any(at for at, _ in lower)
-        below_ibetti = any(at for _, at in lower)
-        above[m] = (below_betti or m in betti, below_ibetti or m in ibetti)
-        yield m, fib, rows, below_betti, below_ibetti
+    betti = set(_numerical_betti(S) if S.numerical
+                else _complete_betti(S).betti)
+    gens, cap = S.gens, factor.DEFAULT_FIBER_CAP
+    add, minus = S._arith.add, S._arith.sub
+    scan, top = S.elements_upto(bound), max(gens)
+    window, oldest = {}, 0  # m -> (below, own bits, I_b, bits at or below)
+    for m in scan:
+        below = None
+        under = 0
+        for i, g in enumerate(gens):
+            entry = window.get(minus(m, g))
+            if entry is None:
+                continue
+            rows, own, iso, at = entry
+            under |= at
+            if below is None:  # the first m - n_i: no x is met twice
+                below = {y[:i] + (y[i] + 1,) + y[i + 1:]: bits | own
+                         for y, bits in rows.items()}
+            else:
+                for y, bits in rows.items():
+                    x = y[:i] + (y[i] + 1,) + y[i + 1:]
+                    below[x] = below.get(x, 0) | bits | own
+            for y in iso:
+                x = y[:i] + (y[i] + 1,) + y[i + 1:]
+                below[x] |= _IBETTI
+        if below is None:
+            below = {(0,) * len(gens): 0}
+        if len(below) > cap:
+            raise FiberCapExceededError(m, cap)
+        fib = S._cached(("fiber", m), factor.Fiber, m, tuple(sorted(below)))
+        at_betti = m in betti
+        iso = fib.isolated if at_betti else ()
+        own = (_BETTI if at_betti else 0) | (_MULTI if len(below) > 1 else 0)
+        at = under | own & _BETTI | (_IBETTI if iso else 0)
+        singletons = iso if at_betti else \
+            fib.factorizations if len(below) == 1 else ()
+        yield fib, singletons, below, under
+        window[m] = (below, own, iso, at)
+        while add(scan[oldest], top) <= m:
+            del window[scan[oldest]]
+            oldest += 1
 
 
-def _check_walked(S, inputs):
-    """The entries isolated_characterization (the singleton R-classes
-    against domination by a Betti factorization, and the minimal
-    multi-vectors against I_b) and isolated_elements (m has a non-isolated
-    factorization iff a Betti, iff an IBetti, element lies strictly below
-    it in <=_S), from one walk."""
-    profile = inputs.profile
-    betti = set(profile.betti)
-    ib = set(inputs.prof.ib)
+def _walked(S, bound):
+    """The walk's verdicts: whether x is isolated iff no Betti factorization
+    lies below it (else a vector of I_b does), the minimal multi-vectors
+    (an up-set's), whether m has a non-isolated factorization iff a Betti,
+    iff an IBetti, element lies below it, and the least multi-element."""
     characterized = elements_ok = True
     minimals = set()
-    for m, fib, rows, below_betti, below_ibetti in _walk(S, profile, ib,
-                                                          inputs.fibers):
-        # m is Betti iff nc(m) >= 2 (betti's definition; the profile is
-        # complete): any other Z(m) is one R-class, a singleton iff d(m) = 1
-        singletons = set(fib.isolated if m in betti else
-                         fib.factorizations if fib.denumerant == 1 else ())
-        for x, over_betti, over_ib, minimal in rows:
+    least_multi = None
+    for fib, singletons, below, under in _walk(S, bound):
+        multi = len(below) >= 2
+        if multi and least_multi is None:
+            least_multi = fib.element
+        for x, bits in below.items():
             oracle = x in singletons
-            if oracle == over_betti or not (oracle or over_ib):
+            if oracle == bool(bits & _BETTI) or \
+                    not (oracle or bits & _IBETTI):
                 characterized = False  # strengthened: I_b dominates too
-            if minimal:
+            if multi and not bits & _MULTI:
                 minimals.add(x)
-        has_non_isolated = len(singletons) < fib.denumerant
-        if not has_non_isolated == below_betti == below_ibetti:
+        has_non_isolated = len(singletons) < len(below)
+        if not has_non_isolated == bool(under & _BETTI) == \
+                bool(under & _IBETTI):
             elements_ok = False
-    return (_verdict(characterized and minimals == ib),
-            _verdict(elements_ok))
+    return characterized, minimals, elements_ok, least_multi
+
+
+def _check_isolated_characterization(S, inputs):
+    """The walk's verdict, and the minimal multi-vectors against I_b."""
+    return _verdict(inputs.characterized and
+                    inputs.minimal_multi == set(inputs.prof.ib))
+
+
+def _check_isolated_elements(S, inputs):
+    return _verdict(inputs.elements_ok)
 
 
 def _check_b1_smallest(S, inputs):
-    """b_1 is the least element with two factorizations, all isolated: the
-    scan fibers are in increasing order, so the first with two or more."""
-    smallest = next((fib.element for fib in inputs.fibers
-                     if fib.denumerant >= 2), None)
+    """b_1 is the least element with two factorizations, all isolated."""
     b1 = min(inputs.profile.betti)
     fib = inputs.profile.fibers[b1]
-    return _verdict(b1 == smallest and fib.nc == fib.denumerant)
+    return _verdict(b1 == inputs.least_multi and fib.nc == fib.denumerant)
 
 
 def _check_betti_minimal_characterizations(S, inputs):
@@ -936,11 +961,10 @@ def _check_thm_single_betti_alpha(S, inputs):
 
 
 # The harness theorems in report order: (id, check, numerical S only).
-# A check maps (S, inputs) to its entry, the walk's to one entry per id.
 # On affine S a numerical-only theorem is reported as skipped.
 _THEOREMS = (
-    (("isolated_characterization", "isolated_elements"), _check_walked,
-     False),
+    ("isolated_characterization", _check_isolated_characterization, False),
+    ("isolated_elements", _check_isolated_elements, False),
     ("betti_minimal_characterizations",
      _check_betti_minimal_characterizations, False),
     ("disjoint_betti", _check_disjoint_betti, False),
@@ -975,12 +999,6 @@ def check_equivalence_theorems(S, inputs):
     if S.numerical and len(S.gens) == 1:
         return report
     for name, check, numerical_only in _THEOREMS:
-        if S.numerical or not numerical_only:
-            entry = check(S, inputs)
-            if isinstance(name, tuple):
-                report.update(zip(name, entry))
-            else:
-                report[name] = entry
-        else:
-            report[name] = _skip()
+        applies = S.numerical or not numerical_only
+        report[name] = check(S, inputs) if applies else _skip()
     return report

@@ -129,7 +129,7 @@ _SEARCH_NODE_CAP = 10 ** 6
 def _cheapest_completion(p, s0, a, more):
     """F, with every f_i = 1, of the values (product p, s0 as in grow)
     together with a, a + 1, ..., a + more - 1: a lower bound on F for
-    every candidate the branch adding a can reach.
+    every candidate in the branch that adds a.
 
     With every f_i = 1, F = s0 - p = p (k - 1 - sum 1/v) for k values,
     whatever the arrangement, and any f_i > 1 only adds to F.  F does not

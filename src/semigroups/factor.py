@@ -13,16 +13,8 @@ Numerical Semigroups, 2009, the chapters on presentations).  nc counts
 them; fiber enumerates Z(m) where the factorizations themselves are
 needed.  A Fiber partitions Z(m) into R-classes on first read.
 
-A scan of every element up to a bound builds each fiber from the fibers
-below it instead (Barron, O'Neill and Pelayo, "On dynamic algorithms for
-factorization invariants in numerical monoids", Math. Comp. 86, 2017):
-Z(m) is the union over i of {x + e_i : x in Z(m - n_i)}, because a
-factorization x of m with x_i > 0 is x - e_i plus e_i, and x - e_i
-factors m - n_i.  fibers_upto runs it in the order of S.elements_upto,
-which is closed downward and meets m - n_i before m, so every fiber the
-recurrence reads is already built.  raw_fiber stays for single elements
-outside a scan, where building every fiber below one large element would
-cost far more.
+The theorem harness's scan builds each fiber from the fibers below it
+instead (classify._walk); raw_fiber serves single elements outside it.
 """
 
 from .errors import FiberCapExceededError
@@ -38,12 +30,11 @@ def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP, prefix_tests=None):
     prefix_tests[i] decides membership in the monoid generated by
     gens[:i + 1]; when not given, it is built from gens.  The search fixes
     the exponents from the last generator down and enters a remainder only
-    if the earlier generators can reach it, so every branch it enters ends
-    in a factorization.
+    if it lies in the monoid of the earlier generators, so every branch it
+    enters ends in a factorization.
     Raises FiberCapExceededError if more than `cap` factorizations exist.
     """
     arith = _arithmetic(m)
-    minus, quotient = arith.sub, arith.quotient
     e = len(gens)
     if e == 0:
         return ((),) if m == arith.scale(0, m) else ()
@@ -51,25 +42,33 @@ def raw_fiber(gens, m, cap=DEFAULT_FIBER_CAP, prefix_tests=None):
         prefix_tests = tuple(SubMonoid(gens[:i + 1]).contains
                              for i in range(e))
     out = []
-
-    def rec(i, rem, suffix):
-        if i == 0:
-            # rem lies in the monoid of gens[0] alone: an exact multiple
+    # x_(e-1), x_(e-2), ... are fixed depth-first on an explicit stack: an
+    # entry (i, choices) lists suffixes (x_i, ..., x_(e-1)), each with its
+    # remainder, in the monoid of gens[:i] (at i = 1, a multiple of gens[0])
+    stack = [(e, iter([((), m)] if prefix_tests[e - 1](m) else []))]
+    while stack:
+        i, choices = stack[-1]
+        for suffix, rem in choices:
+            if i > 1:
+                stack.append((i - 1, _choices(rem, suffix, gens[i - 1],
+                                              prefix_tests[i - 2], arith)))
+                break
             if len(out) >= cap:
                 raise FiberCapExceededError(m, cap)
-            out.append((quotient(rem, gens[0]),) + suffix)
-            return
-        g = gens[i]
-        inside = prefix_tests[i - 1]
-        for k in range(quotient(rem, g) + 1):
-            if inside(rem):
-                rec(i - 1, rem, (k,) + suffix)
-            rem = minus(rem, g)
-
-    if prefix_tests[e - 1](m):
-        rec(e - 1, m, ())
+            out.append((arith.quotient(rem, gens[0]),) + suffix)
+        else:
+            stack.pop()
     out.sort()
     return tuple(out)
+
+
+def _choices(rem, suffix, g, inside, arith):
+    """((k,) + suffix, rem - k g) for each k >= 0 with inside(rem - k g)."""
+    minus = arith.sub
+    for k in range(arith.quotient(rem, g) + 1):
+        if inside(rem):
+            yield (k,) + suffix, rem
+        rem = minus(rem, g)
 
 
 def r_classes(factorizations):
@@ -113,10 +112,10 @@ class Fiber:
 
     __slots__ = ("element", "factorizations", "_classes")
 
-    def __init__(self, element, factorizations, classes=None):
+    def __init__(self, element, factorizations):
         self.element = element
         self.factorizations = factorizations
-        self._classes = classes
+        self._classes = None
 
     @property
     def classes(self):
@@ -161,42 +160,6 @@ def _new_fiber(S, m, cap):
     if not S.contains(m):  # the shape check that the prefix tests skip
         return Fiber(m, ())
     return Fiber(m, raw_fiber(S.gens, m, cap, _prefix_tests(S)))
-
-
-def fibers_upto(S, bound, cap=DEFAULT_FIBER_CAP):
-    """The fiber of every m in S.elements_upto(bound), in that order,
-    each built from the fibers below it and kept on S under the key
-    fiber() uses; a fiber already kept is reused.  Each fiber carries its
-    element.  Raises FiberCapExceededError at the first m with more than
-    cap factorizations."""
-    built = {}  # scanned element -> its factorizations
-    out = []
-    # Z(m) is the union of Z(m - n_i) + e_i.  The scan is closed downward
-    # (m - n_i in S lies in it whenever m does) and m - n_i comes before m:
-    # numerical, m - n_i < m; affine, m - n_i is at most m in every
-    # coordinate and differs from it, so it comes first in lexicographic
-    # order and has a smaller coordinate sum.  So every Z(m - n_i) with
-    # m - n_i in S is in built when m is reached, and any other m - n_i
-    # has an empty fiber.
-    for m in S.elements_upto(bound):
-        fib = S._cached(("fiber", m), _fiber_from_below, S, m, built, cap)
-        if fib.denumerant > cap:
-            raise FiberCapExceededError(m, cap)  # also one kept earlier
-        built[m] = fib.factorizations
-        out.append(fib)
-    return out
-
-
-def _fiber_from_below(S, m, built, cap):
-    """The fiber of m from the factorizations in built of every m - n_i
-    in S; only m = 0 has none, and its one factorization is zero."""
-    minus = S._arith.sub
-    facts = {x[:i] + (x[i] + 1,) + x[i + 1:]
-             for i, g in enumerate(S.gens)
-             for x in built.get(minus(m, g), ())}
-    if len(facts) > cap:
-        raise FiberCapExceededError(m, cap)
-    return Fiber(m, tuple(sorted(facts)) if facts else ((0,) * len(S.gens),))
 
 
 def denumerant(S, m):

@@ -32,6 +32,18 @@ def test_betti_golden_examples():
     assert betti_elements(make_semigroup([2, 3])).betti == (6,)
 
 
+def test_ibetti_reads_the_betti_fibers_once_per_profile(monkeypatch):
+    reads = []
+    real = factor.Fiber.isolated
+    monkeypatch.setattr(factor.Fiber, "isolated",
+                        property(lambda fib: reads.append(fib.element) or
+                                 real.fget(fib)))
+    profile = betti_elements(make_semigroup([24, 26, 36, 39]))
+    first = profile.ibetti
+    assert sorted(reads) == [72, 78, 156]
+    assert profile.ibetti is first and len(reads) == 3
+
+
 def test_betti_matches_brute_force_on_small_corpus():
     checked = 0
     for S in enumerate_numerical_by_genus(9):

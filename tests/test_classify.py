@@ -15,22 +15,23 @@ from semigroups import (check_equivalence_theorems, classification_report,
                         is_betti_divisible, is_betti_sorted,
                         is_c_rectangular, is_free_all_arrangements,
                         is_rectangular, make_semigroup, verify_bounds)
-from semigroups import (IsolatedProfile, betti_divisible_from_params,
+from semigroups import (IsolatedProfile, betti, betti_divisible_from_params,
                         betti_elements, classify, constants, factor,
                         free_arrangement, is_free, isolated_profile)
 from semigroups.isolated import betti_minimals, minimal_in_order
 from semigroups.betti import BettiProfile, _free_completion
-from semigroups.classify import (HarnessInputs, _check_b1_smallest,
-                                 _check_thm_alpha_free, _check_walked,
-                                 _per_base, _scan_bound,
-                                 _sorted_cost_arrangements, _walk,
-                                 admits_shaped_presentation,
+from semigroups.classify import (_BETTI, _IBETTI, _MULTI, HarnessInputs,
+                                 _check_b1_smallest,
+                                 _check_isolated_characterization,
+                                 _check_isolated_elements,
+                                 _check_thm_alpha_free, _per_base,
+                                 _scan_bound, _sorted_cost_arrangements,
+                                 _walk, admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
 from semigroups.errors import NotSimplicialError, SearchCapExceededError
 from semigroups.explore import (enumerate_numerical_by_genus,
                                 run_theorem_harness)
-from semigroups.factor import fibers_upto
 from semigroups.semigroup import Semigroup
 
 
@@ -391,14 +392,13 @@ def _below(z, x):
 def test_order_walk_matches_pairwise_domination():
     rows_seen = 0
     for S in _harness_members():
+        walk = list(_walk(S, _scan_bound(S)))
         profile = betti_elements(S)
         ib = set(isolated_profile(S).ib)
-        scan = fibers_upto(S, _scan_bound(S))
-        walk = list(_walk(S, profile, ib, scan))
         betti_facts = [x for b in profile.betti
                        for x in profile.fibers[b].factorizations]
         # minimal multi-vectors by the sorted pairwise scan
-        multi_vectors = sorted((x for _, fib, *_ in walk
+        multi_vectors = sorted((x for fib, *_ in walk
                                 if fib.denumerant >= 2
                                 for x in fib.factorizations), key=sum)
         minimals = []
@@ -406,28 +406,31 @@ def test_order_walk_matches_pairwise_domination():
             if not any(_below(z, x) for z in minimals):
                 minimals.append(x)
         assert set(minimals) == ib, S.gens
-        for _, fib, rows, _, _ in walk:
-            assert [row[0] for row in rows] == list(fib.factorizations)
-            for x, over_betti, over_ib, minimal in rows:
-                assert over_betti == any(_below(z, x) for z in betti_facts)
-                assert over_ib == any(_below(z, x) for z in ib)
-                assert minimal == (x in minimals), (S.gens, x)
+        for fib, _, below, _ in walk:
+            assert sorted(below) == list(fib.factorizations)
+            multi = fib.denumerant >= 2
+            for x, bits in below.items():
+                assert bool(bits & _BETTI) == \
+                    any(_below(z, x) for z in betti_facts)
+                assert bool(bits & _IBETTI) == any(_below(z, x) for z in ib)
+                assert (multi and not bits & _MULTI) == (x in minimals), \
+                    (S.gens, x)
                 rows_seen += 1
     assert rows_seen > 5000
 
 
 def test_strictly_above_matches_pairwise_order():
     for S in _harness_members():
+        walk = list(_walk(S, _scan_bound(S)))
         profile = betti_elements(S)
-        walk = list(_walk(S, profile, set(isolated_profile(S).ib),
-                          fibers_upto(S, _scan_bound(S))))
-        assert [row[0] for row in walk] == \
+        assert [fib.element for fib, *_ in walk] == \
             list(S.elements_upto(_scan_bound(S)))
-        for k, targets in ((3, profile.betti), (4, profile.ibetti)):
-            for row in walk:
-                m = row[0]
-                assert row[k] == any(b != m and S.leq(b, m)
-                                     for b in targets), (S.gens, m)
+        for bit, targets in ((_BETTI, profile.betti),
+                             (_IBETTI, profile.ibetti)):
+            for fib, _, _, under in walk:
+                m = fib.element
+                assert bool(under & bit) == any(b != m and S.leq(b, m)
+                                                for b in targets), (S.gens, m)
 
 
 def test_apery_maxima_match_pairwise_scan():
@@ -451,78 +454,76 @@ def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
     for gens in ([3, 4, 5], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
         ib = real(S).ib
-        assert _check_walked(S, HarnessInputs(S))[0]["ok"]
+        assert _check_isolated_characterization(S, HarnessInputs(S))["ok"]
         for k in range(len(ib)):
             def dropped(T, *args, k=k):
                 prof = real(T, *args)
                 return IsolatedProfile(prof.ib[:k] + prof.ib[k + 1:],
                                        prof.is_, prof.exhaustive)
             monkeypatch.setattr(classify, "isolated_profile", dropped)
-            assert not _check_walked(S, HarnessInputs(S))[0]["ok"], (gens, k)
+            assert not _check_isolated_characterization(
+                S, HarnessInputs(S))["ok"], (gens, k)
         monkeypatch.setattr(classify, "isolated_profile", real)
 
 
 def _walked_and_b1_smallest(S):
     inputs = HarnessInputs(S)
-    return list(_check_walked(S, inputs)) + [_check_b1_smallest(S, inputs)]
+    return [check(S, inputs) for check in (
+        _check_isolated_characterization, _check_isolated_elements,
+        _check_b1_smallest)]
 
 
 def test_walked_checks_fail_without_the_least_betti_element(monkeypatch):
-    # both entries of the walk and b1_smallest must be able to fail
-    real = classify.betti_elements
-
-    def dropped(T, *args, **kwargs):
-        prof = real(T, *args, **kwargs)
-        b1 = min(prof.betti)
-        return BettiProfile(prof.betti[1:],
-                            {b: f for b, f in prof.fibers.items() if b != b1},
-                            prof.complete)
-
+    # both entries of the walk and b1_smallest must be able to fail when
+    # the kept sweep, which the walk and the profile read, misses b_1
+    real = betti._split_numerical
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
-        S = make_semigroup(gens)
-        assert all(entry["ok"] for entry in _walked_and_b1_smallest(S))
-        monkeypatch.setattr(classify, "betti_elements", dropped)
-        assert not any(entry["ok"]
-                       for entry in _walked_and_b1_smallest(S)), gens
-        monkeypatch.setattr(classify, "betti_elements", real)
+        assert all(entry["ok"]
+                   for entry in _walked_and_b1_smallest(make_semigroup(gens)))
+        monkeypatch.setattr(betti, "_split_numerical", lambda T: real(T)[1:])
+        assert not any(entry["ok"] for entry in
+                       _walked_and_b1_smallest(make_semigroup(gens))), gens
+        monkeypatch.setattr(betti, "_split_numerical", real)
 
 
-class _NoIBettiProfile(BettiProfile):
-    ibetti = ()
+class _Unlisted(tuple):
+    """A tuple that lists its members but reads as empty."""
+
+    def __bool__(self):
+        return False
 
 
 def test_isolated_elements_fails_without_the_ibetti_elements(monkeypatch):
     # the IBetti side keeps its own recurrence: the theorem makes it agree
-    # with the Betti side, so only a wrong IBetti set can tell them apart
-    real = classify.betti_elements
-
-    def no_ibetti(T, *args, **kwargs):
-        prof = real(T, *args, **kwargs)
-        return _NoIBettiProfile(prof.betti, prof.fibers, prof.complete)
-
-    monkeypatch.setattr(classify, "betti_elements", no_ibetti)
+    # with the Betti side, so only a wrong IBetti set can tell them apart.
+    # Every isolated factorization still reaches I_b, but a Betti fiber
+    # asked whether it has one answers no, so the walk (and the profile)
+    # find no IBetti element.
+    real = factor.Fiber.isolated
+    monkeypatch.setattr(factor.Fiber, "isolated",
+                        property(lambda fib: _Unlisted(real.fget(fib))))
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
         S = make_semigroup(gens)
-        characterization, elements = _check_walked(S, HarnessInputs(S))
-        assert characterization["ok"] and not elements["ok"], gens
+        inputs = HarnessInputs(S)
+        assert _check_isolated_characterization(S, inputs)["ok"], gens
+        assert not _check_isolated_elements(S, inputs)["ok"], gens
 
 
-def test_characterization_fails_without_any_one_betti_element():
+def test_characterization_fails_without_any_one_betti_element(monkeypatch):
     # the walk reads R-classes only at Betti elements and takes any other
-    # fiber as one class, so a profile missing one Betti element misreads
-    # that element's classes as well as what it dominates: every such
-    # profile fails.  Reading every fiber's classes, the check caught 95
+    # fiber as one class, so a kept sweep missing one Betti element
+    # misreads that element's classes as well as what it dominates: every
+    # such sweep fails.  Reading every fiber's classes, the check caught 95
     # of these 213 cases.
     cases = 0
+    real = betti._split_numerical
     for S in _corpus_e_ge_2(6):
-        inputs = HarnessInputs(S)
-        full = inputs.profile
-        for b in full.betti:
-            inputs.profile = BettiProfile(
-                [a for a in full.betti if a != b], full.fibers,
-                full.complete)
-            characterization, _ = _check_walked(S, inputs)
-            assert not characterization["ok"], (S.gens, b)
+        for b in real(S):
+            monkeypatch.setattr(betti, "_split_numerical",
+                                lambda T, b=b: [a for a in real(T) if a != b])
+            T = make_semigroup(S.gens)
+            assert not _check_isolated_characterization(
+                T, HarnessInputs(T))["ok"], (S.gens, b)
             cases += 1
     assert cases == 213
 
@@ -562,6 +563,20 @@ def test_harness_partitions_only_the_betti_fibers(monkeypatch):
     report = run_theorem_harness(corpus, chain_witnesses=None)
     assert (report["checked"], report["violations"]) == (49, [])
     assert len(calls) == 213
+
+
+def test_harness_sweeps_the_betti_planes_once_per_member(monkeypatch):
+    # the walk reads the Betti set before any fiber is built, and the
+    # profile reads the same sweep, kept on the semigroup
+    swept = []
+    real = betti._split_numerical
+    monkeypatch.setattr(betti, "_split_numerical",
+                        lambda T: swept.append(T) or real(T))
+    corpus = _corpus_e_ge_2(6)
+    report = run_theorem_harness(corpus, chain_witnesses=None)
+    assert (report["checked"], report["violations"]) == (49, [])
+    assert len({id(T) for T in swept}) == len(swept)
+    assert {S.gens for S in corpus} <= {T.gens for T in swept}
 
 
 def test_harness_inputs_ask_for_each_alpha_once(monkeypatch):
@@ -641,14 +656,16 @@ def test_per_base_fold():
 
 
 def test_harness_walks_once_per_report(monkeypatch):
+    # the inputs walk the scan once, and the checks read its verdicts
     walks = []
     real = classify._walk
     monkeypatch.setattr(classify, "_walk",
                         lambda *a: walks.append(a[0]) or real(*a))
     for gens in ([4, 6, 9], [(1, 0), (0, 2), (0, 3)]):
         S = make_semigroup(gens)
-        inputs = HarnessInputs(S)
         walks.clear()
+        inputs = HarnessInputs(S)
+        assert walks == [S], gens
         check_equivalence_theorems(S, inputs)
         assert walks == [S], gens
 
@@ -681,11 +698,20 @@ def _pairwise_disjoint_betti(S, profile):
     return True
 
 
+class _AllIsolated(factor.Fiber):
+    """A fiber whose every factorization is its own R-class."""
+
+    __slots__ = ()
+
+    @property
+    def classes(self):
+        return tuple((x,) for x in self.factorizations)
+
+
 def _all_isolated(profile):
     """The profile with every factorization made its own R-class, so that
     the disjointness statement fails on some members."""
-    fibers = {b: factor.Fiber(b, fib.factorizations,
-                              tuple((x,) for x in fib.factorizations))
+    fibers = {b: _AllIsolated(b, fib.factorizations)
               for b, fib in profile.fibers.items()}
     return BettiProfile(profile.betti, fibers, profile.complete)
 
@@ -714,7 +740,7 @@ def test_minimal_elements_match_pairwise_leq():
         assert betti_minimals(S) == _pairwise_minimal(S, profile.betti)
         # the elements with two or more factorizations: an up-set whose
         # minimal members are the minimal multi-elements
-        multi = tuple(fib.element for fib in fibers_upto(S, _scan_bound(S))
+        multi = tuple(fib.element for fib, *_ in _walk(S, _scan_bound(S))
                       if fib.denumerant >= 2)
         for elems in (profile.ibetti, multi):
             got = minimal_in_order(S, elems)

@@ -9,7 +9,7 @@ from math import gcd, prod
 import pytest
 
 from semigroups import (SearchCapExceededError, betti_divisible_from_params,
-                        enumerate_numerical_by_genus, explore,
+                        enumerate_numerical_by_genus, explore, fiber,
                         free_some_arrangement, has_single_betti,
                         has_single_betti_minimal, is_alpha_rectangular,
                         is_betti_divisible, is_betti_sorted,
@@ -330,9 +330,9 @@ def test_genus_tree_nodes_build_membership_on_first_use():
 
 
 def test_dropped_semigroups_are_freed_without_the_cycle_collector():
-    # no recursive closure keeps a node or a harnessed semigroup alive
-    # once the caller drops it, so reference counting alone frees them,
-    # and a search leaves no cycle for the collector to find
+    # no recursive closure keeps a node, a harnessed semigroup or a fiber
+    # search alive once the caller drops it, so reference counting alone
+    # frees them, and a search leaves no cycle for the collector to find
     gc.collect()
     gc.disable()
     try:
@@ -346,6 +346,8 @@ def test_dropped_semigroups_are_freed_without_the_cycle_collector():
         harnessed = weakref.ref(S)
         del S
         assert harnessed() is None
+        # a fiber outside any scan comes from raw_fiber's descent
+        assert fiber(make_semigroup([6, 9, 20]), 60).denumerant == 5
         assert min_frobenius_betti_divisible(4, 1200, 2)[0] == 523
         assert gc.collect() == 0
     finally:

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigroups import (FiberCapExceededError, InvalidGeneratorsError,
-                        denumerant, fiber, isolated_factorizations,
+                        denumerant, factor, fiber, isolated_factorizations,
                         make_semigroup, nc, r_classes)
-from semigroups.classify import _scan_bound
+from semigroups.classify import _scan_bound, _walk
 from semigroups.explore import enumerate_numerical_by_genus
-from semigroups.factor import fibers_upto, raw_fiber
+from semigroups.factor import raw_fiber
 
 # the affine members of the analyze benchmark panel, and one more
 AFFINE = ([(1, 0), (0, 2), (0, 3)], [(3, 0), (0, 3), (1, 2), (2, 1)],
@@ -98,7 +98,7 @@ def test_fiber_cap_honoured_when_cached():
     assert fiber(S, 30, cap=6).denumerant == 6
 
 
-def test_fibers_upto_matches_raw_fiber_over_every_scan():
+def test_walk_fibers_match_raw_fiber_over_every_scan():
     members = [S for S in enumerate_numerical_by_genus(9)
                if len(S.gens) > 1]
     members += [make_semigroup(g) for g in ([(1, 0), (0, 2), (0, 3)],
@@ -106,34 +106,38 @@ def test_fibers_upto_matches_raw_fiber_over_every_scan():
     for S in members:
         bound = _scan_bound(S)  # affine: keeps the Betti fibers on S
         fresh = make_semigroup(list(S.gens))
-        scan = fibers_upto(S, bound)
-        assert [fib.element for fib in scan] == \
+        scan = list(_walk(S, bound))
+        assert [fib.element for fib, *_ in scan] == \
             list(fresh.elements_upto(bound))
-        for fib in scan:
+        for fib, singletons, below, _ in scan:
             m = fib.element
             facts = raw_fiber(fresh.gens, m)
             classes = r_classes(facts)
-            assert (fib.factorizations, fib.classes, fib.isolated) == \
-                (facts, classes,
-                 tuple(c[0] for c in classes if len(c) == 1)), (S.gens, m)
+            isolated = tuple(c[0] for c in classes if len(c) == 1)
+            assert (fib.factorizations, fib.classes, fib.isolated,
+                    tuple(singletons), tuple(sorted(below))) == \
+                (facts, classes, isolated, isolated, facts), (S.gens, m)
             assert fiber(S, m) is fib
 
 
-def test_fibers_upto_reuses_kept_fibers():
+def test_walk_reuses_kept_fibers():
     S = make_semigroup([3, 4, 5])
     kept = fiber(S, 8)
-    assert {f.element: f for f in fibers_upto(S, 12)}[8] is kept
+    assert {fib.element: fib for fib, *_ in _walk(S, 12)}[8] is kept
 
 
-def test_fibers_upto_raises_where_raw_fiber_does():
+def test_walk_raises_where_raw_fiber_does(monkeypatch):
     S = make_semigroup([3, 5])
     for cap, first in ((3, 45), (0, 0)):
         for m in S.elements_upto(first - 1):
             raw_fiber(S.gens, m, cap=cap)
         with pytest.raises(FiberCapExceededError) as raw:
             raw_fiber(S.gens, first, cap=cap)
+        # the walk takes no cap: it holds every fiber to the default
+        monkeypatch.setattr(factor, "DEFAULT_FIBER_CAP", cap)
         with pytest.raises(FiberCapExceededError) as scan:
-            fibers_upto(make_semigroup([3, 5]), 60, cap=cap)
+            list(_walk(make_semigroup([3, 5]), 60))
+        monkeypatch.undo()
         assert (scan.value.element, scan.value.cap, str(scan.value)) == \
             (first, cap, str(raw.value))
 
