@@ -2,15 +2,14 @@
 
 The genus tree enumerates every numerical semigroup of genus <= g by
 removing effective generators (minimal generators larger than the
-Frobenius number), which visits each semigroup exactly once.  Removing
-g > F(S) from S != N keeps msg(S) - {g} and adds each g + n, n in msg(S),
-that is minimal in the child (Rosales & Garcia-Sanchez, Numerical
-Semigroups, 2009; Fromentin & Hivert, Math. Comp. 85, 2016).  A node
-carries its finite gap mask (bit s set iff s is a gap), and g + n is
-minimal in the child iff g + n - y is a gap of the child for every kept
-generator y: one AND of the child's mask shifted by each y tests every
-candidate at once.  A node is a bare Semigroup: its membership engine is
-built only if it is asked about membership.
+Frobenius number), which visits each semigroup exactly once (Rosales &
+Garcia-Sanchez, Numerical Semigroups, 2009; Fromentin & Hivert, Math.
+Comp. 85, 2016).  A node carries its finite gap mask (bit s set iff s is
+a gap).  With m the multiplicity, removing g != m adds at most g + m,
+which is minimal iff g + m - y is a gap for every generator m < y < g:
+one bit per y, read until the first member.  Removing g = m gives
+<m + 1, ..., 2m + 1>.  A node is a bare Semigroup: its membership engine
+is built only if it is asked about membership.
 
 The minimum-Frobenius search for Betti-divisible semigroups walks the
 (a, f) parametrization, which provably covers the whole family, by branch
@@ -21,7 +20,6 @@ exceeds the best Frobenius number so far, and ties are kept for the
 generator tie-break.
 """
 
-from bisect import bisect_right
 from itertools import permutations
 from math import gcd
 
@@ -64,40 +62,41 @@ def enumerate_numerical_by_genus(g_max):
             f"genus {g_max} exceeds the enumeration cap {GENUS_CAP}")
     if g_max < 0:
         raise ValueError(f"genus {g_max} is negative")
-    out = [Semigroup((1,), 1, 1, (0,))]
-    if g_max:
-        _walk(out, (2, 3), 2, 1, 1, g_max)  # the one child of N: rule fails
+    out = []
+    _walk(out, (1,), 0, 0, 0, g_max)
     return Corpus(out, f"enumerated-by-genus<={g_max}")
 
 
-def _walk(out, gens, gaps, frob, genus, g_max):
+def _walk(out, gens, gaps, start, genus, g_max):
     """Append the subtree of S = <gens> to out, in preorder.
 
-    gens is msg(S) ascending, so the generators g > F are the suffix past
-    F; bit s of gaps is set iff s is a gap.  Removing g > F gives the child
-    with mask gaps | 1 << g.  It keeps old = msg(S) - {g} and adds each
-    x = g + n (n in msg(S)) that is minimal in it: x is new iff bit x of
-    spread, the AND of child << y over every old y, is set.  With m the
-    multiplicity of S:
-    - every old y is <= F + m < g + m <= x, so y < x;
-    - each new generator is >= g + m, and two of them sum to more than x,
-      as x <= g + F + m < 2g + m; so any decomposition of x in the child
-      uses an old generator;
-    - hence x is minimal iff x - y is a gap of the child for every old y;
-    - every new x is above every old y, so old + new is ascending.
+    gens is msg(S) ascending, gens[start:] are the generators g > F, and
+    bit s of gaps is set iff s is a gap.  Removing g = gens[i] gives the
+    child with mask gaps | 1 << g, Frobenius number g and generators
+    msg(S) - {g} plus each g + n (n in msg(S)) minimal in it; m = gens[0].
+    - i = 0: g = m > F, so S = {0} u [m, oo) and the child is
+      <m + 1, ..., 2m + 1>, adding 2m and 2m + 1 (N gives <2, 3>).
+    - i >= 1: for n != m, g + n = m + (g + n - m) with g + n - m > g in
+      the child.  x = g + m exceeds every kept y (y <= F + m) and no new
+      generator is below x, so x is minimal iff every x - y is a gap.  It
+      is g for y = m and below m for y > g: only m < y < g is read, in S.
+    New generators exceed the kept ones; the child's gens[i:] exceed g.
     """
     out.append(Semigroup(gens, 1, 1, (0,)))
     if genus < g_max:
-        for i in range(bisect_right(gens, frob), len(gens)):
+        m = gens[0]
+        for i in range(start, len(gens)):
             g = gens[i]
-            child = gaps | 1 << g
             old = gens[:i] + gens[i + 1:]
-            spread = -1
-            for y in old:
-                spread &= child << y
-            if spread:
-                old += tuple(g + n for n in gens if spread >> (g + n) & 1)
-            _walk(out, old, child, g, genus + 1, g_max)
+            if not i:
+                old += (2 * m, 2 * m + 1)
+            else:
+                for y in gens[1:i]:
+                    if not gaps >> (g + m - y) & 1:
+                        break
+                else:
+                    old += (g + m,)
+            _walk(out, old, gaps | 1 << g, i, genus + 1, g_max)
 
 
 def load_corpus(path):

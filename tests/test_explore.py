@@ -85,6 +85,12 @@ def test_enumeration_counts_match_a007323(genus_20):
     assert [counts[g] for g in range(21)] == A007323
 
 
+def _node_order_digest(corpus):
+    """Each node's gens joined by ',', nodes by newline, hashed."""
+    text = "\n".join(",".join(map(str, S.gens)) for S in corpus)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("g_max, nodes, digest", [
     (14, 4107,
      "7315aa9f83b19e0ac1658a4d624a1d7af17dc338e44010ed4683e498b4f8e122"),
@@ -92,11 +98,38 @@ def test_enumeration_counts_match_a007323(genus_20):
      "48f4ee1808650221ec14f4edc56f6f1145d2bb7b0736a355832a955b19e157d5")])
 def test_enumeration_node_order_is_pinned(g_max, nodes, digest):
     # verify reports witnesses in corpus order, so the tree's node order is
-    # part of its output: each node's gens joined by ',', nodes by newline
+    # part of its output
     corpus = list(enumerate_numerical_by_genus(g_max))
-    text = "\n".join(",".join(map(str, S.gens)) for S in corpus)
     assert len(corpus) == nodes
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _node_order_digest(corpus) == digest
+
+
+def test_genus_20_node_order_is_pinned(genus_20):
+    assert len(genus_20) == 93142
+    assert _node_order_digest(genus_20) == (
+        "72c6a9e2addcb93d08f8a117797e389f20c90bed3f7ae3b724444a2daa6b4f1a")
+
+
+def test_removing_an_effective_generator_adds_at_most_g_plus_m():
+    # the tree's rule, checked on the brute-force oracle alone: removing
+    # g > F adds nothing but g + m when g != m, and from {0} u [m, oo)
+    # removing m gives <m + 1, ..., 2m + 1>
+    children = 0
+    for genus in range(11):
+        for gaps in gap_sets(genus):
+            gens = brute_min_gens(gaps)
+            m, frob = gens[0], max(gaps, default=-1)
+            for g in gens:
+                if g <= frob:
+                    continue
+                child = brute_min_gens(gaps | {g})
+                kept = set(gens) - {g}
+                if g == m:
+                    assert child == tuple(range(m + 1, 2 * m + 2)), gens
+                else:
+                    assert kept <= set(child) <= kept | {g + m}, (gens, g)
+                children += 1
+    assert children == sum(A007323[1:12])
 
 
 def test_enumeration_generators_survive_validation():
