@@ -61,14 +61,17 @@ def _json(obj, indent="\n"):
 def _int_rows(obj):
     """The ints of obj, row after row, if obj is a non-empty list or tuple
     of non-empty lists or tuples of plain ints within +-2**53
-    (factorizations, say); None otherwise."""
+    (factorizations, say); None otherwise.  Once every entry is known to be
+    a plain int, the range is read off the distinct values."""
     if (type(obj) not in (list, tuple) or not obj or not all(obj)
             or not set(map(type, obj)) <= {list, tuple}):
         return None
     flat = tuple(chain.from_iterable(obj))
-    return flat if (set(map(type, flat)) == {int}
-                    and -_JSON_INT_LIMIT <= min(flat)
-                    and max(flat) <= _JSON_INT_LIMIT) else None
+    if set(map(type, flat)) != {int}:
+        return None
+    values = set(flat)
+    return flat if (-_JSON_INT_LIMIT <= min(values)
+                    and max(values) <= _JSON_INT_LIMIT) else None
 
 
 def _rows_json(rows, flat, indent, inner):

@@ -8,8 +8,9 @@ Comp. 85, 2016).  A node carries its finite gap mask (bit s set iff s is
 a gap).  With m the multiplicity, removing g != m adds at most g + m,
 which is minimal iff g + m - y is a gap for every generator m < y < g:
 one bit per y, read until the first member.  Removing g = m gives
-<m + 1, ..., 2m + 1>.  A node is a bare Semigroup: its membership engine
-is built only if it is asked about membership.
+<m + 1, ..., 2m + 1>.  A node is one slotted Semigroup of about 224
+bytes (tracemalloc, genus 20): its membership engine and its memo are
+made only when it is first asked something.
 
 The minimum-Frobenius search for Betti-divisible semigroups walks the
 (a, f) parametrization, which provably covers the whole family, by branch
@@ -32,8 +33,10 @@ __all__ = ["Corpus", "enumerate_numerical_by_genus", "load_corpus",
            "min_frobenius_betti_divisible", "run_theorem_harness",
            "DEFAULT_CHAIN_WITNESSES"]
 
-# Genus <= 25 is 1,179,597 semigroups (OEIS A007323) at ~330 bytes each
-# as enumerated (tracemalloc, genus 20): ~390 MB; genus 26 adds 770,832.
+# Genus <= 25 is 1,179,597 semigroups (OEIS A007323).  A node as
+# enumerated takes 224 bytes at genus 20 and 230 at genus 22 (tracemalloc),
+# growing with its generator count; extrapolated to ~240 bytes, genus 25
+# would take ~280 MB.  Genus 26 adds 770,832.
 GENUS_CAP = 25
 
 
@@ -81,21 +84,27 @@ def _walk(out, gens, gaps, start, genus, g_max):
       generator is below x, so x is minimal iff every x - y is a gap.  It
       is g for y = m and below m for y > g: only m < y < g is read, in S.
     New generators exceed the kept ones; the child's gens[i:] exceed g.
+    A child of genus g_max is a leaf, appended without a call.
     """
     out.append(Semigroup(gens, 1, 1, (0,)))
-    if genus < g_max:
-        m = gens[0]
-        for i in range(start, len(gens)):
-            g = gens[i]
-            old = gens[:i] + gens[i + 1:]
-            if not i:
-                old += (2 * m, 2 * m + 1)
+    if genus == g_max:
+        return
+    leaf = genus + 1 == g_max
+    m = gens[0]
+    for i in range(start, len(gens)):
+        g = gens[i]
+        old = gens[:i] + gens[i + 1:]
+        if not i:
+            old += (2 * m, 2 * m + 1)
+        else:
+            for y in gens[1:i]:
+                if not gaps >> (g + m - y) & 1:
+                    break
             else:
-                for y in gens[1:i]:
-                    if not gaps >> (g + m - y) & 1:
-                        break
-                else:
-                    old += (g + m,)
+                old += (g + m,)
+        if leaf:
+            out.append(Semigroup(old, 1, 1, (0,)))
+        else:
             _walk(out, old, gaps | 1 << g, i, genus + 1, g_max)
 
 

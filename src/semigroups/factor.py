@@ -17,6 +17,8 @@ The theorem harness's scan builds each fiber from the fibers below it
 instead (classify._walk); raw_fiber serves single elements outside it.
 """
 
+from itertools import compress
+
 from .errors import FiberCapExceededError
 from .semigroup import SubMonoid, _arithmetic
 
@@ -71,40 +73,46 @@ def _choices(rem, suffix, g, inside, arith):
         rem = minus(rem, g)
 
 
+# Entry j is the support bit of generator j, for fibers with e <= 64
+_SUPPORT_BITS = [1 << j for j in range(64)]
+
+
 def r_classes(factorizations):
-    """Partition factorizations into R-classes (support-sharing components).
+    """Partition the factorizations of one fiber into R-classes
+    (support-sharing components).
 
     Returns a tuple of classes; each class is a lex-sorted tuple of
     factorizations, and classes are sorted by their smallest member.
+    Classes have pairwise disjoint supports, so there are at most e of
+    them.  Each factorization joins every class whose support mask meets
+    its own, and those classes merge.  A new class adds a bit to the union
+    of the masks, so at most e - 1 merges happen: O(|Z| e) mask operations.
     """
     facts = list(factorizations)
-    parent = list(range(len(facts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    first_user = {}
-    for fi, x in enumerate(facts):
-        for j, c in enumerate(x):
-            if c:
-                if j in first_user:
-                    union(first_user[j], fi)
-                else:
-                    first_user[j] = fi
-    groups = {}
-    for fi in range(len(facts)):
-        groups.setdefault(find(fi), []).append(facts[fi])
-    classes = [tuple(sorted(g)) for g in groups.values()]
-    classes.sort()
-    return tuple(classes)
+    if not facts:
+        return ()
+    e = len(facts[0])
+    bits = _SUPPORT_BITS if e <= 64 else [1 << j for j in range(e)]
+    classes = []  # [support mask, members]; the masks are pairwise disjoint
+    for x in facts:
+        s = sum(compress(bits, x))
+        home = None
+        for c in classes:
+            if c[0] & s:
+                if home is None:
+                    home = c
+                    c[1].append(x)
+                else:  # merged into home
+                    home[1] += c[1]
+                    c[1] = None
+                s |= c[0]
+        if home is None:
+            classes.append([s, [x]])
+        else:
+            home[0] = s
+            if len(classes) > 1:  # drop the classes merged into home
+                classes = [c for c in classes if c[1] is not None]
+    return tuple(sorted(tuple(sorted(m)) for _, m in classes))
 
 
 class Fiber:

@@ -237,17 +237,23 @@ class Semigroup:
         simplicial_rays: tuple of indices into gens of the lexicographically
             smallest generator subset spanning the rational cone, or None if
             the semigroup is not simplicial.
+
+    Slotted, and the membership engine and the memo are made on first use:
+    the genus tree builds many semigroups that are never asked anything.
     """
+
+    __slots__ = ("gens", "ambient_dim", "rank", "simplicial_rays",
+                 "numerical", "_arith", "_monoid", "_memo", "__weakref__")
 
     def __init__(self, gens, ambient_dim, rank, simplicial_rays):
         self.gens = tuple(gens)
         self.ambient_dim = ambient_dim
         self.rank = rank
         self.simplicial_rays = simplicial_rays
-        self.numerical = ambient_dim == 1
-        self._arith = _arithmetic(self.gens[0])
+        self.numerical = numerical = ambient_dim == 1
+        self._arith = _IntArithmetic if numerical else _TupleArithmetic
         self._monoid = None  # the SubMonoid of gens, built on first use
-        self._memo = {}
+        self._memo = None  # the dict of _cached, made on its first miss
 
     def _cached(self, key, compute, *args):
         """The derived datum stored under key, from compute(*args) on first
@@ -258,6 +264,8 @@ class Semigroup:
         is a hit like any other value.
         """
         memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
         value = memo.get(key, memo)  # the memo itself marks a miss
         if value is memo:
             value = memo[key] = compute(*args)

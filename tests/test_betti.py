@@ -221,7 +221,7 @@ def test_exact_betti_functions_refuse_without_sweeping():
                 fn(S)
             # a sweep is kept as "betti" or, to an explicit bound, as
             # ("betti", bound): no key may be tagged with betti at all
-            tags = {k[0] if isinstance(k, tuple) else k for k in S._memo}
+            tags = {k[0] if isinstance(k, tuple) else k for k in S._memo or {}}
             assert not [t for t in tags if str(t).startswith("betti")], \
                 (gens, fn)
     # the bounded sweep itself stays available, flagged incomplete

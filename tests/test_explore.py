@@ -8,7 +8,8 @@ from math import gcd, prod
 
 import pytest
 
-from semigroups import (SearchCapExceededError, betti_divisible_from_params,
+from semigroups import (SearchCapExceededError, Semigroup,
+                        betti_divisible_from_params,
                         enumerate_numerical_by_genus, explore, fiber,
                         free_some_arrangement, has_single_betti,
                         has_single_betti_minimal, is_alpha_rectangular,
@@ -362,6 +363,27 @@ def test_genus_tree_nodes_build_membership_on_first_use():
         assert (S.frobenius(), S.genus()) == (T.frobenius(), T.genus())
 
 
+def test_genus_tree_nodes_are_small():
+    # a node is one slotted object: no __dict__, and no memo or membership
+    # engine until first use; the warm-up loads what the first call loads
+    enumerate_numerical_by_genus(8)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = enumerate_numerical_by_genus(16)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 240 * len(corpus), held / len(corpus)
+    S = corpus.semigroups[-1]
+    assert not hasattr(S, "__dict__")
+    assert S._memo is None and S._monoid is None
+    S.frobenius()
+    assert S._memo and S._monoid is not None
+    assert type(Semigroup([5, 7], 1, 1, (0,)).gens) is tuple
+
+
 def test_dropped_semigroups_are_freed_without_the_cycle_collector():
     # no recursive closure keeps a node, a harnessed semigroup or a fiber
     # search alive once the caller drops it, so reference counting alone
@@ -410,10 +432,10 @@ def test_chain_memberships_match_the_public_predicates():
 
 def test_harness_leaves_the_corpus_untouched():
     # every member is checked on a twin, so none gains a memo entry or a
-    # membership engine
+    # membership engine; a memo never made reads as empty
     corpus = enumerate_numerical_by_genus(8)
     assert run_theorem_harness(corpus)["violations"] == []
-    assert all(S._memo == {} and S._monoid is None for S in corpus)
+    assert all(not S._memo and S._monoid is None for S in corpus)
 
 
 def test_harness_memory_stays_flat_in_the_corpus_size():

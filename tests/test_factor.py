@@ -50,13 +50,18 @@ def test_r_classes_support_sharing():
 
 def test_r_classes_matches_transitive_closure_brute_force():
     S = make_semigroup([16, 20, 30, 45])
-    for m in S.elements_upto(240):
-        facts = fiber(S, m).factorizations
-        if len(facts) > 50:
-            continue
-        fast = {frozenset(c) for c in r_classes(facts)}
+    fibers = [fiber(S, m) for m in S.elements_upto(240)]
+    fibers = [fib for fib in fibers if fib.denumerant <= 50]
+    # larger fibers at e = 6: 21, 56 and 126 factorizations
+    T = make_semigroup([15015, 10010, 6006, 4290, 2730, 2310])
+    fibers += [fiber(T, m) for m in (60060, 90090, 120120)]
+    for fib in fibers:
+        facts = fib.factorizations
+        classes = r_classes(facts)
+        assert len(classes) <= len(facts[0]), fib  # disjoint supports
+        fast = {frozenset(c) for c in classes}
         slow = _closure_classes(facts)
-        assert fast == slow, m
+        assert fast == slow, fib
 
 
 def _closure_classes(facts):
