@@ -13,7 +13,7 @@ from itertools import product
 from . import constants, factor
 from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
                      IncompleteBettiError)
-from .semigroup import _bits, _count_planes
+from .semigroup import _bits
 
 # choices per Betti element that all_minimal_presentations may list
 _PRESENTATION_CAP = 200000
@@ -105,22 +105,10 @@ def _split_numerical(S):
     # b - n_j - n is not in S (when n is no node, b - n is not in S, and
     # neither is b - n_j - n).  So b - n_j lies in Ap(S; n), whose largest
     # element is F + n, and b <= F + n + n_j.  The multiplicity gives the
-    # least top, and its Apery table is the membership table S has.
-    #
-    # Bit m of the membership plane is set when m is in S: m is in S iff
-    # m - k n lies in Ap(S; n) for some k >= 0, so the bits of Ap(S; n),
-    # spread by doubling shifts of n, are the members up to top.
-    n = S.multiplicity
-    top = S.frobenius() + n + max(S.gens)
-    buf = bytearray(top // 8 + 1)
-    for w in S.apery(n):
-        buf[w >> 3] |= 1 << (w & 7)
-    member, valid = int.from_bytes(buf, "little"), (1 << top + 1) - 1
-    step = n
-    while step <= top:
-        member |= (member << step) & valid
-        step <<= 1
-    return _split(member, S.gens, valid)
+    # least top.  The member plane is S's kept planes, masked to top.
+    top = S.frobenius() + S.multiplicity + max(S.gens)
+    one, many = S._planes(top)
+    return _split(one | many, S.gens, (1 << top + 1) - 1)
 
 
 def _split_affine(S, bound):
@@ -128,8 +116,8 @@ def _split_affine(S, bound):
     G_b has two or more components."""
     # whether b is in S, and nc(S, b), depend only on the vectors below b,
     # where the planes of S._box are exact
-    positions, valid, decode = S._box(bound)
-    one, many = _count_planes(positions, valid)
+    positions, valid, _, decode = S._box(bound)
+    one, many = S._planes(bound)
     shifts = [p for p in positions if valid >> p & 1]
     return list(decode(_split(one | many, shifts, valid)))
 

@@ -20,6 +20,7 @@ from .errors import (FiberCapExceededError, NotNumericalError,
                      NotSimplicialError, SearchCapExceededError)
 from .isolated import (betti_minimals, isolated_profile, minimal_in_order,
                        minimal_multi_elements)
+from .semigroup import _mixed_radix
 
 __all__ = [
     "is_free", "free_some_arrangement", "free_arrangement_starting_at",
@@ -51,10 +52,10 @@ def _apery_base(S, base_idx):
     return S.nonray_indices(), S.apery()
 
 
-# The largest numerical scan bound the harness walks.  The walk keeps a
-# fiber per element, about 1.3 KB each on <20020, ..., 4620> (157,337
-# elements, 198 MB), so this cap holds it near 1.3 GB and refuses at once
-# <4849845, ..., 510510>, which would scan to 63,479,837.
+# The largest numerical scan bound the harness walks.  The walk holds the
+# packed factorizations of a window of about max(gens) elements and the
+# Betti fibers: about 60 MB on <20020, ..., 4620> (157,337 elements).  The
+# cap refuses at once <4849845, ..., 510510>, which would scan to 63,479,837.
 _SCAN_CAP = 10 ** 6
 
 
@@ -369,15 +370,9 @@ def _shaped_dfs(shape, p, counts, forests, lefts):
             ra, rb = _ffind(forest, lc), _ffind(forest, rc)
             if ra == rb:
                 continue
-            new_forests = dict(forests)
-            new_forests[b] = dict(forest)
-            new_forests[b][ra] = rb
-            new_counts = dict(counts)
-            new_counts[b] += 1
-            new_lefts = dict(lefts)
-            new_lefts[gi] = left_coef
-            if _shaped_dfs(shape, p + 1, new_counts, new_forests,
-                           new_lefts):
+            if _shaped_dfs(shape, p + 1, {**counts, b: counts[b] + 1},
+                           {**forests, b: {**forest, ra: rb}},
+                           {**lefts, gi: left_coef}):
                 return True
     return False
 
@@ -444,14 +439,11 @@ def classification_report(S):
     flags["betti_isolated_sorted"] = is_betti_isolated_sorted(S)
     flags["betti_divisible"] = is_betti_divisible(S)
     flags["betti_isolated_divisible"] = is_betti_isolated_divisible(S)
-    single, b = has_single_betti(S)
-    flags["single_betti"] = single
-    if single:
-        witnesses["single_betti"] = b
-    single_bm, bm = has_single_betti_minimal(S)
-    flags["single_betti_minimal"] = single_bm
-    if single_bm:
-        witnesses["single_betti_minimal"] = bm
+    for kind, fn in (("single_betti", has_single_betti),
+                     ("single_betti_minimal", has_single_betti_minimal)):
+        flags[kind], witness = fn(S)
+        if flags[kind]:
+            witnesses[kind] = witness
     return ClassificationReport(flags, witnesses)
 
 
@@ -459,20 +451,17 @@ def classification_report(S):
 
 class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
-    passed down as their one source: four verdicts of the walk (whether
-    the scan's factorizations are characterized, the minimal
-    multi-vectors, whether its elements are, the least multi-element),
-    the Betti and isolated profiles, the Betti minimals, the c values,
-    one _Base per Apery base and the numerical verdicts below.  The memo
-    of S keeps the walk's fibers and what the library functions keep, no
-    rectangularity verdict; the rest lives for one harness call.
-    run_theorem_harness builds one for a twin of each corpus member, so
-    nothing is kept on the caller's semigroups.  Sharing an input never
-    reads one condition off another: each check evaluates its own
-    conditions from these inputs.  A numerical scan past _SCAN_CAP raises
-    SearchCapExceededError before any fiber is built."""
+    passed down as their one source: a uniqueness test (a read of the one
+    plane), four verdicts of the walk, the Betti and isolated profiles,
+    the Betti minimals, the c values, one _Base per Apery base and the
+    numerical verdicts below.  The planes of S are asked first at the
+    widest bound any input reads, and the memo of S keeps them, the Betti
+    fibers and what the library functions keep.  run_theorem_harness
+    builds one for a twin of each corpus member.  Sharing an input never
+    reads one condition off another.  A numerical scan past _SCAN_CAP
+    raises SearchCapExceededError before any plane."""
 
-    __slots__ = ("characterized", "minimal_multi", "elements_ok",
+    __slots__ = ("unique", "characterized", "minimal_multi", "elements_ok",
                  "least_multi", "profile", "prof", "minimals", "cs", "bases",
                  "betti_sorted", "betti_isolated_sorted", "betti_divisible",
                  "free_some", "cost_sorted")
@@ -482,8 +471,10 @@ class HarnessInputs:
         if S.numerical and bound > _SCAN_CAP:
             raise SearchCapExceededError(
                 f"{S}: harness scan bound {bound} exceeds {_SCAN_CAP}")
-        # first: the walk keeps every fiber up to the scan bound on S, where
-        # the Betti profile and the Apery bases (factor.denumerant) read them
+        # b_1 <= bound, so F + bound covers Ap(S; b_1) in [0, F + b_1]
+        self.unique = _unique_test(
+            S, S.frobenius() + bound if S.numerical else bound)
+        # the walk keeps the Betti fibers on S, where the profile reads them
         (self.characterized, self.minimal_multi, self.elements_ok,
          self.least_multi) = _walked(S, bound)
         self.profile = _complete_betti(S)
@@ -491,13 +482,20 @@ class HarnessInputs:
         self.minimals = betti_minimals(S)
         self.cs = constants.c_values(S)
         bases = range(len(S.gens)) if S.numerical else (None,)
-        self.bases = {j: _Base(S, j) for j in bases}
+        self.bases = {j: _Base(S, j, self.unique) for j in bases}
         numerical = S.numerical  # the checks that read these skip affine S
         self.betti_sorted = numerical and is_betti_sorted(S)
         self.betti_isolated_sorted = numerical and is_betti_isolated_sorted(S)
         self.betti_divisible = numerical and is_betti_divisible(S)
         self.free_some = numerical and free_some_arrangement(S) is not None
         self.cost_sorted = numerical and _sorted_cost_arrangements(S)
+
+
+def _unique_test(S, bound):
+    """Whether an element of S.elements_upto(bound) has exactly one
+    factorization: a read of the one plane at its bit of S._box."""
+    bits, encode = bin(S._planes(bound)[0])[:1:-1], S._box(bound)[2]
+    return lambda w: bits.startswith("1", encode(w))  # bits[t] is bit t
 
 
 class _Base:
@@ -507,12 +505,12 @@ class _Base:
 
     __slots__ = ("ap", "others", "alphas", "alpha_rect", "c_rect", "unique")
 
-    def __init__(self, S, j):
+    def __init__(self, S, j, unique):
         self.others, self.ap = _apery_base(S, j)
         self.alphas = [constants.alpha(S, i, j) for i in self.others]
         self.alpha_rect = _box_witness(S, j, self.others, self.alphas)[0]
         self.c_rect = is_c_rectangular(S, j)[0]
-        self.unique = all(factor.denumerant(S, w) == 1 for w in self.ap)
+        self.unique = all(map(unique, self.ap))
 
 
 # -- verified inequality chains ------------------------------------------
@@ -550,10 +548,8 @@ def verify_bounds(S, inputs):
 
     if S.numerical and betti:
         cs = inputs.cs
-        c_sum = sum(cs)
-        c_prod = prod(cs)
-        i_s = prof.i_s
-        i_total = prof.i_total
+        c_sum, c_prod = sum(cs), prod(cs)
+        i_s, i_total = prof.i_s, prof.i_total
         b1 = min(betti)
         out.append(_chain("is_chain", e + 3, c_sum - e + 2, i_s, b1))
         out.append(_chain("i_chain", 2 * e + 3, i_total, b1 + nc_sum,
@@ -609,11 +605,19 @@ def _per_base(check):
 _BETTI, _IBETTI, _MULTI = 1, 2, 4
 
 
+def _packing(S, bound):
+    """Units u, decoder and encoder of the factorizations x up to bound,
+    packed as sum x_i u_i: x_i n_i has degree <= bound, so x_i is below
+    the radix."""
+    degree = min(S.gens) if S.numerical else min(map(sum, S.gens))
+    return _mixed_radix(bound // degree + 1, len(S.gens))
+
+
 def _walk(S, bound):
-    """Yield (fib, singletons, below, under) for each m of
-    S.elements_upto(bound), in order: the fiber of m, kept on S under the
-    key factor.fiber reads (or the one kept there), its singleton
-    R-classes, the bits below each factorization and those below m in <=_S.
+    """Yield (m, singletons, below, under) for each m of
+    S.elements_upto(bound), in order: the map of each factorization of m,
+    packed by _packing, to the bits below it, those forming a singleton
+    R-class, and the bits below m in <=_S.
 
     Z(m) is the union over i of {y + e_i : y in Z(m - n_i)} (Barron,
     O'Neill and Pelayo, Math. Comp. 86, 2017), and z < y + e_i iff z = y
@@ -621,50 +625,47 @@ def _walk(S, bound):
     b <_S m iff b = m - n_i or b <_S m - n_i.  The scan is closed downward
     and meets m - n_i before m (affine: lexicographically).  The Betti set
     comes first (numerical: the kept sweep; affine: the profile
-    _scan_bound built).  m is Betti iff nc(m) >= 2, so only Betti fibers
-    are partitioned, and I_b and the IBetti elements are read off them;
-    any other fiber is one R-class.  The maps of m are dropped after
-    m + max(gens) (lexicographic max, affine), the last element to read
-    them.  Raises FiberCapExceededError at the first m with more than
-    factor.DEFAULT_FIBER_CAP factorizations.
+    _scan_bound built).  m is Betti iff nc(m) >= 2, so only a Betti fiber
+    is decoded, kept on S (factor.fiber's key) and partitioned, for I_b
+    and the IBetti elements; any other is one R-class and gets no Fiber.
+    The maps of m are dropped after m + max(gens) (lexicographic max,
+    affine), the last to read them.  Raises FiberCapExceededError at the
+    first m with more than factor.DEFAULT_FIBER_CAP factorizations.
     """
     betti = set(_numerical_betti(S) if S.numerical
                 else _complete_betti(S).betti)
     gens, cap = S.gens, factor.DEFAULT_FIBER_CAP
+    units, unpack, pack = _packing(S, bound)
     add, minus = S._arith.add, S._arith.sub
     scan, top = S.elements_upto(bound), max(gens)
     window, oldest = {}, 0  # m -> (below, own bits, I_b, bits at or below)
     for m in scan:
-        below = None
-        under = 0
-        for i, g in enumerate(gens):
+        below, under = None, 0
+        for g, u in zip(gens, units):
             entry = window.get(minus(m, g))
             if entry is None:
                 continue
             rows, own, iso, at = entry
             under |= at
             if below is None:  # the first m - n_i: no x is met twice
-                below = {y[:i] + (y[i] + 1,) + y[i + 1:]: bits | own
-                         for y, bits in rows.items()}
+                below = {y + u: bits | own for y, bits in rows.items()}
             else:
                 for y, bits in rows.items():
-                    x = y[:i] + (y[i] + 1,) + y[i + 1:]
+                    x = y + u
                     below[x] = below.get(x, 0) | bits | own
             for y in iso:
-                x = y[:i] + (y[i] + 1,) + y[i + 1:]
-                below[x] |= _IBETTI
+                below[y + u] |= _IBETTI
         if below is None:
-            below = {(0,) * len(gens): 0}
+            below = {0: 0}
         if len(below) > cap:
             raise FiberCapExceededError(m, cap)
-        fib = S._cached(("fiber", m), factor.Fiber, m, tuple(sorted(below)))
-        at_betti = m in betti
-        iso = fib.isolated if at_betti else ()
-        own = (_BETTI if at_betti else 0) | (_MULTI if len(below) > 1 else 0)
-        at = under | own & _BETTI | (_IBETTI if iso else 0)
-        singletons = iso if at_betti else \
-            fib.factorizations if len(below) == 1 else ()
-        yield fib, singletons, below, under
+        own, at, iso = _MULTI if len(below) > 1 else 0, under, ()
+        if m in betti:
+            iso = S._cached(("fiber", m), factor.Fiber, m,
+                            tuple(map(unpack, sorted(below)))).isolated
+            own, at = own | _BETTI, at | _BETTI | (_IBETTI if iso else 0)
+            iso = list(map(pack, iso))
+        yield m, iso or (list(below) if len(below) == 1 else ()), below, under
         window[m] = (below, own, iso, at)
         while add(scan[oldest], top) <= m:
             del window[scan[oldest]]
@@ -679,10 +680,10 @@ def _walked(S, bound):
     characterized = elements_ok = True
     minimals = set()
     least_multi = None
-    for fib, singletons, below, under in _walk(S, bound):
+    for m, singletons, below, under in _walk(S, bound):
         multi = len(below) >= 2
         if multi and least_multi is None:
-            least_multi = fib.element
+            least_multi = m
         for x, bits in below.items():
             oracle = x in singletons
             if oracle == bool(bits & _BETTI) or \
@@ -694,6 +695,7 @@ def _walked(S, bound):
         if not has_non_isolated == bool(under & _BETTI) == \
                 bool(under & _IBETTI):
             elements_ok = False
+    minimals = set(map(_packing(S, bound)[1], minimals))
     return characterized, minimals, elements_ok, least_multi
 
 
@@ -754,7 +756,7 @@ def _check_disjoint_betti(S, inputs):
 def _check_ap_b1(S, inputs):
     single = len(inputs.minimals) == 1
     b1 = min(inputs.profile.betti)
-    ap_unique = all(factor.denumerant(S, w) == 1 for w in S.apery(b1))
+    ap_unique = all(map(inputs.unique, S.apery(b1)))
     i_s_eq = inputs.prof.i_s == b1
     return _entry([single, ap_unique, i_s_eq])
 
@@ -791,7 +793,7 @@ def _check_prop_alpha(S, inputs, j):
     maxima = S.apery_maxima(None if j is None else S.gens[j])
     unique_max = len(maxima) == 1
     c1 = base.alpha_rect
-    c2 = unique_max and factor.denumerant(S, maxima[0]) == 1
+    c2 = unique_max and inputs.unique(maxima[0])
     c3 = unique_max and base.unique
     c4 = len(base.ap) == prod(a + 1 for a in base.alphas)
     return _entry([c1, c2, c3, c4])
@@ -833,9 +835,8 @@ def _check_thm_alpha_c(S, inputs, j):
              ib_cond and base.unique,
              ib_cond and not_in_ap,
              ib_cond and card]
-    extra = True
-    if conds[0]:
-        extra = all(cs[i] == a + 1 for i, a in zip(others, base.alphas))
+    extra = not conds[0] or all(cs[i] == a + 1
+                                for i, a in zip(others, base.alphas))
     return _entry(conds, extra_ok=extra)
 
 
@@ -846,14 +847,9 @@ def _check_thm_ci_b1(S, inputs):
     m = S.codim
     mins = inputs.minimals
     c1 = is_complete_intersection(S) and len(mins) == 1
-    c2 = False
-    if inputs.prof.i_b == m + 1:
-        for b1 in mins:
-            if all(profile.fibers[b].nc ==
-                   len(profile.fibers[b].isolated) + 1
-                   for b in profile.betti if b != b1):
-                c2 = True
-                break
+    c2 = inputs.prof.i_b == m + 1 and any(
+        all(profile.fibers[b].nc == len(profile.fibers[b].isolated) + 1
+            for b in profile.betti if b != b1) for b1 in mins)
     return _entry([c1, c2])
 
 

@@ -13,8 +13,9 @@ Numerical Semigroups, 2009, the chapters on presentations).  nc counts
 them; fiber enumerates Z(m) where the factorizations themselves are
 needed.  A Fiber partitions Z(m) into R-classes on first read.
 
-The theorem harness's scan builds each fiber from the fibers below it
-instead (classify._walk); raw_fiber serves single elements outside it.
+The theorem harness's scan builds Z(m) from the fibers below it instead
+(classify._walk) and makes a Fiber only at a Betti element; raw_fiber
+serves single elements.  Whether d(m) = 1 is a read of Semigroup._planes.
 """
 
 from itertools import compress

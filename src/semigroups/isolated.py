@@ -8,7 +8,7 @@ exact; for affine semigroups I_s is computed up to a bound and flagged.
 
 from . import betti as betti_mod
 from .errors import InfiniteSetError
-from .semigroup import _bits, _count_planes
+from .semigroup import _bits
 
 
 class IsolatedProfile:
@@ -50,9 +50,9 @@ def is_set(S, bound=None):
     element and F the Frobenius number.  Every element with one
     factorization lies in Ap(S; b_1), because b_1 + s has at least two
     factorizations for every s in S, and Ap(S; b_1) lies in [0, F + b_1]:
-    w - b_1 is not in S, so it is at most F.  _unique_upto counts the
-    factorizations up to F + b_1 and walks the vectors with one, no Apery
-    table for b_1 is built.
+    w - b_1 is not in S, so it is at most F.  _unique_upto walks the
+    vectors with one factorization on the one plane of S._planes up to
+    F + b_1, no Apery table for b_1 is built.
 
     Affine: enumerated over elements of coordinate sum <= bound, second
     return value False (not exhaustive), by the same walk.
@@ -66,14 +66,13 @@ def is_set(S, bound=None):
     elif bound is None:
         raise InfiniteSetError(
             "affine I_s needs an explicit enumeration bound")
-    positions, valid, _ = S._box(bound)
-    return _unique_upto(positions, valid), S.numerical
+    return _unique_upto(S._box(bound)[0], S._planes(bound)[0]), S.numerical
 
 
-def _unique_upto(positions, valid):
+def _unique_upto(positions, one):
     """The factorizations x, lex-sorted, of the elements m = sum x_i n_i
-    in valid that have exactly one, on the one plane of the generators at
-    these bit positions (Semigroup._box).
+    with bit m set in one, the plane of unique factorization of the
+    generators at these bit positions (Semigroup._box).
 
     If y <= x coordinatewise and x is the only factorization of its
     element, so is y: a second one of phi(y), plus x - y, would be a
@@ -81,7 +80,6 @@ def _unique_upto(positions, valid):
     walk raises the last coordinate it can, in lexicographic order; when
     x + e_k fails, so does every vector with that prefix, and the walk
     clears x_k and raises x_(k-1).  x is the walk's explicit stack."""
-    one, _ = _count_planes(positions, valid)
     bits = bin(one)[:1:-1]  # bits[m] == "1" iff m factors uniquely
     size, last = len(bits), len(positions) - 1
     x, m, k = [0] * len(positions), 0, last
@@ -136,15 +134,15 @@ def minimal_multi_elements(S, bound=None):
     """Elements with several factorizations all of whose atom-predecessors
     factor uniquely, independent of the Betti machinery (every such
     element lies below max(gens) + F + n_1 for numerical semigroups, since
-    max Ap(S; n_1) = F + n_1): the bits of the many plane of S._box at no
-    shift of it by a generator."""
+    max Ap(S; n_1) = F + n_1): the bits of the many plane of S._planes at
+    no shift of it by a generator."""
     if S.numerical:
         bound = max(S.gens) + S.frobenius() + S.gens[0]
     elif bound is None:
         raise InfiniteSetError(
             "affine minimal multi-element scan needs a bound")
-    positions, valid, decode = S._box(bound)
-    _, many = _count_planes(positions, valid)
+    _, many = S._planes(bound)
+    positions, _, _, decode = S._box(bound)
     below = 0
     for p in positions:
         below |= many << p

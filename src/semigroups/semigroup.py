@@ -7,6 +7,7 @@ stored order unless given an explicit arrangement.
 """
 
 import operator
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -116,6 +117,14 @@ def _count_planes(shifts, valid):
             one = (one | one << s) & ~many & valid
             s <<= 1
     return one, many
+
+
+def _mixed_radix(radix, width):
+    """Units, decoder and encoder of mixed radix, first coordinate most
+    significant."""
+    units = [radix ** k for k in reversed(range(width))]
+    return (units, lambda x: tuple([x // u % radix for u in units]),
+            lambda v: sum(map(operator.mul, v, units)))
 
 
 def _bits(plane):
@@ -350,34 +359,28 @@ class Semigroup:
         exactly the ray generator set.
         """
         key = self._apery_key(base)
-        compute = self._apery_numerical if self.numerical else \
-            self._apery_affine
-        return self._cached(("apery", key), compute, key)
+        if self.numerical:
+            return self._cached(("apery", key), lambda: tuple(_bits(
+                self._apery_plane(key))))
+        return self._cached(("apery", key), self._apery_affine, key)
 
     def _apery_key(self, base):
-        if self.numerical:
-            if base is None:
-                return (self.gens[0],)
-            if isinstance(base, int):
-                return (base,)
-            return tuple(sorted(set(base)))
         if base is None:
-            return tuple(sorted(set(self.ray_values())))
-        return tuple(sorted(set(tuple(b) for b in base)))
+            base = (self.gens[0],) if self.numerical else self.ray_values()
+        elif isinstance(base, int):
+            base = (base,)
+        return tuple(sorted(set(base if self.numerical else map(tuple, base))))
 
-    def _apery_numerical(self, bases):
+    def _apery_plane(self, bases):
+        """Ap(S; B), B sorted, of numerical S as a plane: the AND over b in
+        B of M & ~(M << b), M the member plane, over [0, F + min B]."""
         if not bases or any(b <= 0 or not self.contains(b) for b in bases):
             raise InfiniteAperyError("Apery base must be a nonzero element of S")
-        # Ap(S; B) is the part of Ap(S; b) with no other base below it
-        b = bases[0]
-        if b == self.multiplicity:  # the membership table is Ap(S; n_1)
-            table = self._engine()._table()
-        else:
-            table = _apery_table(self.gens, b)
-        ap = sorted(table)
-        for c in bases[1:]:
-            ap = [w for w in ap if not self.contains(w - c)]
-        return tuple(ap)
+        one, many = self._planes(self.frobenius() + bases[0])
+        member = plane = one | many
+        for b in bases:
+            plane &= ~(member << b)
+        return plane
 
     def _apery_affine(self, bases):
         rays = self.ray_values()
@@ -408,17 +411,18 @@ class Semigroup:
     # -- numerical invariants --------------------------------------------
 
     def frobenius(self):
-        """max Ap(S; n_1) - n_1 (Brauer and Shockley)."""
+        """max Ap(S; n_1) - n_1 (Brauer and Shockley), off S's table."""
         if not self.numerical:
             raise NotNumericalError("Frobenius number needs a numerical semigroup")
-        return max(self.apery(self.multiplicity)) - self.multiplicity
+        return self._cached("frobenius", lambda: max(
+            self._engine()._table()) - self.multiplicity)
 
     def genus(self):
         """(1/n_1) * sum Ap(S; n_1) - (n_1 - 1)/2 (Selmer)."""
         if not self.numerical:
             raise NotNumericalError("genus needs a numerical semigroup")
         n = self.multiplicity
-        return (sum(self.apery(n)) - n * (n - 1) // 2) // n
+        return (sum(self._engine()._table()) - n * (n - 1) // 2) // n
 
     # -- Cohen-Macaulay / Gorenstein -------------------------------------
 
@@ -445,7 +449,11 @@ class Semigroup:
     def apery_maxima(self, base=None):
         """Maximal elements of Ap(S; base) under <=_S, sorted.  Ap(S; base)
         is closed downward under <=_S, so w is maximal iff w + n_i lies
-        outside it for every generator n_i."""
+        outside it for every generator n_i: A & ~OR(A >> n_i) on planes."""
+        if self.numerical:
+            ap = self._apery_plane(self._apery_key(base))
+            return tuple(_bits(ap & ~reduce(operator.or_,
+                                            [ap >> g for g in self.gens])))
         ap = self.apery(base)
         members = set(ap)
         plus = self._arith.add
@@ -459,15 +467,28 @@ class Semigroup:
         with coordinate sum <= bound."""
         if bound < 0:
             return ()
-        positions, valid, decode = self._box(bound)
-        one, many = _count_planes(positions, valid)
-        return decode(_bits(one | many))
+        one, many = self._planes(bound)
+        return self._box(bound)[3](_bits(one | many))
+
+    def _planes(self, bound):
+        """(one, many) of _count_planes over _box(bound), kept: numerical S
+        masks the pair of the widest bound asked for; affine S keeps one per
+        bound, as the box encoding changes with it."""
+        if not self.numerical:
+            return self._cached(("planes", bound), lambda: _count_planes(
+                *self._box(bound)[:2]))
+        valid = (1 << bound + 1) - 1
+        if self._cached("planes", tuple, (-1,))[0] < bound:
+            self._memo["planes"] = (bound, *_count_planes(self.gens, valid))
+        _, one, many = self._memo["planes"]
+        return one & valid, many & valid
 
     def _box(self, bound):
         """The bit encoding of the range of elements_upto(bound): each
         generator's bit position (outside valid when its degree passes the
-        bound), the mask valid of the positions in the range, and a map
-        from ascending positions to the tuple of their elements, in order.
+        bound), the mask valid of the positions in the range, a map from an
+        element to its position, and one from ascending positions to the
+        tuple of their elements, in order.
 
         Numerical: bit m is m.  Affine: v in the box [0, bound]^r sits at
         bit sum_k v_k * radix^(r - 1 - k), so ascending positions are
@@ -478,12 +499,12 @@ class Semigroup:
         sits past it.  SearchCapExceededError past _BOX_CAP bits.
         """
         if self.numerical:
-            return self.gens, (1 << bound + 1) - 1, tuple
+            return self.gens, (1 << bound + 1) - 1, int, tuple
         r, radix = self.ambient_dim, 2 * (bound + 1)
         if radix ** r > _BOX_CAP:
             raise SearchCapExceededError(
                 f"the box [0, {bound}]^{r} is too large for the planes")
-        units = [radix ** k for k in reversed(range(r))]
+        units, unpack, encode = _mixed_radix(radix, r)
         # From (bound, 0, ..., 0), move t <= bound from the first coordinate
         # to the one at u, or away (u = 0): a shift down by t (units[0] - u).
         # A vector whose first coordinate would go negative falls below 0.
@@ -493,13 +514,9 @@ class Semigroup:
             while span <= bound:
                 valid |= valid >> span * (units[0] - u)
                 span *= 2
-        positions = tuple(radix ** r if sum(g) > bound else
-                          sum(map(operator.mul, g, units)) for g in self.gens)
-
-        def decode(bits):
-            return tuple(tuple(b // u % radix for u in units) for b in bits)
-
-        return positions, valid, decode
+        positions = tuple(radix ** r if sum(g) > bound else encode(g)
+                          for g in self.gens)
+        return positions, valid, encode, lambda bits: tuple(map(unpack, bits))
 
     # -- misc ------------------------------------------------------------
 

@@ -24,15 +24,17 @@ from semigroups.classify import (_BETTI, _IBETTI, _MULTI, HarnessInputs,
                                  _check_b1_smallest,
                                  _check_isolated_characterization,
                                  _check_isolated_elements,
-                                 _check_thm_alpha_free, _per_base,
-                                 _scan_bound, _sorted_cost_arrangements,
+                                 _check_thm_alpha_free, _packing,
+                                 _per_base, _scan_bound,
+                                 _sorted_cost_arrangements, _unique_test,
                                  _walk, admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
 from semigroups.errors import NotSimplicialError, SearchCapExceededError
 from semigroups.explore import (enumerate_numerical_by_genus,
                                 run_theorem_harness)
-from semigroups.semigroup import Semigroup
+from semigroups import semigroup
+from semigroups.semigroup import Semigroup, _apery_table
 
 
 def test_alpha_rectangular_goldens():
@@ -389,26 +391,35 @@ def _below(z, x):
     return z != x and all(zc <= xc for zc, xc in zip(z, x))
 
 
+def _unpacked_walk(S):
+    """The walk over the scan of S, each map keyed by the factorizations
+    themselves."""
+    bound = _scan_bound(S)
+    unpack = _packing(S, bound)[1]
+    return [(m, {unpack(x): bits for x, bits in below.items()}, under)
+            for m, _, below, under in _walk(S, bound)]
+
+
 def test_order_walk_matches_pairwise_domination():
     rows_seen = 0
     for S in _harness_members():
-        walk = list(_walk(S, _scan_bound(S)))
+        walk = _unpacked_walk(S)
         profile = betti_elements(S)
         ib = set(isolated_profile(S).ib)
         betti_facts = [x for b in profile.betti
                        for x in profile.fibers[b].factorizations]
         # minimal multi-vectors by the sorted pairwise scan
-        multi_vectors = sorted((x for fib, *_ in walk
-                                if fib.denumerant >= 2
-                                for x in fib.factorizations), key=sum)
+        multi_vectors = sorted((x for _, below, _ in walk
+                                if len(below) >= 2
+                                for x in below), key=sum)
         minimals = []
         for x in multi_vectors:
             if not any(_below(z, x) for z in minimals):
                 minimals.append(x)
         assert set(minimals) == ib, S.gens
-        for fib, _, below, _ in walk:
-            assert sorted(below) == list(fib.factorizations)
-            multi = fib.denumerant >= 2
+        for m, below, _ in walk:
+            assert sorted(below) == list(factor.raw_fiber(S.gens, m))
+            multi = len(below) >= 2
             for x, bits in below.items():
                 assert bool(bits & _BETTI) == \
                     any(_below(z, x) for z in betti_facts)
@@ -423,12 +434,11 @@ def test_strictly_above_matches_pairwise_order():
     for S in _harness_members():
         walk = list(_walk(S, _scan_bound(S)))
         profile = betti_elements(S)
-        assert [fib.element for fib, *_ in walk] == \
+        assert [m for m, *_ in walk] == \
             list(S.elements_upto(_scan_bound(S)))
         for bit, targets in ((_BETTI, profile.betti),
                              (_IBETTI, profile.ibetti)):
-            for fib, _, _, under in walk:
-                m = fib.element
+            for m, _, _, under in walk:
                 assert bool(under & bit) == any(b != m and S.leq(b, m)
                                                 for b in targets), (S.gens, m)
 
@@ -446,6 +456,58 @@ def test_apery_maxima_match_pairwise_scan():
         if not S.numerical:  # maxima w.r.t. the rays, the last base
             assert S.is_gorenstein() == \
                 (S.is_cohen_macaulay() and len(maxima) == 1)
+
+
+# F + b_1 = 17 + 28 passes its scan bound 7 + 17 + 4 = 28: nine elements
+# of Ap(S; b_1), all factoring uniquely, lie past the scan, so the one
+# plane must reach past it
+_PAST_THE_SCAN = (4, 7)
+
+
+def test_apery_planes_match_the_round_robin_table_and_pairwise_scans():
+    past = 0
+    for S in _corpus_e_ge_2(9):
+        F, b1 = S.frobenius(), betti_elements(S).betti[0]
+        past += F + b1 > _scan_bound(S)
+        unique = _unique_test(S, F + _scan_bound(S))
+        for bases in [(g,) for g in S.gens] + [(b1,), S.gens[:2]]:
+            ap = S.apery(bases)
+            # the round-robin table of the least base, filtered by the rest
+            table = sorted(_apery_table(S.gens, min(bases)))
+            assert ap == tuple(w for w in table if not any(
+                S.contains(w - b) for b in bases)), (S.gens, bases)
+            # the definition, element by element
+            assert ap == tuple(w for w in range(F + min(bases) + 1)
+                               if S.contains(w) and not any(
+                                   S.contains(w - b) for b in bases))
+            maxima = tuple(w for w in ap
+                           if not any(v != w and S.leq(w, v) for v in ap))
+            assert S.apery_maxima(bases) == maxima, (S.gens, bases)
+            for w in ap:
+                assert unique(w) == (len(factor.raw_fiber(S.gens, w)) == 1)
+    assert past > 10
+    S = make_semigroup(_PAST_THE_SCAN)
+    assert S.frobenius() + betti_elements(S).betti[0] > _scan_bound(S)
+
+
+def test_ap_b1_fails_when_one_uniqueness_read_is_wrong(monkeypatch):
+    # a check that reads the plane must still be able to fail: flip the
+    # read at any one element of Ap(S; b_1), and the harness reports it
+    real = classify._unique_test
+    for gens in ((4, 6, 9), _PAST_THE_SCAN):
+        S = make_semigroup(gens)
+        ap = S.apery(betti_elements(S).betti[0])
+        assert run_theorem_harness([S], chain_witnesses=None)[
+            "violations"] == []
+        for w in ap:
+            def flipped(T, bound, w=w):
+                test = real(T, bound)
+                return lambda v: test(v) != (v == w)
+            monkeypatch.setattr(classify, "_unique_test", flipped)
+            report = run_theorem_harness([S], chain_witnesses=None)
+            assert "ap_b1" in {v["check"] for v in report["violations"]}, \
+                (gens, w)
+        monkeypatch.setattr(classify, "_unique_test", real)
 
 
 def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
@@ -536,10 +598,12 @@ _HARNESS_REPORTS_SHA256 = \
 
 
 def test_harness_builds_the_scan_fibers_from_below(monkeypatch):
-    # raw_fiber builds only the fibers outside the scan: elements of
-    # Ap(S; b_1) above the scan bound, and the Betti fibers of the
-    # semigroups a gluing check builds.  Before the scan built its fibers
-    # from the fibers below, this pass made 866 calls.
+    # raw_fiber builds only the Betti fibers of the semigroups a gluing
+    # check builds: the walk builds the scan's Betti fibers from the
+    # factorizations below, and uniqueness in Ap(S; b_1) is a read of the
+    # one plane.  Before that read, this pass made 42 calls, 40 of them
+    # for elements of Ap(S; b_1) above the scan bound; before the scan
+    # built its fibers from the fibers below, 866.
     calls = []
     real = factor.raw_fiber
     monkeypatch.setattr(factor, "raw_fiber",
@@ -547,7 +611,7 @@ def test_harness_builds_the_scan_fibers_from_below(monkeypatch):
     corpus = _corpus_e_ge_2(6)
     report = run_theorem_harness(corpus, chain_witnesses=None)
     assert (report["checked"], report["violations"]) == (49, [])
-    assert len(calls) == 42
+    assert len(calls) == 2
 
 
 def test_harness_partitions_only_the_betti_fibers(monkeypatch):
@@ -670,6 +734,52 @@ def test_harness_walks_once_per_report(monkeypatch):
         assert walks == [S], gens
 
 
+def test_harness_builds_the_planes_once_per_report(monkeypatch):
+    # the inputs ask for the widest planes first, and every other range
+    # question of the inputs and the checks masks them
+    calls = []
+    real = semigroup._count_planes
+    monkeypatch.setattr(semigroup, "_count_planes",
+                        lambda *a: calls.append(a[0]) or real(*a))
+    for gens in ([4, 6, 9], [24, 26, 36, 39], _PAST_THE_SCAN,
+                 [(1, 0), (0, 2), (0, 3)]):
+        S = make_semigroup(gens)
+        calls.clear()
+        inputs = HarnessInputs(S)
+        check_equivalence_theorems(S, inputs)
+        verify_bounds(S, inputs)
+        # a gluing check builds planes of its own parts, never of S;
+        # affine S places its generators at box positions
+        assert len(calls) == 1 if not S.numerical else \
+            calls[0] == S.gens and calls.count(S.gens) == 1, gens
+
+
+def test_harness_on_the_20020_member_peaks_under_100_mb():
+    # the walk keeps no fiber but the Betti ones: at 230 MB it kept one
+    # per scanned element (157,361 of them).  A child's ru_maxrss starts
+    # from its parent's peak at the fork, so the child reads the peak of
+    # its own image, VmHWM, where the platform has one.
+    code = ("import resource\n"
+            "from semigroups import make_semigroup\n"
+            "from semigroups.explore import run_theorem_harness\n"
+            "S = make_semigroup([20020, 15015, 12012, 8580, 5460, 4620])\n"
+            "rep = run_theorem_harness([S], chain_witnesses=None)\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        peak = [int(line.split()[1]) for line in fh\n"
+            "                if line.startswith('VmHWM:')][0]\n"
+            "except OSError:\n"
+            "    pass\n"
+            "print(peak, rep['checked'], len(rep['violations']))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    peak_kb, checked, violations = r.stdout.split()
+    assert (checked, violations) == ("1", "0")
+    assert int(peak_kb) < 100 * 1024, peak_kb
+
+
 # -- shared harness inputs against the pairwise scans they replace ----------
 
 _FREE_AFFINE_PANEL = ([(1, 0), (0, 2), (0, 3)],
@@ -740,8 +850,8 @@ def test_minimal_elements_match_pairwise_leq():
         assert betti_minimals(S) == _pairwise_minimal(S, profile.betti)
         # the elements with two or more factorizations: an up-set whose
         # minimal members are the minimal multi-elements
-        multi = tuple(fib.element for fib, *_ in _walk(S, _scan_bound(S))
-                      if fib.denumerant >= 2)
+        multi = tuple(m for m, _, below, _ in _walk(S, _scan_bound(S))
+                      if len(below) >= 2)
         for elems in (profile.ibetti, multi):
             got = minimal_in_order(S, elems)
             assert got == _pairwise_minimal(S, elems), (S.gens, elems)

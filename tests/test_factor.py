@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from semigroups import (FiberCapExceededError, InvalidGeneratorsError,
                         denumerant, factor, fiber, isolated_factorizations,
                         make_semigroup, nc, r_classes)
-from semigroups.classify import _scan_bound, _walk
+from semigroups.classify import _packing, _scan_bound, _walk
 from semigroups.explore import enumerate_numerical_by_genus
 from semigroups.factor import raw_fiber
 
@@ -111,24 +111,35 @@ def test_walk_fibers_match_raw_fiber_over_every_scan():
     for S in members:
         bound = _scan_bound(S)  # affine: keeps the Betti fibers on S
         fresh = make_semigroup(list(S.gens))
+        unpack = _packing(S, bound)[1]
         scan = list(_walk(S, bound))
-        assert [fib.element for fib, *_ in scan] == \
-            list(fresh.elements_upto(bound))
-        for fib, singletons, below, _ in scan:
-            m = fib.element
+        assert [m for m, *_ in scan] == list(fresh.elements_upto(bound))
+        for m, singletons, below, _ in scan:
             facts = raw_fiber(fresh.gens, m)
             classes = r_classes(facts)
             isolated = tuple(c[0] for c in classes if len(c) == 1)
-            assert (fib.factorizations, fib.classes, fib.isolated,
-                    tuple(singletons), tuple(sorted(below))) == \
-                (facts, classes, isolated, isolated, facts), (S.gens, m)
-            assert fiber(S, m) is fib
+            assert (tuple(map(unpack, sorted(below))),
+                    tuple(map(unpack, sorted(singletons)))) == \
+                (facts, isolated), (S.gens, m)
+            # only a Betti fiber (two or more R-classes) is kept on S
+            kept = S._memo.get(("fiber", m))
+            assert (kept is not None) == (len(classes) >= 2), (S.gens, m)
+            if kept is not None:
+                assert (kept.factorizations, kept.classes,
+                        kept.isolated) == (facts, classes, isolated)
+                assert fiber(S, m) is kept
 
 
 def test_walk_reuses_kept_fibers():
+    # 8 is a Betti element of <3, 4, 5>: the walk reads the fiber kept
+    # there and keeps the other two, 9 and 10, and no other
     S = make_semigroup([3, 4, 5])
     kept = fiber(S, 8)
-    assert {fib.element: fib for fib, *_ in _walk(S, 12)}[8] is kept
+    list(_walk(S, 12))
+    assert fiber(S, 8) is kept
+    assert sorted(key[1] for key in S._memo
+                  if isinstance(key, tuple) and key[0] == "fiber") == \
+        [8, 9, 10]
 
 
 def test_walk_raises_where_raw_fiber_does(monkeypatch):

@@ -15,6 +15,7 @@ from semigroups import (InfiniteSetError, Semigroup, betti_elements,
 from semigroups.explore import enumerate_numerical_by_genus
 from semigroups.factor import fiber
 from semigroups.isolated import _unique_upto, is_set
+from semigroups.semigroup import _count_planes
 from test_factor import AFFINE
 
 
@@ -178,5 +179,6 @@ def test_is_set_walk_is_not_recursive():
     for m in (5, 8, 20):
         assert is_set(make_semigroup(range(m, 2 * m))) == (expected(m), True)
     m = 1100  # a walk recursing once per coordinate hits the limit here
-    assert _unique_upto(tuple(range(m, 2 * m)),
-                        (1 << (m - 1) + (2 * m + 2) + 1) - 1) == expected(m)
+    one, _ = _count_planes(tuple(range(m, 2 * m)),
+                           (1 << (m - 1) + (2 * m + 2) + 1) - 1)
+    assert _unique_upto(tuple(range(m, 2 * m)), one) == expected(m)
