@@ -58,8 +58,7 @@ def betti_elements(S, degree_bound=None, fiber_cap=factor.DEFAULT_FIBER_CAP):
     factorizations raises FiberCapExceededError, also when the profile
     was kept from an earlier call with a larger cap.
 
-    Numerical semigroups: exact, from the planes over [0, F + n + max(gens)],
-    n the multiplicity, which holds every Betti element.
+    Numerical semigroups: exact, from the planes over [0, _horizon(S)].
 
     Affine semigroups: exact when some arrangement is free (then
     Betti = {c_i^* n_i}); otherwise the planes over the range of
@@ -91,31 +90,32 @@ def _profile(S, betti, fiber_cap, complete):
 
 
 def _numerical_betti(S):
-    """The Betti elements of numerical S, ascending: one sweep, kept on S
-    for the profile and for the harness walk, which precedes any fiber."""
-    return S._cached("betti_sweep", _split_numerical, S)
+    """The Betti elements of numerical S, ascending: one sweep to _horizon,
+    kept on S for the profile and for the harness walk (before any fiber)."""
+    return S._cached("betti_sweep", _sweep, S, _horizon(S))
 
 
-def _split_numerical(S):
-    """The elements b of S, ascending, whose graph G_b has two or more
-    components: every Betti element of the numerical semigroup S."""
-    # Every Betti element b is at most top = F + n + max(gens), for n any
+def _horizon(S):
+    """F + n + max(gens), n the multiplicity: every Betti element and
+    every minimal multi-element of numerical S is at most this."""
+    # Every Betti element b is at most F + n + max(gens), for n any
     # generator: G_b has two or more components, so one of them misses
     # node n; take a node n_j in it.  No edge joins n_j and n, so
     # b - n_j - n is not in S (when n is no node, b - n is not in S, and
     # neither is b - n_j - n).  So b - n_j lies in Ap(S; n), whose largest
-    # element is F + n, and b <= F + n + n_j.  The multiplicity gives the
-    # least top.  The member plane is S's kept planes, masked to top.
-    top = S.frobenius() + S.multiplicity + max(S.gens)
-    one, many = S._planes(top)
-    return _split(one | many, S.gens, (1 << top + 1) - 1)
+    # element is F + n, and b <= F + n + n_j.  Past that bound, a minimal
+    # multi-element m has m - n_i - n > F for n_i in any factorization x,
+    # so x - e_i, the one factorization of m - n_i, uses n: two of m both
+    # use n and give two of m - n.  The multiplicity gives the least bound.
+    return S.frobenius() + S.multiplicity + max(S.gens)
 
 
-def _split_affine(S, bound):
-    """The elements b of S of coordinate sum <= bound, sorted, whose graph
-    G_b has two or more components."""
-    # whether b is in S, and nc(S, b), depend only on the vectors below b,
-    # where the planes of S._box are exact
+def _sweep(S, bound):
+    """The elements b of S in the range of S._box(bound), in the order of
+    S.elements_upto, whose graph G_b has two or more components."""
+    # whether b is in S, and nc(S, b), depend only on the elements below
+    # b, where the planes of S._box are exact; the member plane is S's
+    # kept planes, masked to the range
     positions, valid, _, decode = S._box(bound)
     one, many = S._planes(bound)
     shifts = [p for p in positions if valid >> p & 1]
@@ -285,7 +285,7 @@ def _betti_affine(S, degree_bound, fiber_cap):
         bound = 2 * sum(constants.c_star(S, arr0, pos) *
                         sum(S.gens[arr0[pos]])
                         for pos in range(S.rank, len(arr0)))
-    return _profile(S, _split_affine(S, bound), fiber_cap, False)
+    return _profile(S, _sweep(S, bound), fiber_cap, False)
 
 
 def require_exact_betti(S):

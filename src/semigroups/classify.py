@@ -12,8 +12,9 @@ from itertools import combinations, groupby, permutations
 from math import factorial, prod
 
 from . import constants, factor
-from .betti import (_free_completion, _free_multiple, _numerical_betti,
-                    betti_elements, free_arrangement,
+# betti_elements stays bound here for the tracer of bench/run.py
+from .betti import (_free_completion, _free_multiple, _horizon,
+                    _numerical_betti, betti_elements, free_arrangement,
                     is_complete_intersection, is_free, require_exact_betti)
 from .construct import is_gluing_partition, recover_params
 from .errors import (FiberCapExceededError, NotNumericalError,
@@ -40,18 +41,6 @@ def _require_numerical(S, what):
         raise NotNumericalError(f"{what} requires a numerical semigroup")
 
 
-def _apery_base(S, base_idx):
-    """The indices of the generators outside the base, and Ap(S; base):
-    gens[base_idx or 0] for numerical S, the rays for affine S."""
-    if S.numerical:
-        j = base_idx or 0
-        return (tuple(i for i in range(len(S.gens)) if i != j),
-                S.apery(S.gens[j]))
-    if base_idx is not None:
-        raise NotSimplicialError("an affine Apery base is the rays")
-    return S.nonray_indices(), S.apery()
-
-
 # The largest numerical scan bound the harness walks.  The walk holds the
 # packed factorizations of a window of about max(gens) elements and the
 # Betti fibers: about 60 MB on <20020, ..., 4620> (157,337 elements).  The
@@ -61,14 +50,13 @@ _SCAN_CAP = 10 ** 6
 
 def _scan_bound(S):
     """Scan horizon covering every Betti element and every minimal
-    multi-element.  Numerical: max(gens) + max Ap(S; n_1) (anything above
-    dominates a smaller multi-element), which is max(gens) + F + n_1, so
-    no table of Ap(S; n_1) is built.  Affine (complete Betti profile): a
-    coordinate-sum horizon past every Betti element and Apery element by
-    one generator, which bounds the minimal multi-elements the same way."""
+    multi-element.  Numerical: betti._horizon.  Affine (complete Betti
+    profile): a coordinate-sum horizon past every Betti element and Apery
+    element by one generator, which bounds the minimal multi-elements the
+    same way."""
     if S.numerical:
-        return max(S.gens) + S.frobenius() + S.gens[0]
-    profile = _complete_betti(S)
+        return _horizon(S)
+    profile = require_exact_betti(S)
     betti_sum = max((sum(b) for b in profile.betti), default=0)
     ap_sum = max(sum(w) for w in S.apery())
     return max(betti_sum, ap_sum) + max(sum(g) for g in S.gens)
@@ -134,31 +122,56 @@ def is_free_all_arrangements(S):
 
 # -- rectangularity -------------------------------------------------------
 
+class _Base:
+    """Ap(S; base), the indices others of the generators outside the base,
+    their alpha_i and the alpha-box witness: the one derivation, kept on S
+    by _base, that the predicates, the report and the harness read.  The
+    c-box witness is made on first request (is_c_rectangular)."""
+
+    __slots__ = ("ap", "others", "alphas", "alpha_box", "c_box")
+
+    def __init__(self, S, j):
+        self.ap = S.apery(None if j is None else S.gens[j])
+        rays = S.simplicial_rays if j is None else (j,)
+        self.others = tuple(i for i in range(len(S.gens)) if i not in rays)
+        self.alphas = [constants.alpha(S, i, j) for i in self.others]
+        self.alpha_box = self.box(S, self.alphas)
+        self.c_box = None
+
+    def box(self, S, bounds):
+        """(True, {index: bound}) if Ap(S; base), sorted in the natural
+        order, is the exponent box of the others with these bounds, else
+        (False, None)."""
+        if len(self.ap) == prod(b + 1 for b in bounds) and \
+                sorted(S._box_values(self.others, bounds)) == list(self.ap):
+            return True, dict(zip(self.others, bounds))
+        return False, None
+
+
+def _base(S, base_idx):
+    """The _Base of gens[base_idx or 0] for numerical S, of the rays for
+    affine S, kept under ("base", j), j the index or None (the rays)."""
+    if S.numerical:
+        base_idx = base_idx or 0
+    elif base_idx is not None:
+        raise NotSimplicialError("an affine Apery base is the rays")
+    return S._cached(("base", base_idx), _Base, S, base_idx)
+
+
 def is_alpha_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds alpha_i.
     Returns (flag, bounds) where bounds maps generator index -> alpha_i."""
-    others, _ = _apery_base(S, base_idx)
-    alphas = [constants.alpha(S, i, base_idx) for i in others]
-    return _box_witness(S, base_idx, others, alphas)
+    return _base(S, base_idx).alpha_box
 
 
 def is_c_rectangular(S, base_idx=None):
     """Whether Ap(S; base) is the exponent box with bounds c_i - 1."""
-    others, _ = _apery_base(S, base_idx)
-    cs = constants.c_values(S)
-    if any(cs[i] is None for i in others):
-        return False, None
-    return _box_witness(S, base_idx, others, [cs[i] - 1 for i in others])
-
-
-def _box_witness(S, base_idx, others, bounds):
-    """(True, {index: bound}) if Ap(S; base) is the exponent box of the
-    generators others with these bounds, else (False, None)."""
-    _, ap = _apery_base(S, base_idx)  # sorted in the natural order
-    if len(ap) == prod(b + 1 for b in bounds) and \
-            sorted(S._box_values(others, bounds)) == list(ap):
-        return True, dict(zip(others, bounds))
-    return False, None
+    base = _base(S, base_idx)
+    if base.c_box is None:
+        cs = [constants.c_values(S)[i] for i in base.others]
+        base.c_box = (False, None) if None in cs else \
+            base.box(S, [c - 1 for c in cs])
+    return base.c_box
 
 
 def is_rectangular(S, base_idx=None):
@@ -168,30 +181,24 @@ def is_rectangular(S, base_idx=None):
     the search enumerates ordered factorizations of #Ap into factors >= 2
     before comparing boxes.
     """
-    others, ap = _apery_base(S, base_idx)
-    alphas = [constants.alpha(S, i, base_idx) for i in others]
-    mu = _box_bounds(S, others, alphas, list(ap), 0, len(ap), [])
+    base = _base(S, base_idx)
+    mu = _box_bounds(S, base, 0, len(base.ap), [])
     if mu is None:
         return False, None
-    return True, dict(zip(others, mu))
+    return True, dict(zip(base.others, mu))
 
 
-def _box_bounds(S, others, alphas, ap_sorted, pos, remaining, mu):
+def _box_bounds(S, base, pos, remaining, mu):
     """The first bounds mu, extended from the given prefix, whose box of
-    exponents over the others is Ap, or None."""
-    if pos == len(others):
-        if remaining != 1:
-            return None
-        if sorted(S._box_values(others, mu)) == ap_sorted:
-            return tuple(mu)
-        return None
+    exponents over the others of the base is its Ap, or None."""
+    if pos == len(base.others):
+        return tuple(mu) if remaining == 1 and base.box(S, mu)[0] else None
     # mu_i >= 1: n_i is minimal and not in the base, so it lies in Ap, and
     # its one factorization is itself; a box with mu_i = 0 holds only sums
     # of the other generators, so it misses n_i and is never Ap
-    for d in range(2, min(alphas[pos] + 1, remaining) + 1):
+    for d in range(2, min(base.alphas[pos] + 1, remaining) + 1):
         if remaining % d == 0:
-            found = _box_bounds(S, others, alphas, ap_sorted, pos + 1,
-                                remaining // d, mu + [d - 1])
+            found = _box_bounds(S, base, pos + 1, remaining // d, mu + [d - 1])
             if found is not None:
                 return found
     return None
@@ -204,40 +211,35 @@ def is_alpha_rectangular_every_generator(S):
 
 # -- Betti orderings ------------------------------------------------------
 
-def _complete_betti(S):
-    require_exact_betti(S)
-    return betti_elements(S)
-
-
 def _totally_ordered(S, elems, rel):
     chain = sorted(elems, key=S._arith.key)
     return all(rel(a, b) for a, b in zip(chain, chain[1:]))
 
 
 def is_betti_sorted(S):
-    profile = _complete_betti(S)
+    profile = require_exact_betti(S)
     return _totally_ordered(S, profile.betti, S.leq)
 
 
 def is_betti_isolated_sorted(S):
-    profile = _complete_betti(S)
+    profile = require_exact_betti(S)
     return _totally_ordered(S, profile.ibetti, S.leq)
 
 
 def is_betti_divisible(S):
-    profile = _complete_betti(S)
+    profile = require_exact_betti(S)
     return _totally_ordered(S, profile.betti,
                             lambda a, b: _divides_value(S, a, b))
 
 
 def is_betti_isolated_divisible(S):
-    profile = _complete_betti(S)
+    profile = require_exact_betti(S)
     return _totally_ordered(S, profile.ibetti,
                             lambda a, b: _divides_value(S, a, b))
 
 
 def has_single_betti(S):
-    profile = _complete_betti(S)
+    profile = require_exact_betti(S)
     if len(profile.betti) == 1:
         return True, profile.betti[0]
     return False, None
@@ -308,8 +310,8 @@ def _shape_data(S):
     """What every shaped-presentation search of S reads: the Betti
     elements, their fibers, the number of relations each needs (nc - 1)
     and the R-class of each (Betti element, factorization)."""
-    betti = _complete_betti(S).betti
-    fibers = {b: factor.fiber(S, b) for b in betti}
+    profile = require_exact_betti(S)
+    betti, fibers = profile.betti, profile.fibers
     class_of = {(b, x): ci for b in betti
                 for ci, cls in enumerate(fibers[b].classes) for x in cls}
     return betti, {b: fibers[b].nc - 1 for b in betti}, fibers, class_of
@@ -453,7 +455,8 @@ class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
     passed down as their one source: a uniqueness test (a read of the one
     plane), four verdicts of the walk, the Betti and isolated profiles,
-    the Betti minimals, the c values, one _Base per Apery base and the
+    the Betti minimals, the c values, the kept _Base of each Apery base
+    (which the predicates and classification_report read too) and the
     numerical verdicts below.  The planes of S are asked first at the
     widest bound any input reads, and the memo of S keeps them, the Betti
     fibers and what the library functions keep.  run_theorem_harness
@@ -477,12 +480,12 @@ class HarnessInputs:
         # the walk keeps the Betti fibers on S, where the profile reads them
         (self.characterized, self.minimal_multi, self.elements_ok,
          self.least_multi) = _walked(S, bound)
-        self.profile = _complete_betti(S)
+        self.profile = require_exact_betti(S)
         self.prof = isolated_profile(S)
         self.minimals = betti_minimals(S)
         self.cs = constants.c_values(S)
         bases = range(len(S.gens)) if S.numerical else (None,)
-        self.bases = {j: _Base(S, j, self.unique) for j in bases}
+        self.bases = {j: _base(S, j) for j in bases}
         numerical = S.numerical  # the checks that read these skip affine S
         self.betti_sorted = numerical and is_betti_sorted(S)
         self.betti_isolated_sorted = numerical and is_betti_isolated_sorted(S)
@@ -496,21 +499,6 @@ def _unique_test(S, bound):
     factorization: a read of the one plane at its bit of S._box."""
     bits, encode = bin(S._planes(bound)[0])[:1:-1], S._box(bound)[2]
     return lambda w: bits.startswith("1", encode(w))  # bits[t] is bit t
-
-
-class _Base:
-    """Ap(S; base) and what several checks read about it: the generators
-    outside the base with their alpha_i, the alpha- and c-rectangular
-    verdicts, and whether every w in Ap(S; base) factors uniquely."""
-
-    __slots__ = ("ap", "others", "alphas", "alpha_rect", "c_rect", "unique")
-
-    def __init__(self, S, j, unique):
-        self.others, self.ap = _apery_base(S, j)
-        self.alphas = [constants.alpha(S, i, j) for i in self.others]
-        self.alpha_rect = _box_witness(S, j, self.others, self.alphas)[0]
-        self.c_rect = is_c_rectangular(S, j)[0]
-        self.unique = all(map(unique, self.ap))
 
 
 # -- verified inequality chains ------------------------------------------
@@ -633,7 +621,7 @@ def _walk(S, bound):
     first m with more than factor.DEFAULT_FIBER_CAP factorizations.
     """
     betti = set(_numerical_betti(S) if S.numerical
-                else _complete_betti(S).betti)
+                else require_exact_betti(S).betti)
     gens, cap = S.gens, factor.DEFAULT_FIBER_CAP
     units, unpack, pack = _packing(S, bound)
     add, minus = S._arith.add, S._arith.sub
@@ -792,9 +780,9 @@ def _check_prop_alpha(S, inputs, j):
     base = inputs.bases[j]
     maxima = S.apery_maxima(None if j is None else S.gens[j])
     unique_max = len(maxima) == 1
-    c1 = base.alpha_rect
+    c1 = base.alpha_box[0]
     c2 = unique_max and inputs.unique(maxima[0])
-    c3 = unique_max and base.unique
+    c3 = unique_max and all(map(inputs.unique, base.ap))
     c4 = len(base.ap) == prod(a + 1 for a in base.alphas)
     return _entry([c1, c2, c3, c4])
 
@@ -803,7 +791,7 @@ def _check_thm_alpha_free(S, inputs, j):
     """alpha-rectangularity at base j must be realized by a free
     arrangement with c_i^* = alpha_i + 1 at every later position.
     Returns None when the hypothesis fails."""
-    if not inputs.bases[j].alpha_rect:
+    if not inputs.bases[j].alpha_box[0]:
         return None
     return _verdict(
         _free_completion(S, frozenset((j,)), alpha_base=j) is not None)
@@ -829,10 +817,11 @@ def _check_thm_alpha_c(S, inputs, j):
     not_in_ap = all(S._arith.scale(cs[i], S.gens[i]) not in ap_set
                     for i in others)
     card = len(base.ap) == prod(cs[i] for i in others)
-    conds = [base.alpha_rect,
-             base.c_rect and not_in_ap,
-             base.c_rect and ib_cond,
-             ib_cond and base.unique,
+    c_rect = is_c_rectangular(S, j)[0]
+    conds = [base.alpha_box[0],
+             c_rect and not_in_ap,
+             c_rect and ib_cond,
+             ib_cond and all(map(inputs.unique, base.ap)),
              ib_cond and not_in_ap,
              ib_cond and card]
     extra = not conds[0] or all(cs[i] == a + 1
@@ -869,7 +858,7 @@ def _check_cor_ci_b1(S, inputs, j):
         S.gens[j] == prod(cs[i] for i in range(e) if i != j))
     return _entry([c1, is_complete_intersection(S) and single,
                    prof.i_b == e and single,
-                   prof.i_b == e and inputs.bases[j].alpha_rect],
+                   prof.i_b == e and inputs.bases[j].alpha_box[0]],
                   extra_ok=extra)
 
 
@@ -883,8 +872,8 @@ def _check_thm_betti_sorted_alpha(S, inputs, j):
     cs = {i: inputs.cs[i] for i in base.others}
     ap = set(base.ap)
     return _entry([b1 not in ap,
-                   base.alpha_rect,
-                   base.c_rect,
+                   base.alpha_box[0],
+                   is_c_rectangular(S, j)[0],
                    all(cs[i] * S.gens[i] not in ap for i in cs),
                    S.gens[j] == prod(cs.values())])
 
@@ -948,11 +937,10 @@ def _check_thm_betti_divisible_free(S, inputs):
 
 
 def _check_thm_single_betti_alpha(S, inputs):
-    bases = inputs.bases.values()
     c1 = len(inputs.profile.betti) == 1
-    c2 = all(base.c_rect for base in bases) and \
+    c2 = all(is_c_rectangular(S, j)[0] for j in inputs.bases) and \
         inputs.prof.i_b == len(S.gens)
-    c3 = all(base.alpha_rect for base in bases)
+    c3 = all(base.alpha_box[0] for base in inputs.bases.values())
     return _entry([c1, c2, c3])
 
 

@@ -294,7 +294,7 @@ def _chain_memberships(S, inputs):
         "betti_sorted": inputs.betti_sorted,
         "ci_single_bm": (len(inputs.minimals) == 1 and
                          classify.is_complete_intersection(S)),
-        "alpha_rect_some": any(b.alpha_rect for b in inputs.bases.values()),
+        "alpha_rect_some": any(b.alpha_box[0] for b in inputs.bases.values()),
         "free_some": inputs.free_some,
         "complete_intersection": classify.is_complete_intersection(S),
     }

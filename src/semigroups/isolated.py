@@ -133,11 +133,10 @@ def minimal_in_order(S, elems):
 def minimal_multi_elements(S, bound=None):
     """Elements with several factorizations all of whose atom-predecessors
     factor uniquely, independent of the Betti machinery (every such
-    element lies below max(gens) + F + n_1 for numerical semigroups, since
-    max Ap(S; n_1) = F + n_1): the bits of the many plane of S._planes at
-    no shift of it by a generator."""
+    element of numerical S is at most betti._horizon(S)): the bits of the
+    many plane of S._planes at no shift of it by a generator."""
     if S.numerical:
-        bound = max(S.gens) + S.frobenius() + S.gens[0]
+        bound = betti_mod._horizon(S)
     elif bound is None:
         raise InfiniteSetError(
             "affine minimal multi-element scan needs a bound")

@@ -372,15 +372,20 @@ class Semigroup:
         return tuple(sorted(set(base if self.numerical else map(tuple, base))))
 
     def _apery_plane(self, bases):
-        """Ap(S; B), B sorted, of numerical S as a plane: the AND over b in
-        B of M & ~(M << b), M the member plane, over [0, F + min B]."""
-        if not bases or any(b <= 0 or not self.contains(b) for b in bases):
-            raise InfiniteAperyError("Apery base must be a nonzero element of S")
-        one, many = self._planes(self.frobenius() + bases[0])
-        member = plane = one | many
-        for b in bases:
-            plane &= ~(member << b)
-        return plane
+        """Ap(S; B), B sorted, of numerical S as a plane, kept for apery and
+        apery_maxima: the AND over b in B of M & ~(M << b), M the member
+        plane, over [0, F + min B]."""
+        def compute():
+            if not bases or any(b <= 0 or b not in self for b in bases):
+                raise InfiniteAperyError(
+                    "Apery base must be a nonzero element of S")
+            one, many = self._planes(self.frobenius() + bases[0])
+            member = plane = one | many
+            for b in bases:
+                plane &= ~(member << b)
+            return plane
+
+        return self._cached(("apery_plane", bases), compute)
 
     def _apery_affine(self, bases):
         rays = self.ray_values()

@@ -184,8 +184,7 @@ def test_affine_betti_bounded_sweep():
     assert prof.betti == ((1, 1, 1),)
     assert not prof.complete
     with pytest.raises(IncompleteBettiError):
-        from semigroups.classify import _complete_betti
-        _complete_betti(S)
+        betti.require_exact_betti(S)
 
 
 # Every function that needs the exact Betti set, and the harness entry
@@ -204,7 +203,7 @@ def _exact_betti_functions():
             classify.is_betti_isolated_sorted, classify.is_betti_divisible,
             classify.is_betti_isolated_divisible, classify.has_single_betti,
             classify.has_single_betti_minimal,
-            classify.classification_report, classify._complete_betti,
+            classify.classification_report, betti.require_exact_betti,
             with_inputs(classify.verify_bounds),
             with_inputs(classify.check_equivalence_theorems))
 
@@ -325,13 +324,13 @@ def _affine_default_sweeps(monkeypatch, corpus):
     """(S, bound, found) for each non-free member, as betti_elements
     sweeps it at its default bound."""
     sweeps = []
-    real = betti._split_affine
+    real = betti._sweep
 
     def recorded(S, bound):
         sweeps.append((S, bound, real(S, bound)))
         return sweeps[-1][2]
 
-    monkeypatch.setattr(betti, "_split_affine", recorded)
+    monkeypatch.setattr(betti, "_sweep", recorded)
     for S in corpus:
         betti_elements(S)
     monkeypatch.undo()
@@ -343,7 +342,8 @@ def test_split_planes_match_nc_at_every_position(monkeypatch):
     corpus = list(enumerate_numerical_by_genus(12))
     assert len(corpus) == 1413
     for S in corpus:
-        assert betti._split_numerical(S) == _nc_oracle_numerical(S), S.gens
+        assert betti._sweep(S, betti._horizon(S)) == \
+            _nc_oracle_numerical(S), S.gens
     probe = [S for S in _affine_probe_corpus() if free_arrangement(S) is None]
     assert len(probe) == 68
     sweeps = _affine_default_sweeps(monkeypatch, probe)
@@ -353,7 +353,7 @@ def test_split_planes_match_nc_at_every_position(monkeypatch):
     # in N^3, with an explicit degree bound
     S = make_semigroup([(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
     for bound in (8, 11):
-        assert betti._split_affine(S, bound) == _nc_oracle_affine(S, bound)
+        assert betti._sweep(S, bound) == _nc_oracle_affine(S, bound)
 
 
 def test_split_planes_match_nc_across_window_seams(monkeypatch):
@@ -363,13 +363,14 @@ def test_split_planes_match_nc_across_window_seams(monkeypatch):
     seams = 0
     for S in enumerate_numerical_by_genus(12):
         seams += S.frobenius() + S.multiplicity >= max(S.gens)
-        assert betti._split_numerical(S) == _nc_oracle_numerical(S), S.gens
+        assert betti._sweep(S, betti._horizon(S)) == \
+            _nc_oracle_numerical(S), S.gens
     assert seams > 1000
     for S in _affine_probe_corpus()[::10]:
-        assert betti._split_affine(S, 24) == _nc_oracle_affine(S, 24), \
+        assert betti._sweep(S, 24) == _nc_oracle_affine(S, 24), \
             S.gens
     S = make_semigroup([(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
-    assert betti._split_affine(S, 11) == _nc_oracle_affine(S, 11)
+    assert betti._sweep(S, 11) == _nc_oracle_affine(S, 11)
 
 
 def test_affine_betti_planes_leave_the_membership_memo_small():

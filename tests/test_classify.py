@@ -538,14 +538,14 @@ def _walked_and_b1_smallest(S):
 def test_walked_checks_fail_without_the_least_betti_element(monkeypatch):
     # both entries of the walk and b1_smallest must be able to fail when
     # the kept sweep, which the walk and the profile read, misses b_1
-    real = betti._split_numerical
+    real = betti._sweep
     for gens in ([4, 5, 6], [16, 20, 30, 45], [24, 26, 36, 39]):
         assert all(entry["ok"]
                    for entry in _walked_and_b1_smallest(make_semigroup(gens)))
-        monkeypatch.setattr(betti, "_split_numerical", lambda T: real(T)[1:])
+        monkeypatch.setattr(betti, "_sweep", lambda T, n: real(T, n)[1:])
         assert not any(entry["ok"] for entry in
                        _walked_and_b1_smallest(make_semigroup(gens))), gens
-        monkeypatch.setattr(betti, "_split_numerical", real)
+        monkeypatch.setattr(betti, "_sweep", real)
 
 
 class _Unlisted(tuple):
@@ -578,11 +578,11 @@ def test_characterization_fails_without_any_one_betti_element(monkeypatch):
     # such sweep fails.  Reading every fiber's classes, the check caught 95
     # of these 213 cases.
     cases = 0
-    real = betti._split_numerical
+    real = betti._sweep
     for S in _corpus_e_ge_2(6):
-        for b in real(S):
-            monkeypatch.setattr(betti, "_split_numerical",
-                                lambda T, b=b: [a for a in real(T) if a != b])
+        for b in real(S, betti._horizon(S)):
+            monkeypatch.setattr(betti, "_sweep", lambda T, n, b=b: [
+                a for a in real(T, n) if a != b])
             T = make_semigroup(S.gens)
             assert not _check_isolated_characterization(
                 T, HarnessInputs(T))["ok"], (S.gens, b)
@@ -633,9 +633,9 @@ def test_harness_sweeps_the_betti_planes_once_per_member(monkeypatch):
     # the walk reads the Betti set before any fiber is built, and the
     # profile reads the same sweep, kept on the semigroup
     swept = []
-    real = betti._split_numerical
-    monkeypatch.setattr(betti, "_split_numerical",
-                        lambda T: swept.append(T) or real(T))
+    real = betti._sweep
+    monkeypatch.setattr(betti, "_sweep",
+                        lambda T, n: swept.append(T) or real(T, n))
     corpus = _corpus_e_ge_2(6)
     report = run_theorem_harness(corpus, chain_witnesses=None)
     assert (report["checked"], report["violations"]) == (49, [])
@@ -861,13 +861,16 @@ def test_minimal_elements_match_pairwise_leq():
 
 def test_harness_checks_each_base_once_without_pairwise_order_scans(
         monkeypatch):
-    # one harness call derives each base's rectangularity verdicts once,
-    # and no check but the two Betti-sorted predicates asks <=_S pairwise
+    # one harness call derives each base once and compares it with at most
+    # two boxes (alpha and c), and no check but the two Betti-sorted
+    # predicates asks <=_S pairwise
     S = make_semigroup([24, 26, 36, 39])
-    boxes = []
-    real_box = classify._box_witness
-    monkeypatch.setattr(classify, "_box_witness",
-                        lambda T, j, *a: boxes.append(j) or real_box(T, j, *a))
+    bases, boxes = [], []
+    real_base, real_box = classify._Base, classify._Base.box
+    monkeypatch.setattr(classify._Base, "box", lambda base, T, bounds:
+                        boxes.append(base) or real_box(base, T, bounds))
+    monkeypatch.setattr(classify, "_Base",
+                        lambda T, j: bases.append(j) or real_base(T, j))
     depth = [0]
 
     def counted(fn):
@@ -892,15 +895,73 @@ def test_harness_checks_each_base_once_without_pairwise_order_scans(
     monkeypatch.setattr(Semigroup, "leq", leq)
     report = run_theorem_harness([S], chain_witnesses=None)
     assert (report["checked"], report["violations"]) == (1, [])
-    assert sorted(set(boxes)) == [0, 1, 2, 3]
-    assert all(boxes.count(j) <= 2 for j in range(4)), boxes
+    assert sorted(bases) == [0, 1, 2, 3]
+    assert len({id(base) for base in boxes}) == 4
+    assert all(boxes.count(base) <= 2 for base in boxes)
     assert stray == []
+
+
+def test_report_and_harness_derive_each_base_once(monkeypatch):
+    # the rectangularity predicates, classification_report and the harness
+    # inputs read one record kept per (S, base): the rays for affine S
+    derived = Counter()
+    real = classify._Base
+    monkeypatch.setattr(classify, "_Base", lambda T, j: derived.update(
+        [(T.gens, j)]) or real(T, j))
+    for gens in ([24, 26, 36, 39], [4, 6, 9], [(1, 0), (0, 2), (0, 3)]):
+        S = make_semigroup(gens)
+        classification_report(S)
+        inputs = HarnessInputs(S)
+        check_equivalence_theorems(S, inputs)
+        bases = range(len(S.gens)) if S.numerical else (None,)
+        assert derived == Counter((S.gens, j) for j in bases), gens
+        derived.clear()
+
+
+def test_a_second_apery_maxima_call_reads_no_membership(monkeypatch):
+    # the Apery plane is kept under its key, so apery and apery_maxima read
+    # one plane and its bases are checked once
+    calls = []
+    real = Semigroup.contains
+    monkeypatch.setattr(Semigroup, "contains",
+                        lambda T, v: calls.append(v) or real(T, v))
+    S = make_semigroup([24, 26, 36, 39])
+    for base in (None, 26, (24, 39), 72):
+        calls.clear()
+        first = S.apery_maxima(base)
+        assert calls, base  # the first call checks its bases
+        calls.clear()
+        assert S.apery_maxima(base) == first and S.apery(base)
+        assert calls == [], base
+
+
+def test_scan_bound_and_harness_report_do_not_depend_on_generator_order():
+    # the numerical horizon F + n + max(gens) takes n the multiplicity;
+    # with n the first generator, <39, 36, 26, 24> scanned to 259
+    reports = []
+    for gens in ([24, 26, 36, 39], [39, 36, 26, 24]):
+        S = make_semigroup(gens)
+        assert _scan_bound(S) == 244, gens
+        inputs = HarnessInputs(S)
+        reports.append([check_equivalence_theorems(S, inputs),
+                        verify_bounds(S, inputs)])
+    assert reports[0] == reports[1]
 
 
 def test_harness_evaluates_each_betti_order_predicate_once(monkeypatch):
     # 477 members of the genus <= 10 corpus have e >= 2; each Betti-order
-    # predicate runs once on each, besides the parts of the gluing check
+    # predicate runs once on each, besides the parts of the gluing check.
+    # The pass reads membership at most 4,200 times: 6,588 when
+    # apery_maxima rebuilt its plane, and checked its bases, on each call
     calls = Counter()
+    members = [0]
+    real_contains = Semigroup.contains
+
+    def contains(T, v):
+        members[0] += 1
+        return real_contains(T, v)
+
+    monkeypatch.setattr(Semigroup, "contains", contains)
     gluing = [0]
     real_gluing = classify.is_gluing_partition
 
@@ -928,6 +989,7 @@ def test_harness_evaluates_each_betti_order_predicate_once(monkeypatch):
                                  chain_witnesses=None)
     assert (report["checked"], report["violations"]) == (478, [])
     assert calls == {name: 477 for name in names}
+    assert members[0] <= 4200, members[0]
 
 
 def test_harness_on_the_ordinary_semigroup_of_genus_25_stays_small():

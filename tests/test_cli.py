@@ -364,13 +364,13 @@ _BOUNDED = [
 def test_analyze_sweeps_an_explicit_degree_bound_once(monkeypatch, capsys,
                                                       gens, bound, digest):
     sweeps = []
-    real = betti._split_affine
+    real = betti._sweep
 
     def counted(*args):
         sweeps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(betti, "_split_affine", counted)
+    monkeypatch.setattr(betti, "_sweep", counted)
     code, out, _ = run(capsys, "analyze", "--gens", gens, "--degree-bound",
                        bound, "--json")
     assert code == 0
