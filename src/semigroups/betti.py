@@ -11,6 +11,7 @@ from functools import cached_property
 from itertools import product
 
 from . import constants, factor
+from .constants import _horizon  # beside c_value, which reads it too
 from .errors import (DegreeBoundRequiredError, FiberCapExceededError,
                      IncompleteBettiError)
 from .semigroup import _bits
@@ -93,21 +94,6 @@ def _numerical_betti(S):
     """The Betti elements of numerical S, ascending: one sweep to _horizon,
     kept on S for the profile and for the harness walk (before any fiber)."""
     return S._cached("betti_sweep", _sweep, S, _horizon(S))
-
-
-def _horizon(S):
-    """F + n + max(gens), n the multiplicity: every Betti element and
-    every minimal multi-element of numerical S is at most this."""
-    # Every Betti element b is at most F + n + max(gens), for n any
-    # generator: G_b has two or more components, so one of them misses
-    # node n; take a node n_j in it.  No edge joins n_j and n, so
-    # b - n_j - n is not in S (when n is no node, b - n is not in S, and
-    # neither is b - n_j - n).  So b - n_j lies in Ap(S; n), whose largest
-    # element is F + n, and b <= F + n + n_j.  Past that bound, a minimal
-    # multi-element m has m - n_i - n > F for n_i in any factorization x,
-    # so x - e_i, the one factorization of m - n_i, uses n: two of m both
-    # use n and give two of m - n.  The multiplicity gives the least bound.
-    return S.frobenius() + S.multiplicity + max(S.gens)
 
 
 def _sweep(S, bound):

@@ -21,7 +21,7 @@ from .errors import (FiberCapExceededError, NotNumericalError,
                      NotSimplicialError, SearchCapExceededError)
 from .isolated import (betti_minimals, isolated_profile, minimal_in_order,
                        minimal_multi_elements)
-from .semigroup import _mixed_radix
+from .semigroup import _apery_bits, _mixed_radix
 
 __all__ = [
     "is_free", "free_some_arrangement", "free_arrangement_starting_at",
@@ -455,17 +455,20 @@ class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
     passed down as their one source: a uniqueness test (a read of the one
     plane), four verdicts of the walk, the Betti and isolated profiles,
-    the Betti minimals, the c values, the kept _Base of each Apery base
-    (which the predicates and classification_report read too) and the
-    numerical verdicts below.  The planes of S are asked first at the
-    widest bound any input reads, and the memo of S keeps them, the Betti
-    fibers and what the library functions keep.  run_theorem_harness
-    builds one for a twin of each corpus member.  Sharing an input never
-    reads one condition off another.  A numerical scan past _SCAN_CAP
-    raises SearchCapExceededError before any plane."""
+    the Betti minimals, the c values, the support mask of each vector of
+    I_b and, for each i, whether c_i e_i lies in I_b, the kept _Base of
+    each Apery base (which the predicates and classification_report read
+    too), whether each base's Ap factors uniquely (a mask test of the one
+    plane) and the numerical verdicts below.  The planes of S are asked
+    first at the widest bound any input reads, and the memo of S keeps
+    them, the Betti fibers and what the library functions keep.
+    run_theorem_harness builds one for a twin of each corpus member.
+    Sharing an input never reads one condition off another.  A numerical
+    scan past _SCAN_CAP raises SearchCapExceededError before any plane."""
 
     __slots__ = ("unique", "characterized", "minimal_multi", "elements_ok",
-                 "least_multi", "profile", "prof", "minimals", "cs", "bases",
+                 "least_multi", "profile", "prof", "minimals", "cs",
+                 "ib_masks", "pure_ib", "bases", "ap_unique",
                  "betti_sorted", "betti_isolated_sorted", "betti_divisible",
                  "free_some", "cost_sorted")
 
@@ -475,17 +478,30 @@ class HarnessInputs:
             raise SearchCapExceededError(
                 f"{S}: harness scan bound {bound} exceeds {_SCAN_CAP}")
         # b_1 <= bound, so F + bound covers Ap(S; b_1) in [0, F + b_1]
-        self.unique = _unique_test(
-            S, S.frobenius() + bound if S.numerical else bound)
+        top = S.frobenius() + bound if S.numerical else bound
+        self.unique = _unique_test(S, top)
         # the walk keeps the Betti fibers on S, where the profile reads them
         (self.characterized, self.minimal_multi, self.elements_ok,
          self.least_multi) = _walked(S, bound)
         self.profile = require_exact_betti(S)
         self.prof = isolated_profile(S)
         self.minimals = betti_minimals(S)
-        self.cs = constants.c_values(S)
-        bases = range(len(S.gens)) if S.numerical else (None,)
+        self.cs = cs = constants.c_values(S)
+        e = len(S.gens)
+        self.ib_masks = [_support((x,)) for x in self.prof.ib]
+        ib = set(self.prof.ib)
+        self.pure_ib = [c is not None and
+                        tuple(c if k == i else 0 for k in range(e)) in ib
+                        for i, c in enumerate(cs)]
+        bases = range(e) if S.numerical else (None,)
         self.bases = {j: _base(S, j) for j in bases}
+        # Ap(S; B) factors uniquely iff its plane, at the positions of
+        # S._box(top), has no bit outside the one plane
+        one, many = S._planes(top)
+        positions = S._box(top)[0]
+        self.ap_unique = {j: not _apery_bits(one | many, [
+            positions[i] for i in range(e) if i not in base.others]) & ~one
+            for j, base in self.bases.items()}
         numerical = S.numerical  # the checks that read these skip affine S
         self.betti_sorted = numerical and is_betti_sorted(S)
         self.betti_isolated_sorted = numerical and is_betti_isolated_sorted(S)
@@ -782,7 +798,7 @@ def _check_prop_alpha(S, inputs, j):
     unique_max = len(maxima) == 1
     c1 = base.alpha_box[0]
     c2 = unique_max and inputs.unique(maxima[0])
-    c3 = unique_max and all(map(inputs.unique, base.ap))
+    c3 = unique_max and inputs.ap_unique[j]
     c4 = len(base.ap) == prod(a + 1 for a in base.alphas)
     return _entry([c1, c2, c3, c4])
 
@@ -808,12 +824,12 @@ def _check_thm_alpha_c(S, inputs, j):
     if any(cs[i] is None for i in others):
         return None
     ap_set = set(base.ap)
-    e = len(S.gens)
-    outside = [i for i in range(e) if i not in others]
-    ib_restricted = {x for x in inputs.prof.ib
-                     if not any(x[i] for i in outside)}
-    pure = {tuple(cs[i] if k == i else 0 for k in range(e)) for i in others}
-    ib_cond = ib_restricted == pure
+    outside = sum(1 << i for i in range(len(S.gens)) if i not in others)
+    # I_b restricted to the others is {c_i e_i : i in others} iff each
+    # c_i e_i is in I_b and no other vector of I_b misses the outside:
+    # those pure vectors are distinct and zero outside the base
+    ib_cond = all(inputs.pure_ib[i] for i in others) and \
+        sum(not mask & outside for mask in inputs.ib_masks) == len(others)
     not_in_ap = all(S._arith.scale(cs[i], S.gens[i]) not in ap_set
                     for i in others)
     card = len(base.ap) == prod(cs[i] for i in others)
@@ -821,7 +837,7 @@ def _check_thm_alpha_c(S, inputs, j):
     conds = [base.alpha_box[0],
              c_rect and not_in_ap,
              c_rect and ib_cond,
-             ib_cond and all(map(inputs.unique, base.ap)),
+             ib_cond and inputs.ap_unique[j],
              ib_cond and not_in_ap,
              ib_cond and card]
     extra = not conds[0] or all(cs[i] == a + 1

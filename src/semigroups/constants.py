@@ -47,7 +47,7 @@ def _least_multiple(S, indices, idx, cap=_SEARCH_CAP):
     """Least c >= 1 with c * gens[idx] in the monoid generated by the gens
     at indices.  Only multiples of the least group multiple can lie in the
     monoid, so the search steps by it.  This one search serves c_i^*, c_i
-    and, through c_star, Ap(S; rays)."""
+    where no kept plane gives it and, through c_star, Ap(S; rays)."""
     step = _group_multiple(S, indices, idx)
     g = S.gens[idx]
     inside = S.submonoid(indices).contains
@@ -80,18 +80,62 @@ def c_value(S, idx):
     """The constant c_i: smallest c >= 1 with c * n_i in the monoid generated
     by the other generators.  Returns None when no such c exists (i.e. the
     generator is not in the set C(M)); this is decided exactly via rational
-    span and cone membership."""
+    span and cone membership.  Numerical S whose memo keeps the planes over
+    [0, _horizon(S)], as the Betti sweep leaves them, reads c_i off its many
+    plane; otherwise c_i is searched in an Apery table of the other
+    generators, whose size does not grow with the Frobenius number."""
     def compute():
         g = S.gens[idx]
         others = tuple(j for j in range(len(S.gens)) if j != idx)
-        if S.numerical:  # only S = N, generated by 1 alone, has no c_i
-            return (_least_multiple(S, others, idx, g * max(S.gens))
-                    if others else None)
+        if S.numerical:
+            if not others:  # only S = N, generated by 1 alone, has no c_i
+                return None
+            h = _horizon(S)
+            if S._keeps_planes(h):
+                return S._cached("plane_cs", _plane_cs, S, h)[idx]
+            return _least_multiple(S, others, idx, g * max(S.gens))
         if not linalg.in_cone(g, [S.gens[j] for j in others]):
             return None
         return _least_multiple(S, others, idx)
 
     return S._cached(("c_value", idx), compute)
+
+
+def _plane_cs(S, h):
+    """(c_1, ..., c_e) of numerical S with e >= 2, read off its many plane
+    over [0, h], h = _horizon(S): the least k with bit k n_i set."""
+    many = S._planes(h)[1].to_bytes(h // 8 + 1, "little")
+    cs = []
+    for g in S.gens:
+        # c_i is the least k with two factorizations of k n_i.  For k <
+        # c_i, a factorization x of k n_i with x_i = a < k puts (k - a) n_i
+        # in <others>, so k e_i is the only one; c_i n_i has one with no
+        # n_i too.  Its R-class {c_i e_i} is a singleton, so c_i n_i is a
+        # Betti element, and every Betti element is at most h.
+        for t in range(g, h + 1, g):
+            if many[t >> 3] >> (t & 7) & 1:
+                cs.append(t // g)
+                break
+        else:
+            raise SearchCapExceededError(
+                f"no multiple of {g} up to {h} has two factorizations "
+                f"in {S}")
+    return tuple(cs)
+
+
+def _horizon(S):
+    """F + n + max(gens), n the multiplicity: every Betti element and
+    every minimal multi-element of numerical S is at most this."""
+    # Every Betti element b is at most F + n + max(gens), for n any
+    # generator: G_b has two or more components, so one of them misses
+    # node n; take a node n_j in it.  No edge joins n_j and n, so
+    # b - n_j - n is not in S (when n is no node, b - n is not in S, and
+    # neither is b - n_j - n).  So b - n_j lies in Ap(S; n), whose largest
+    # element is F + n, and b <= F + n + n_j.  Past that bound, a minimal
+    # multi-element m has m - n_i - n > F for n_i in any factorization x,
+    # so x - e_i, the one factorization of m - n_i, uses n: two of m both
+    # use n and give two of m - n.  The multiplicity gives the least bound.
+    return S.frobenius() + S.multiplicity + max(S.gens)
 
 
 def c_values(S):

@@ -119,12 +119,12 @@ def r_classes(factorizations):
 class Fiber:
     """The fiber Z(m), partitioned into R-classes on first read."""
 
-    __slots__ = ("element", "factorizations", "_classes")
+    __slots__ = ("element", "factorizations", "_classes", "_isolated")
 
     def __init__(self, element, factorizations):
         self.element = element
         self.factorizations = factorizations
-        self._classes = None
+        self._classes = self._isolated = None
 
     @property
     def classes(self):
@@ -134,8 +134,12 @@ class Fiber:
 
     @property
     def isolated(self):
-        """The factorizations forming a singleton R-class, lex-sorted."""
-        return tuple([c[0] for c in self.classes if len(c) == 1])
+        """The factorizations forming a singleton R-class, lex-sorted, made
+        on first read."""
+        if self._isolated is None:
+            self._isolated = tuple([c[0] for c in self.classes
+                                    if len(c) == 1])
+        return self._isolated
 
     @property
     def nc(self):

@@ -127,6 +127,15 @@ def _mixed_radix(radix, width):
             lambda v: sum(map(operator.mul, v, units)))
 
 
+def _apery_bits(member, shifts):
+    """Ap(S; B) as a plane: member & ~(member << s) over the positions s of
+    B, member the plane of S over a range that holds Ap(S; B)."""
+    plane = member
+    for s in shifts:
+        plane &= ~(member << s)
+    return plane
+
+
 def _bits(plane):
     """The positions of the set bits of plane, ascending."""
     bits = bin(plane)[:1:-1]  # bits[t] is bit t
@@ -380,10 +389,7 @@ class Semigroup:
                 raise InfiniteAperyError(
                     "Apery base must be a nonzero element of S")
             one, many = self._planes(self.frobenius() + bases[0])
-            member = plane = one | many
-            for b in bases:
-                plane &= ~(member << b)
-            return plane
+            return _apery_bits(one | many, bases)
 
         return self._cached(("apery_plane", bases), compute)
 
@@ -487,6 +493,12 @@ class Semigroup:
             self._memo["planes"] = (bound, *_count_planes(self.gens, valid))
         _, one, many = self._memo["planes"]
         return one & valid, many & valid
+
+    def _keeps_planes(self, bound):
+        """Whether numerical S keeps a pair of planes that reaches bound, so
+        that _planes(bound) masks it and builds none."""
+        return self._memo is not None and \
+            self._memo.get("planes", (-1,))[0] >= bound
 
     def _box(self, bound):
         """The bit encoding of the range of elements_upto(bound): each

@@ -1,5 +1,7 @@
 """Prints one PASS/FAIL line per acceptance criterion after the run."""
 
+import os
+
 _CRITERIA = {
     "01": "golden <24,26,36,39>: Betti {72,78,156}, exact fibers, no "
           "isolated factorization of 156, presentation size 3, CI, free "
@@ -23,6 +25,14 @@ _CRITERIA = {
     "10": "determinism: two `verify --genus 12 --threads 8` runs are "
           "byte-identical JSON",
 }
+
+
+def pytest_configure(config):
+    """Let the processes the tests start (python -m semigroups.cli) import
+    the package from this checkout's src, as the pythonpath setting of
+    pyproject.toml lets the test process itself."""
+    paths = [str(config.rootpath / "src"), os.environ.get("PYTHONPATH")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

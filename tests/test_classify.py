@@ -629,6 +629,21 @@ def test_harness_partitions_only_the_betti_fibers(monkeypatch):
     assert len(calls) == 213
 
 
+def test_harness_builds_no_apery_table_for_c(monkeypatch):
+    # numerical c_i is a read of the many plane that the Betti sweep
+    # reads, so no table of <others> is built for it.  Before, c_value
+    # searched a SubMonoid Apery table of the other generators for each
+    # generator: this pass built 334 tables.
+    builds = []
+    real = semigroup.SubMonoid._table
+    monkeypatch.setattr(semigroup.SubMonoid, "_table", lambda monoid: (
+        monoid._apery is None and builds.append(monoid.gens)) or real(monoid))
+    corpus = _corpus_e_ge_2(6)
+    report = run_theorem_harness(corpus, chain_witnesses=None)
+    assert (report["checked"], report["violations"]) == (49, [])
+    assert len(builds) == 183
+
+
 def test_harness_sweeps_the_betti_planes_once_per_member(monkeypatch):
     # the walk reads the Betti set before any fiber is built, and the
     # profile reads the same sweep, kept on the semigroup

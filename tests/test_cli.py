@@ -446,6 +446,9 @@ _FUZZ = [
     # work, not shape: a scan bound of 63,479,837 is refused before the
     # scan, and no Apery table for the largest generator is built
     (["verify", "--corpus", "corpora/betti_divisible_e8.txt"], 3),
+    # work, not shape: F = 999,998,999,999, so no plane reaches the Betti
+    # horizon; each c_i is searched in a table of the other generator
+    (["construct", "--recover", "--gens", "1000000,1000001"], 0),
     # work, not shape: the Betti planes reach F + n + max(gens) = 59,140,502
     # in windows, and only the one Betti element, 9,699,690, gets a fiber
     (["betti", "--gens", _E8], 0),

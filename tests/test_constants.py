@@ -1,10 +1,14 @@
 from functools import lru_cache
 
+import pytest
+
 from semigroups import constants
 from semigroups import (alpha, c_atoms, c_bar, c_star, c_value,
                         make_semigroup, parse_gens)
 from semigroups.constants import default_arrangement
+from semigroups.errors import SearchCapExceededError
 from semigroups.explore import enumerate_numerical_by_genus
+from semigroups.semigroup import Semigroup
 
 
 def test_c_values_numerical():
@@ -13,6 +17,51 @@ def test_c_values_numerical():
     assert [c_value(S, i) for i in range(3)] == [3, 2, 2]
     T = make_semigroup([24, 26, 36, 39])
     assert [c_value(T, i) for i in range(4)] == [3, 3, 2, 2]
+
+
+def _coin_change(gens, limit):
+    """Bit t set iff t <= limit is a sum of gens: one unbounded coin-change
+    pass per generator, reach |= reach << g repeated limit // g times."""
+    reach, mask = 1, (1 << limit + 1) - 1
+    for g in gens:
+        for _ in range(limit // g):
+            reach |= reach << g & mask
+    return reach
+
+
+def test_numerical_c_matches_a_coin_change_oracle():
+    # c_i <= n_j for every j != i, since n_j n_i lies in <n_j>, so the
+    # oracle's table of <others> reaches n_i * min(others).  Each member is
+    # asked twice: alone, where c_value searches a table of <others>, and
+    # with the planes over [0, _horizon] kept, where it reads the many plane
+    goldens = ([3, 4, 5], [24, 26, 36, 39], [16, 20, 30, 45],
+               [30, 42, 105, 140])
+    corpus = [S for S in enumerate_numerical_by_genus(12) if len(S.gens) > 1]
+    corpus += [make_semigroup(gens) for gens in goldens]
+    assert len(corpus) == 1412 + 4  # every genus <= 12 member but S = N
+    for S in corpus:
+        twin = make_semigroup(S.gens)
+        twin._planes(constants._horizon(twin))
+        for i, g in enumerate(S.gens):
+            others = [h for j, h in enumerate(S.gens) if j != i]
+            reach = _coin_change(others, g * min(others))
+            c = next(k for k in range(1, min(others) + 1)
+                     if reach >> k * g & 1)
+            assert c_value(S, i) == c_value(twin, i) == c, (S.gens, i)
+        assert S._memo.get("plane_cs") is None
+        assert twin._memo.get("plane_cs") == constants.c_values(S)
+
+
+def test_numerical_c_raises_on_an_empty_many_plane(monkeypatch):
+    # with no element of two factorizations below the horizon the plane
+    # read finds no c_i: it raises rather than search on
+    S = make_semigroup([3, 4, 5])
+    S._planes(constants._horizon(S))
+    real = Semigroup._planes
+    monkeypatch.setattr(Semigroup, "_planes",
+                        lambda S, bound: (real(S, bound)[0], 0))
+    with pytest.raises(SearchCapExceededError):
+        c_value(S, 0)
 
 
 def test_c_atoms_numerical_all_atoms():
