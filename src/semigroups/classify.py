@@ -123,29 +123,55 @@ def is_free_all_arrangements(S):
 # -- rectangularity -------------------------------------------------------
 
 class _Base:
-    """Ap(S; base), the indices others of the generators outside the base,
-    their alpha_i and the alpha-box witness: the one derivation, kept on S
-    by _base, that the predicates, the report and the harness read.  The
-    c-box witness is made on first request (is_c_rectangular)."""
+    """Ap(S; base) and its size, the indices others of the generators
+    outside the base, their alpha_i and the alpha-box witness: the one
+    derivation, kept on S by _base, that the predicates, the report and
+    the harness read.  The c-box witness is made on first request
+    (is_c_rectangular).  Numerical Ap is the kept plane of
+    Semigroup._apery_plane, and every read of it is a bit operation.
+    Affine Ap is the sorted tuple of apery: a plane of it would need a
+    proven bound on the box of its elements."""
 
-    __slots__ = ("ap", "others", "alphas", "alpha_box", "c_box")
+    __slots__ = ("ap", "size", "others", "alphas", "alpha_box", "c_box")
 
     def __init__(self, S, j):
-        self.ap = S.apery(None if j is None else S.gens[j])
+        if S.numerical:
+            self.ap = S._apery_plane((S.gens[j],))
+            self.size = self.ap.bit_count()
+        else:
+            self.ap = S.apery()
+            self.size = len(self.ap)
         rays = S.simplicial_rays if j is None else (j,)
         self.others = tuple(i for i in range(len(S.gens)) if i not in rays)
         self.alphas = [constants.alpha(S, i, j) for i in self.others]
         self.alpha_box = self.box(S, self.alphas)
         self.c_box = None
 
+    def holds(self, S, w):
+        """Whether the element w of S's kind lies in Ap(S; base)."""
+        return bool(self.ap >> w & 1) if S.numerical else w in self.ap
+
     def box(self, S, bounds):
-        """(True, {index: bound}) if Ap(S; base), sorted in the natural
-        order, is the exponent box of the others with these bounds, else
-        (False, None)."""
-        if len(self.ap) == prod(b + 1 for b in bounds) and \
-                sorted(S._box_values(self.others, bounds)) == list(self.ap):
-            return True, dict(zip(self.others, bounds))
-        return False, None
+        """(True, {index: bound}) if Ap(S; base) is the exponent box of the
+        others with these bounds, else (False, None)."""
+        if self.size != prod(b + 1 for b in bounds):
+            return False, None
+        if S.numerical:
+            # The box's values as a plane: the OR of its shifted copies of
+            # bit 0.  Equal to the plane of Ap, it has size distinct values
+            # among its size sums, so no two sums agree and the box as a
+            # multiset is Ap; and a box equal to Ap as a multiset has
+            # Ap's plane.  So this is the sorted comparison's verdict.
+            plane = 1
+            for i, bound in zip(self.others, bounds):
+                step = plane
+                for _ in range(bound):
+                    step <<= S.gens[i]
+                    plane |= step
+            same = plane == self.ap
+        else:
+            same = sorted(S._box_values(self.others, bounds)) == list(self.ap)
+        return (True, dict(zip(self.others, bounds))) if same else (False, None)
 
 
 def _base(S, base_idx):
@@ -182,7 +208,7 @@ def is_rectangular(S, base_idx=None):
     before comparing boxes.
     """
     base = _base(S, base_idx)
-    mu = _box_bounds(S, base, 0, len(base.ap), [])
+    mu = _box_bounds(S, base, 0, base.size, [])
     if mu is None:
         return False, None
     return True, dict(zip(base.others, mu))
@@ -458,8 +484,9 @@ class HarnessInputs:
     the Betti minimals, the c values, the support mask of each vector of
     I_b and, for each i, whether c_i e_i lies in I_b, the kept _Base of
     each Apery base (which the predicates and classification_report read
-    too), whether each base's Ap factors uniquely (a mask test of the one
-    plane) and the numerical verdicts below.  The planes of S are asked
+    too), the planes (one, many) that reach F + b_1, whether each base's
+    Ap factors uniquely (a mask test of the one plane) and the numerical
+    verdicts below.  The planes of S are asked
     first at the widest bound any input reads, and the memo of S keeps
     them, the Betti fibers and what the library functions keep.
     run_theorem_harness builds one for a twin of each corpus member.
@@ -468,7 +495,7 @@ class HarnessInputs:
 
     __slots__ = ("unique", "characterized", "minimal_multi", "elements_ok",
                  "least_multi", "profile", "prof", "minimals", "cs",
-                 "ib_masks", "pure_ib", "bases", "ap_unique",
+                 "ib_masks", "pure_ib", "bases", "planes", "ap_unique",
                  "betti_sorted", "betti_isolated_sorted", "betti_divisible",
                  "free_some", "cost_sorted")
 
@@ -497,7 +524,7 @@ class HarnessInputs:
         self.bases = {j: _base(S, j) for j in bases}
         # Ap(S; B) factors uniquely iff its plane, at the positions of
         # S._box(top), has no bit outside the one plane
-        one, many = S._planes(top)
+        self.planes = one, many = S._planes(top)
         positions = S._box(top)[0]
         self.ap_unique = {j: not _apery_bits(one | many, [
             positions[i] for i in range(e) if i not in base.others]) & ~one
@@ -760,7 +787,9 @@ def _check_disjoint_betti(S, inputs):
 def _check_ap_b1(S, inputs):
     single = len(inputs.minimals) == 1
     b1 = min(inputs.profile.betti)
-    ap_unique = all(map(inputs.unique, S.apery(b1)))
+    # the planes reach F + b_1, past every element of Ap(S; b_1)
+    one, many = inputs.planes
+    ap_unique = not _apery_bits(one | many, [b1]) & ~one
     i_s_eq = inputs.prof.i_s == b1
     return _entry([single, ap_unique, i_s_eq])
 
@@ -799,7 +828,7 @@ def _check_prop_alpha(S, inputs, j):
     c1 = base.alpha_box[0]
     c2 = unique_max and inputs.unique(maxima[0])
     c3 = unique_max and inputs.ap_unique[j]
-    c4 = len(base.ap) == prod(a + 1 for a in base.alphas)
+    c4 = base.size == prod(a + 1 for a in base.alphas)
     return _entry([c1, c2, c3, c4])
 
 
@@ -823,16 +852,15 @@ def _check_thm_alpha_c(S, inputs, j):
     others, cs = base.others, inputs.cs
     if any(cs[i] is None for i in others):
         return None
-    ap_set = set(base.ap)
     outside = sum(1 << i for i in range(len(S.gens)) if i not in others)
     # I_b restricted to the others is {c_i e_i : i in others} iff each
     # c_i e_i is in I_b and no other vector of I_b misses the outside:
     # those pure vectors are distinct and zero outside the base
     ib_cond = all(inputs.pure_ib[i] for i in others) and \
         sum(not mask & outside for mask in inputs.ib_masks) == len(others)
-    not_in_ap = all(S._arith.scale(cs[i], S.gens[i]) not in ap_set
-                    for i in others)
-    card = len(base.ap) == prod(cs[i] for i in others)
+    not_in_ap = not any(base.holds(S, S._arith.scale(cs[i], S.gens[i]))
+                        for i in others)
+    card = base.size == prod(cs[i] for i in others)
     c_rect = is_c_rectangular(S, j)[0]
     conds = [base.alpha_box[0],
              c_rect and not_in_ap,
@@ -886,11 +914,10 @@ def _check_thm_betti_sorted_alpha(S, inputs, j):
     b1 = min(inputs.profile.betti)
     base = inputs.bases[j]
     cs = {i: inputs.cs[i] for i in base.others}
-    ap = set(base.ap)
-    return _entry([b1 not in ap,
+    return _entry([not base.holds(S, b1),
                    base.alpha_box[0],
                    is_c_rectangular(S, j)[0],
-                   all(cs[i] * S.gens[i] not in ap for i in cs),
+                   not any(base.holds(S, cs[i] * S.gens[i]) for i in cs),
                    S.gens[j] == prod(cs.values())])
 
 

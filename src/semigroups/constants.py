@@ -168,18 +168,33 @@ def alpha(S, idx, base_idx=None):
     else:
         base = None
 
-    # h * n is in the Apery set iff h * n - b lies outside S for every base
-    # b, and the valid h form an interval starting at 1 (n is a minimal
-    # generator).  The unchecked read is sound: every candidate is shaped
-    # like the generators, and the numerical table read is False for a
-    # negative value because Ap >= 0.
+    # The valid h form an interval starting at 1: Ap is closed downward
+    # under <=_S and n, a minimal generator, lies in it.  Numerical S that
+    # keeps planes over [0, F + b] reads h * n off the kept plane of
+    # Ap(S; b); elsewhere the loop builds no O(F) plane.
     def compute():
         n = S.gens[idx]
-        bases = S.ray_values() if base is None else (S.gens[base],)
-        add, sub, inside = S._arith.add, S._arith.sub, S._member_test()
-        h, m = 1, add(n, n)
-        while not any(inside(sub(m, b)) for b in bases):
-            h, m = h + 1, add(m, n)
+        if base is None:
+            return _alpha_by_membership(S, n, S.ray_values())
+        b = S.gens[base]
+        if not S._keeps_planes(S.frobenius() + b):
+            return _alpha_by_membership(S, n, (b,))
+        ap, h = S._apery_plane((b,)), 1
+        while ap >> (h + 1) * n & 1:
+            h += 1
         return h
 
     return S._cached(("alpha", idx, base), compute)
+
+
+def _alpha_by_membership(S, n, bases):
+    """The largest h with h * n in Ap(S; bases), n a minimal generator
+    outside the bases: h * n is in it iff h * n - b lies outside S for
+    every base b.  The unchecked read is sound: every candidate is shaped
+    like the generators, and the numerical table read is False for a
+    negative value because Ap >= 0."""
+    add, sub, inside = S._arith.add, S._arith.sub, S._member_test()
+    h, m = 1, add(n, n)
+    while not any(inside(sub(m, b)) for b in bases):
+        h, m = h + 1, add(m, n)
+    return h

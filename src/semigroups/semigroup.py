@@ -411,7 +411,8 @@ class Semigroup:
 
     def _box_values(self, indices, bounds):
         """All sums of lambda_i * gens[i] over i in indices, with
-        0 <= lambda_i <= the matching entry of bounds."""
+        0 <= lambda_i <= the matching entry of bounds, for affine S: a
+        numerical box is a plane (classify._Base.box)."""
         ar = self._arith
         vals = [ar.scale(0, self.gens[0])]
         for idx, bound in zip(indices, bounds):

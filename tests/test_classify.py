@@ -186,6 +186,72 @@ def test_affine_base_index_is_refused_by_every_box_predicate():
         assert predicate(S)[0] == predicate(S, None)[0]
 
 
+def test_plane_bases_match_the_apery_tuple(monkeypatch):
+    # numerical _Base reads Ap(S; n_j) as its kept plane: alpha_i, #Ap,
+    # membership and every box are bit operations.  Each agrees with the
+    # definition on the tuple S.apery(n_j), for the alpha bounds, the
+    # c - 1 bounds and every mu the rectangular search tries
+    verdicts = Counter()
+    real_box = classify._Base.box
+
+    def box(base, T, bounds):
+        got = real_box(base, T, bounds)
+        j, = set(range(len(T.gens))) - set(base.others)
+        ap = T.apery(T.gens[j])
+        want = sorted(T._box_values(base.others, bounds)) == list(ap)
+        assert got == ((True, dict(zip(base.others, bounds))) if want
+                       else (False, None)), (T.gens, j, bounds)
+        verdicts[want] += 1
+        return got
+
+    monkeypatch.setattr(classify._Base, "box", box)
+    for S in _corpus_e_ge_2(11):
+        e = len(S.gens)
+        T = make_semigroup(S.gens)  # keeps no planes: alpha by membership
+        alphas = {(i, j): constants.alpha(T, i, j)
+                  for j in range(e) for i in range(e) if i != j}
+        assert "planes" not in T._memo
+        betti_elements(S)  # keeps the planes past every F + n_j
+        for j in range(e):
+            base = classify._base(S, j)
+            ap = S.apery(S.gens[j])
+            assert base.alphas == [alphas[i, j] for i in base.others]
+            assert base.size == len(ap)
+            top = S.frobenius() + S.gens[j] + max(S.gens)
+            assert [w for w in range(top + 1) if base.holds(S, w)] == \
+                list(ap), (S.gens, j)
+            is_c_rectangular(S, j)
+            is_rectangular(S, j)
+            for k in range(len(base.alphas)):
+                raised = list(base.alphas)
+                raised[k] += 1
+                assert not base.box(S, raised)[0], (S.gens, j, k)
+    assert verdicts[True] > 200 and verdicts[False] > 10000, verdicts
+
+
+def test_rectangularity_reads_no_apery_tuple(monkeypatch):
+    # the report and the harness inputs read each numerical base off its
+    # kept plane: no membership loop for alpha, no list of box values and
+    # no Apery tuple kept for a base.  A standalone alpha keeps its loop,
+    # which builds no plane.
+    loops, values = [], []
+    real_loop = constants._alpha_by_membership
+    real_values = Semigroup._box_values
+    monkeypatch.setattr(constants, "_alpha_by_membership", lambda *a: (
+        loops.append(a) or real_loop(*a)))
+    monkeypatch.setattr(Semigroup, "_box_values", lambda T, *a: (
+        values.append(a) or real_values(T, *a)))
+    S = make_semigroup([24, 26, 36, 39])
+    classification_report(S)
+    HarnessInputs(S)
+    assert (loops, values) == ([], [])
+    assert not [key for key in S._memo
+                if isinstance(key, tuple) and key[0] == "apery"]
+    T = make_semigroup([24, 26, 36, 39])
+    assert constants.alpha(T, 1, 0) == classify._base(S, 0).alphas[0]
+    assert len(loops) == 1 and "planes" not in T._memo
+
+
 # -- free-arrangement search against brute force ---------------------------
 
 def _coin_change(gens, limit):
@@ -491,23 +557,29 @@ def test_apery_planes_match_the_round_robin_table_and_pairwise_scans():
 
 
 def test_ap_b1_fails_when_one_uniqueness_read_is_wrong(monkeypatch):
-    # a check that reads the plane must still be able to fail: flip the
-    # read at any one element of Ap(S; b_1), and the harness reports it
-    real = classify._unique_test
+    # a check that reads the planes must still be able to fail: move the
+    # bit of any one element of Ap(S; b_1) from the one plane to the many
+    # plane that the harness reads, and the harness reports it
+    real = classify.HarnessInputs
     for gens in ((4, 6, 9), _PAST_THE_SCAN):
         S = make_semigroup(gens)
         ap = S.apery(betti_elements(S).betti[0])
         assert run_theorem_harness([S], chain_witnesses=None)[
             "violations"] == []
         for w in ap:
-            def flipped(T, bound, w=w):
-                test = real(T, bound)
-                return lambda v: test(v) != (v == w)
-            monkeypatch.setattr(classify, "_unique_test", flipped)
+            class Moved(real):
+                __slots__ = ()
+
+                def __init__(self, T, w=w):
+                    super().__init__(T)
+                    one, many = self.planes
+                    self.planes = one & ~(1 << w), many | 1 << w
+
+            monkeypatch.setattr(classify, "HarnessInputs", Moved)
             report = run_theorem_harness([S], chain_witnesses=None)
             assert "ap_b1" in {v["check"] for v in report["violations"]}, \
                 (gens, w)
-        monkeypatch.setattr(classify, "_unique_test", real)
+        monkeypatch.setattr(classify, "HarnessInputs", real)
 
 
 def test_isolated_characterization_fails_without_an_ib_vector(monkeypatch):
