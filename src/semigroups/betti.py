@@ -191,7 +191,7 @@ def _free_completion(S, prefix, alpha_base=None):
 
     The search runs only when _peelable holds for the whole generator
     set: that gate reads c-bar alone, and it rules out most non-free
-    semigroups before any c_i^* (a submonoid Apery table) is built.
+    semigroups before any membership read (a submonoid Apery table).
     """
     def compute():
         if not _peelable(S, frozenset(range(len(S.gens)))):
@@ -248,17 +248,21 @@ def is_free(S, arrangement=None):
 
 def _free_multiple(S, arrangement, pos):
     """c-bar at position pos of the arrangement when it equals c^*, else
-    None.  A minimal generator is never in the monoid of the others, so
-    c^* >= 2, and c-bar = 1 settles the position without computing c^*."""
+    None, from one membership read.  c^* n lies in <P>, so in the group
+    of P, the prefix, whose multiples of n are the multiples of c-bar:
+    c-bar divides c^*, and c^* = c-bar iff c-bar n lies in <P>.  A
+    minimal generator is never in the monoid of the others, so c^* >= 2,
+    and c-bar = 1 settles the position without a table of <P>."""
     c = constants.c_bar(S, arrangement, pos)
-    return c if c > 1 and constants.c_star(S, arrangement, pos) == c \
-        else None
+    return c if c > 1 and S.submonoid(arrangement[:pos]).contains(
+        S._arith.scale(c, S.gens[arrangement[pos]])) else None
 
 
 def _betti_affine(S, degree_bound, fiber_cap):
     arr = free_arrangement(S)
     if arr is not None:
-        betti = {S._arith.scale(constants.c_star(S, arr, pos),
+        # c^* = c-bar at every position of a free arrangement
+        betti = {S._arith.scale(constants.c_bar(S, arr, pos),
                                 S.gens[arr[pos]])
                  for pos in range(S.rank, len(arr))}
         return _profile(S, sorted(betti), fiber_cap, True)

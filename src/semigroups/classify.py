@@ -129,8 +129,8 @@ class _Base:
     the harness read.  The c-box witness is made on first request
     (is_c_rectangular).  Numerical Ap is the kept plane of
     Semigroup._apery_plane, and every read of it is a bit operation.
-    Affine Ap is the sorted tuple of apery: a plane of it would need a
-    proven bound on the box of its elements."""
+    Affine Ap is the sorted tuple of apery: a plane needs the box of
+    coordinate sums, dense and past _BOX_CAP even for 3 elements."""
 
     __slots__ = ("ap", "size", "others", "alphas", "alpha_box", "c_box")
 
@@ -350,12 +350,13 @@ def _shaped_dfs(shape, p, counts, forests, lefts):
         cvals = shape
     e = len(S.gens)
     if p == e:
-        return all(counts[b] == need[b] for b in betti)
+        # e - 1 relations, none past its need, and the needs sum to e - 1
+        return True
     gi = arrangement[p]
     n = S.gens[gi]
+    # numerical S with e >= 2 (a Betti element exists) has every c_i
     if fixed_c:
-        left_cands = ([cvals[gi]] if cvals[gi] is not None
-                      and cvals[gi] * n in need else [])
+        left_cands = [cvals[gi]] if cvals[gi] * n in need else []
     else:
         left_cands = [b // n for b in betti if b % n == 0]
     prev = arrangement[p - 1]
@@ -364,24 +365,17 @@ def _shaped_dfs(shape, p, counts, forests, lefts):
         b = left_coef * n
         if counts[b] >= need[b]:
             continue
-        left = tuple(left_coef if i == gi else 0 for i in range(e))
-        lc = class_of.get((b, left))
-        if lc is None:
-            continue
-        if fixed_c and cvals[prev] is None:
-            continue
+        # class_of holds every factorization of b, left and each right
+        lc = class_of[b, tuple(left_coef if i == gi else 0
+                               for i in range(e))]
         if pure_right:
             # the floor coefficient of the previous generator: c_(p-1)
             # in the c-shape, the previously chosen left coefficient in
             # the a-shape (free for the very first position)
             step = cvals[prev] if fixed_c else lefts.get(prev, 1)
-            rights = []
-            k = step
-            while k * S.gens[prev] <= b:
-                if k * S.gens[prev] == b:
-                    rights.append(tuple(k if i == prev else 0
-                                        for i in range(e)))
-                k += step
+            k, rem = divmod(b, S.gens[prev])
+            rights = [] if rem or k % step else \
+                [tuple(k if i == prev else 0 for i in range(e))]
         else:
             floor = cvals[prev] if fixed_c else lefts.get(prev, 0)
             rights = [y for y in fibers[b].factorizations
@@ -389,13 +383,9 @@ def _shaped_dfs(shape, p, counts, forests, lefts):
                       and all(y[i] == 0 or i in allowed
                               for i in range(e))]
         for right in rights:
-            if right == left:
-                continue
-            rc = class_of.get((b, right))
-            if rc is None or rc == lc:
-                continue
+            # a right in the left's R-class finds the same root
             forest = forests[b]
-            ra, rb = _ffind(forest, lc), _ffind(forest, rc)
+            ra, rb = _ffind(forest, lc), _ffind(forest, class_of[b, right])
             if ra == rb:
                 continue
             if _shaped_dfs(shape, p + 1, {**counts, b: counts[b] + 1},
@@ -479,25 +469,25 @@ def classification_report(S):
 
 class HarnessInputs:
     """What the harness checks of one semigroup read, derived once and
-    passed down as their one source: a uniqueness test (a read of the one
-    plane), four verdicts of the walk, the Betti and isolated profiles,
-    the Betti minimals, the c values, the support mask of each vector of
-    I_b and, for each i, whether c_i e_i lies in I_b, the kept _Base of
-    each Apery base (which the predicates and classification_report read
-    too), the planes (one, many) that reach F + b_1, whether each base's
-    Ap factors uniquely (a mask test of the one plane) and the numerical
-    verdicts below.  The planes of S are asked
-    first at the widest bound any input reads, and the memo of S keeps
-    them, the Betti fibers and what the library functions keep.
-    run_theorem_harness builds one for a twin of each corpus member.
-    Sharing an input never reads one condition off another.  A numerical
-    scan past _SCAN_CAP raises SearchCapExceededError before any plane."""
+    passed down as their one source: four verdicts of the walk, the Betti
+    and isolated profiles, the Betti minimals, the c values, the support
+    mask of each vector of I_b and, for each i, whether c_i e_i lies in
+    I_b, the kept _Base of each Apery base (which the predicates and
+    classification_report read too), the planes (one, many) that reach
+    F + b_1 with the map of an element to its bit, whether each base's Ap
+    factors uniquely (a mask test of the one plane) and the numerical
+    verdicts below.  The planes of S are asked first at the widest bound
+    any input reads, and the memo of S keeps them, the Betti fibers and
+    what the library functions keep.  run_theorem_harness builds one for
+    a twin of each corpus member.  Sharing an input never reads one
+    condition off another.  A numerical scan past _SCAN_CAP raises
+    SearchCapExceededError before any plane."""
 
-    __slots__ = ("unique", "characterized", "minimal_multi", "elements_ok",
+    __slots__ = ("characterized", "minimal_multi", "elements_ok",
                  "least_multi", "profile", "prof", "minimals", "cs",
-                 "ib_masks", "pure_ib", "bases", "planes", "ap_unique",
-                 "betti_sorted", "betti_isolated_sorted", "betti_divisible",
-                 "free_some", "cost_sorted")
+                 "ib_masks", "pure_ib", "bases", "planes", "encode",
+                 "ap_unique", "betti_sorted", "betti_isolated_sorted",
+                 "betti_divisible", "free_some", "cost_sorted")
 
     def __init__(self, S):
         bound = _scan_bound(S)
@@ -506,7 +496,7 @@ class HarnessInputs:
                 f"{S}: harness scan bound {bound} exceeds {_SCAN_CAP}")
         # b_1 <= bound, so F + bound covers Ap(S; b_1) in [0, F + b_1]
         top = S.frobenius() + bound if S.numerical else bound
-        self.unique = _unique_test(S, top)
+        self.planes = one, many = S._planes(top)
         # the walk keeps the Betti fibers on S, where the profile reads them
         (self.characterized, self.minimal_multi, self.elements_ok,
          self.least_multi) = _walked(S, bound)
@@ -524,8 +514,7 @@ class HarnessInputs:
         self.bases = {j: _base(S, j) for j in bases}
         # Ap(S; B) factors uniquely iff its plane, at the positions of
         # S._box(top), has no bit outside the one plane
-        self.planes = one, many = S._planes(top)
-        positions = S._box(top)[0]
+        positions, _, self.encode, _ = S._box(top)
         self.ap_unique = {j: not _apery_bits(one | many, [
             positions[i] for i in range(e) if i not in base.others]) & ~one
             for j, base in self.bases.items()}
@@ -535,13 +524,6 @@ class HarnessInputs:
         self.betti_divisible = numerical and is_betti_divisible(S)
         self.free_some = numerical and free_some_arrangement(S) is not None
         self.cost_sorted = numerical and _sorted_cost_arrangements(S)
-
-
-def _unique_test(S, bound):
-    """Whether an element of S.elements_upto(bound) has exactly one
-    factorization: a read of the one plane at its bit of S._box."""
-    bits, encode = bin(S._planes(bound)[0])[:1:-1], S._box(bound)[2]
-    return lambda w: bits.startswith("1", encode(w))  # bits[t] is bit t
 
 
 # -- verified inequality chains ------------------------------------------
@@ -826,7 +808,7 @@ def _check_prop_alpha(S, inputs, j):
     maxima = S.apery_maxima(None if j is None else S.gens[j])
     unique_max = len(maxima) == 1
     c1 = base.alpha_box[0]
-    c2 = unique_max and inputs.unique(maxima[0])
+    c2 = unique_max and inputs.planes[0] >> inputs.encode(maxima[0]) & 1 == 1
     c3 = unique_max and inputs.ap_unique[j]
     c4 = base.size == prod(a + 1 for a in base.alphas)
     return _entry([c1, c2, c3, c4])

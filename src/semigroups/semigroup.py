@@ -148,7 +148,7 @@ def _bits(plane):
 
 
 class SubMonoid:
-    """Membership engine for the monoid generated by a fixed generator list.
+    """Membership engine for the monoid of a fixed nonempty generator list.
 
     Numerical generators: with d the gcd of the generators and n the least
     generator divided by d, the engine keeps the Apery table Ap of the
@@ -162,7 +162,7 @@ class SubMonoid:
 
     def __init__(self, gens):
         self.gens = tuple(gens)
-        self.numerical = bool(self.gens) and isinstance(self.gens[0], int)
+        self.numerical = isinstance(self.gens[0], int)
         self._apery = None
         self._memo = {}
 
@@ -188,8 +188,6 @@ class SubMonoid:
                 return False
             q = v // d
             return q >= ap[q % self._n]
-        if not self.gens:  # the monoid of no generators is {0}
-            return v == _arithmetic(v).scale(0, v)
         dim = len(self.gens[0])
         if isinstance(v, int) or len(v) != dim:
             raise InvalidGeneratorsError(
@@ -368,9 +366,8 @@ class Semigroup:
         exactly the ray generator set.
         """
         key = self._apery_key(base)
-        if self.numerical:
-            return self._cached(("apery", key), lambda: tuple(_bits(
-                self._apery_plane(key))))
+        if self.numerical:  # decoded from the kept plane on each call
+            return tuple(_bits(self._apery_plane(key)))
         return self._cached(("apery", key), self._apery_affine, key)
 
     def _apery_key(self, base):

@@ -26,11 +26,12 @@ from semigroups.classify import (_BETTI, _IBETTI, _MULTI, HarnessInputs,
                                  _check_isolated_elements,
                                  _check_thm_alpha_free, _packing,
                                  _per_base, _scan_bound,
-                                 _sorted_cost_arrangements, _unique_test,
+                                 _sorted_cost_arrangements,
                                  _walk, admits_shaped_presentation,
                                  free_arrangement_starting_at,
                                  is_alpha_rectangular_every_generator)
-from semigroups.errors import NotSimplicialError, SearchCapExceededError
+from semigroups.errors import (IncompleteBettiError, NotSimplicialError,
+                               SearchCapExceededError)
 from semigroups.explore import (enumerate_numerical_by_genus,
                                 run_theorem_harness)
 from semigroups import semigroup
@@ -107,6 +108,19 @@ def test_free_all_arrangements_is_checked_beyond_seven_generators():
     T, _ = betti_divisible_from_params((2, 3, 5, 7, 11, 13, 17, 19),
                                        (1,) * 8)
     assert len(T.gens) == 8 and is_free_all_arrangements(T)
+
+
+def test_free_all_arrangements_decides_in_the_subset_loop():
+    # every leave-one-out c-bar is above 1 (5, 2 and 3), so the gcd gate
+    # passes and a prefix of the subset loop must find the failure; the
+    # Betti set {210, 330} is not divisible
+    S = make_semigroup([6, 105, 110])
+    assert [constants.c_bar(S, tuple(i for i in range(3) if i != k) + (k,),
+                            2) for k in range(3)] == [5, 2, 3]
+    assert is_free_all_arrangements(S) is False
+    assert not all(is_free(S, p) for p in permutations(range(3)))
+    assert betti_elements(S).betti == (210, 330)
+    assert not is_betti_divisible(S)
 
 
 def test_classification_report_flags():
@@ -387,6 +401,34 @@ def test_affine_free_arrangement_is_first_free_permutation():
     assert free == 306
 
 
+def test_is_free_where_no_multiple_lies_in_the_prefix_monoid():
+    # (0,3) lies outside the cone of (3,0) and (1,2), so no multiple of it
+    # is in their monoid: a c^* search probed (0, 6k) up to its cap and
+    # raised.  c-bar = 2 and (0,6) is no member, which settles it.
+    S = make_semigroup([(3, 0), (0, 3), (1, 2), (2, 1)])
+    assert is_free(S, (0, 2, 1, 3)) is False
+    assert not [key for key in S._memo if key[0] == "c_star"]
+
+
+def test_freeness_predicates_search_no_c_star(monkeypatch):
+    # c^* is a multiple of c-bar, so freeness reads c-bar and one
+    # membership per position, and never searches for c^*
+    calls = []
+    real = constants._least_multiple
+    monkeypatch.setattr(constants, "_least_multiple",
+                        lambda *a: calls.append(a) or real(*a))
+    free = 0
+    for S in enumerate_numerical_by_genus(8):
+        free += is_free(S) + is_free_all_arrangements(S)
+        free += free_some_arrangement(S) is not None
+        for j in range(len(S.gens)):
+            free += free_arrangement_starting_at(S, j) is not None
+            free += _free_completion(S, frozenset((j,)), j) is not None
+    for S in _affine_probe_corpus():
+        free += is_free(S) + (free_arrangement(S) is not None)
+    assert calls == [] and free == 710  # free answers among them
+
+
 def test_peel_gate_rules_out_without_building_c_star(monkeypatch):
     # gcd(4, 5) = gcd(3, 5) = gcd(3, 4) = 1: no generator can be last, so
     # the search ends after e gcds, before any submonoid Apery table
@@ -535,7 +577,7 @@ def test_apery_planes_match_the_round_robin_table_and_pairwise_scans():
     for S in _corpus_e_ge_2(9):
         F, b1 = S.frobenius(), betti_elements(S).betti[0]
         past += F + b1 > _scan_bound(S)
-        unique = _unique_test(S, F + _scan_bound(S))
+        one = S._planes(F + _scan_bound(S))[0]
         for bases in [(g,) for g in S.gens] + [(b1,), S.gens[:2]]:
             ap = S.apery(bases)
             # the round-robin table of the least base, filtered by the rest
@@ -550,7 +592,8 @@ def test_apery_planes_match_the_round_robin_table_and_pairwise_scans():
                            if not any(v != w and S.leq(w, v) for v in ap))
             assert S.apery_maxima(bases) == maxima, (S.gens, bases)
             for w in ap:
-                assert unique(w) == (len(factor.raw_fiber(S.gens, w)) == 1)
+                assert (one >> w & 1 == 1) == \
+                    (len(factor.raw_fiber(S.gens, w)) == 1)
     assert past > 10
     S = make_semigroup(_PAST_THE_SCAN)
     assert S.frobenius() + betti_elements(S).betti[0] > _scan_bound(S)
@@ -786,6 +829,36 @@ def test_harness_report_order_and_applicability_are_pinned():
         "thm_betti_sorted_alpha", "cor_betti_sorted",
         "cor_betti_divisible_presen", "thm_betti_divisible_generators",
         "thm_betti_divisible_free", "thm_single_betti_alpha"]
+
+
+def test_rank_one_embedding_agrees_with_the_numerical_harness():
+    # <n_i> and <(n_i, 0)> are one monoid: the theorems that both paths
+    # run agree entry for entry (prop_alpha and thm_alpha_c against the
+    # numerical base 0, the affine base being the ray n_1), and so does
+    # every chain both report.  The affine path needs a free arrangement
+    # with n_1 first for an exact Betti set; without one it raises.
+    shared = [(name, check) for name, check, numerical_only in
+              classify._THEOREMS if not numerical_only]
+    at_base_0 = {"prop_alpha": classify._check_prop_alpha,
+                 "thm_alpha_c": classify._check_thm_alpha_c}
+    raised = compared = 0
+    for S in _corpus_e_ge_2(10):
+        T = make_semigroup([(g, 0) for g in S.gens])
+        try:
+            affine = HarnessInputs(T)
+        except IncompleteBettiError:
+            raised += 1
+            continue
+        compared += 1
+        inputs = HarnessInputs(S)
+        for name, check in shared:
+            own = at_base_0[name](S, inputs, 0) if name in at_base_0 \
+                else check(S, inputs)
+            assert own == check(T, affine), (S.gens, name)
+        chains = {c["name"]: c for c in verify_bounds(S, inputs)}
+        both = [c for c in verify_bounds(T, affine) if c["name"] in chains]
+        assert both and all(c == chains[c["name"]] for c in both), S.gens
+    assert (raised, compared) == (443, 34)
 
 
 def test_per_base_fold():
