@@ -129,8 +129,9 @@ class _Base:
     the harness read.  The c-box witness is made on first request
     (is_c_rectangular).  Numerical Ap is the kept plane of
     Semigroup._apery_plane, and every read of it is a bit operation.
-    Affine Ap is the sorted tuple of apery: a plane needs the box of
-    coordinate sums, dense and past _BOX_CAP even for 3 elements."""
+    Affine Ap is the sorted tuple of apery: a plane's box of coordinate
+    sums can pass _BOX_CAP while Ap is tiny: <(300,0,0),(0,300,0),
+    (0,0,300),(100,100,100)> has 3 elements and needs 1202^3 bits."""
 
     __slots__ = ("ap", "size", "others", "alphas", "alpha_box", "c_box")
 

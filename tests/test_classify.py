@@ -245,9 +245,9 @@ def test_plane_bases_match_the_apery_tuple(monkeypatch):
 
 def test_rectangularity_reads_no_apery_tuple(monkeypatch):
     # the report and the harness inputs read each numerical base off its
-    # kept plane: no membership loop for alpha, no list of box values and
-    # no Apery tuple kept for a base.  A standalone alpha keeps its loop,
-    # which builds no plane.
+    # kept plane: no membership loop for alpha, no list of box values, and
+    # one Apery plane per base with no Apery tuple beside it.  A standalone
+    # alpha keeps its loop, which builds no plane.
     loops, values = [], []
     real_loop = constants._alpha_by_membership
     real_values = Semigroup._box_values
@@ -259,8 +259,9 @@ def test_rectangularity_reads_no_apery_tuple(monkeypatch):
     classification_report(S)
     HarnessInputs(S)
     assert (loops, values) == ([], [])
-    assert not [key for key in S._memo
-                if isinstance(key, tuple) and key[0] == "apery"]
+    assert {key for key in S._memo if isinstance(key, tuple)
+            and key[0].startswith("apery")} == \
+        {("apery_plane", (g,)) for g in S.gens}
     T = make_semigroup([24, 26, 36, 39])
     assert constants.alpha(T, 1, 0) == classify._base(S, 0).alphas[0]
     assert len(loops) == 1 and "planes" not in T._memo

@@ -85,7 +85,7 @@ def test_minimal_multi_elements_build_no_apery_table_of_the_first_generator():
     # and 9 is not the multiplicity of <9, 7, 5>
     S = make_semigroup([9, 7, 5])
     assert minimal_multi_elements(S) == (14, 25, 27)
-    assert ("apery", (9,)) not in S._memo
+    assert ("apery_plane", (9,)) not in S._memo
 
 
 def test_affine_minimal_multi_elements_match_the_fiber_definition():
